@@ -10,17 +10,16 @@ from .analysis import (AnalysisReport, ModeSpectrum, QuadratureError,
                        RegimeFlags, build_report, eigenvalues, lorentz_line,
                        measured_oscillation_frequency, steady_state,
                        thresholds, zeta_lorentzian, zeta_numeric, zeta_peaked)
-from .fieldsim import (AtomState, DecorrelationResult, EnsembleTrace,
-                       IntegratorError, PhaseAutocorrelation, RngStream,
-                       TrajectoryTrace, decorrelation_residual, gaussian_pair,
+from .fieldsim import (DecorrelationResult, EnsembleTrace, IntegratorError,
+                       PhaseAutocorrelation, RngStream, TrajectoryTrace,
+                       decorrelation_residual, gaussian_pair,
                        phase_autocorrelation, run_ensemble, run_trajectory,
-                       simulate_phases, step_trajectory)
+                       simulate_phases)
 from .kinetics import (CollisionParams, KineticTrace, StepSizeError,
                        adiabatic_series_check, ere_exact, integrate_effective_bloch,
                        integrate_ere, integrate_generalized_ere,
                        integrate_memory_kernel, integrate_modified_ere)
-from .params import (CoherentLimitError, DerivedParams, DipoleParams,
-                     SystemParams, derive, einstein_b)
+from .params import CoherentLimitError, DipoleParams, SystemParams, einstein_b
 from .spectrum import (LorentzianSpectrum, SpectrumModel, SpectrumSupportError,
                        TabulatedSpectrum, WkEstimate, autocorrelation_kernel,
                        bw21_of, energy_density, from_phase_diffusion, fwhm_of,

@@ -24,8 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, figsvg, kinetics
-from .fieldsim import IntegratorError, decorrelation_residual, run_ensemble
-from .params import CoherentLimitError, SystemParams
+from .fieldsim import (EnsembleTrace, IntegratorError, decorrelation_residual,
+                       run_ensemble)
+from .params import CoherentLimitError, SystemParams, check_seed, grid_steps
 from .spectrum import SpectrumSupportError, load_tabulated
 
 ENV_THREADS = "BLOCHRATE_THREADS"
@@ -83,8 +84,11 @@ def _apply_key(cfg: RunConfig, key: str, value: str, where: str) -> None:
             parsed = int(value)
         except ValueError:
             raise ConfigError(f"{where}: {key} needs an integer, got {value!r}") from None
-        if key == "seed" and not (0 <= parsed < 2 ** 64):
-            raise ConfigError(f"{where}: seed must fit in 64 bits")
+        if key == "seed":
+            try:
+                parsed = check_seed(parsed)
+            except ValueError as exc:
+                raise ConfigError(f"{where}: {exc}") from None
         setattr(cfg, key, parsed)
     elif key in _STR_KEYS:
         setattr(cfg, key, value)
@@ -138,22 +142,23 @@ def _write_csv(path: Path, header: str, rows) -> None:
     atomic_write_text(path, "\n".join([header, *rows]) + "\n")
 
 
-def _trace_rows(t, n_mean, n_std, n_stderr, q, model: str, seed: int):
-    rows = []
-    for k in range(len(t)):
-        rows.append(",".join([
-            _fmt(t[k]), _fmt(n_mean[k]), _fmt(n_std[k]), _fmt(n_stderr[k]),
-            _fmt(q[k]), model, str(seed),
-        ]))
-    return rows
+def _write_trace(path: Path, run, model: str, seed: int, q=None) -> Path:
+    """Write one TRACE_HEADER CSV from an EnsembleTrace or a KineticTrace.
 
-
-def _zeros(n: int) -> np.ndarray:
-    return np.zeros(n)
-
-
-def _nans(n: int) -> np.ndarray:
-    return np.full(n, math.nan)
+    An ensemble passes its q column explicitly; a deterministic trace has
+    zero spread and carries its own q. A missing q is written as NaN.
+    """
+    m = len(run.t)
+    if isinstance(run, EnsembleTrace):
+        n, std, se = run.n_mean, np.sqrt(run.n_var), run.n_stderr
+    else:
+        n, std, se, q = run.n, np.zeros(m), np.zeros(m), run.q
+    q = np.full(m, math.nan) if q is None else q
+    rows = [",".join([_fmt(run.t[k]), _fmt(n[k]), _fmt(std[k]), _fmt(se[k]),
+                      _fmt(q[k]), model, str(seed)])
+            for k in range(m)]
+    _write_csv(path, TRACE_HEADER, rows)
+    return path
 
 
 # ----------------------------------------------------------------------
@@ -173,11 +178,8 @@ def _sde_trace(params, n_traj, t_end, dt, seed, threads):
     """Run the ensemble and map it onto the trace-CSV columns."""
     trace = run_ensemble(params, n_traj, t_end, dt, seed,
                          threads=threads, with_coherence=True)
-    if params.omega0 > 0:
-        q = (-(params.delta + 2.0 * params.gamma_perp) / params.omega0
-             * trace.coherence_mean.imag)
-    else:
-        q = _nans(len(trace.t))
+    q = (-(params.delta + 2.0 * params.gamma_perp) / params.omega0
+         * trace.coherence_mean.imag) if params.omega0 > 0 else None
     return trace, q
 
 
@@ -196,42 +198,32 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, threads: int,
 
     if model == "sde":
         n_traj = _require(cfg, "n_traj", 1000)
-        trace, q = _sde_trace(params, n_traj, t_end, dt, seed, threads)
-        rows = _trace_rows(trace.t, trace.n_mean, np.sqrt(trace.n_var),
-                           trace.n_stderr, q, model, seed)
-        t, n = trace.t, trace.n_mean
+        run, q = _sde_trace(params, n_traj, t_end, dt, seed, threads)
+        n = run.n_mean
     else:
         if model == "effective-bloch":
-            kin = kinetics.integrate_effective_bloch(params, t_end, dt,
+            run = kinetics.integrate_effective_bloch(params, t_end, dt,
                                                      n0=cfg.n0, q0=cfg.q0)
-            q = kin.q
         elif model == "ere":
-            kin = kinetics.integrate_ere(params, t_end, dt, n0=cfg.n0)
-            q = None
+            run = kinetics.integrate_ere(params, t_end, dt, n0=cfg.n0)
         elif model == "modified-ere":
-            kin = kinetics.integrate_modified_ere(params, t_end, dt, n0=cfg.n0)
-            q = None
+            run = kinetics.integrate_modified_ere(params, t_end, dt, n0=cfg.n0)
         elif model == "generalized-ere":
             coll = kinetics.CollisionParams(gamma_21=cfg.gamma_21,
                                             gamma_12=cfg.gamma_12)
-            kin = kinetics.integrate_generalized_ere(params, coll, t_end, dt,
+            run = kinetics.integrate_generalized_ere(params, coll, t_end, dt,
                                                      n0=cfg.n0)
-            q = None
         else:
             spec = load_tabulated(cfg.spectrum_path) if cfg.spectrum_path else None
-            kin = kinetics.integrate_memory_kernel(spec, params, t_end, dt,
+            run = kinetics.integrate_memory_kernel(spec, params, t_end, dt,
                                                    n0=cfg.n0)
-            q = None
-        m = len(kin.t)
-        rows = _trace_rows(kin.t, kin.n, _zeros(m), _zeros(m),
-                           q if q is not None else _nans(m), model, seed)
-        t, n = kin.t, kin.n
+        q, n = None, run.n
 
-    out = out_dir / (cfg.out or f"{model}_trace.csv")
-    _write_csv(out, TRACE_HEADER, rows)
+    out = _write_trace(out_dir / (cfg.out or f"{model}_trace.csv"), run, model,
+                       seed, q)
     if plot:
         svg = figsvg.render_line_plot(
-            [figsvg.PlotSeries(model, t, n)],
+            [figsvg.PlotSeries(model, run.t, n)],
             title=f"{model} trace", xlabel="t [1/A]", ylabel="mean inversion")
         atomic_write_text(out.with_suffix(".svg"), svg)
     return out
@@ -240,16 +232,12 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, threads: int,
 # ----------------------------------------------------------------------
 # figures
 
-def _fig_seed(cfg: RunConfig) -> int:
-    return cfg.seed
-
-
 def _fig1(out_dir, cfg, threads, panel: str):
     """Inversion vs time; panel a sweeps linewidth, panel b compares models."""
     t_end = _require(cfg, "t_end", 6.0)
     dt = _require(cfg, "dt", 1e-3)
     n_traj = _require(cfg, "n_traj", 10000)
-    seed = _fig_seed(cfg)
+    seed = cfg.seed
     written = []
     series = []
 
@@ -259,30 +247,20 @@ def _fig1(out_dir, cfg, threads, panel: str):
         for d in deltas:
             params = SystemParams(a=1.0, delta=d, omega0=omega0)
             trace, q = _sde_trace(params, n_traj, t_end, dt, seed, threads)
-            path = out_dir / f"fig1a_sde_delta{d:g}.csv"
-            _write_csv(path, TRACE_HEADER,
-                       _trace_rows(trace.t, trace.n_mean, np.sqrt(trace.n_var),
-                                   trace.n_stderr, q, "sde", seed))
-            written.append(path)
+            written.append(_write_trace(out_dir / f"fig1a_sde_delta{d:g}.csv",
+                                        trace, "sde", seed, q))
             series.append(figsvg.PlotSeries(f"sde delta={d:g}", trace.t, trace.n_mean))
             kin = kinetics.integrate_effective_bloch(params, t_end, dt)
-            path = out_dir / f"fig1a_bloch_delta{d:g}.csv"
-            m = len(kin.t)
-            _write_csv(path, TRACE_HEADER,
-                       _trace_rows(kin.t, kin.n, _zeros(m), _zeros(m), kin.q,
-                                   "effective-bloch", seed))
-            written.append(path)
+            written.append(_write_trace(out_dir / f"fig1a_bloch_delta{d:g}.csv",
+                                        kin, "effective-bloch", seed))
             series.append(figsvg.PlotSeries(f"bloch delta={d:g}", kin.t, kin.n,
                                             dash="6,3"))
         title = "inversion vs time, omega0=4"
     else:
         params = SystemParams(a=1.0, delta=5.0, omega0=math.sqrt(11.0))
         trace, q = _sde_trace(params, n_traj, t_end, dt, seed, threads)
-        path = out_dir / "fig1b_sde.csv"
-        _write_csv(path, TRACE_HEADER,
-                   _trace_rows(trace.t, trace.n_mean, np.sqrt(trace.n_var),
-                               trace.n_stderr, q, "sde", seed))
-        written.append(path)
+        written.append(_write_trace(out_dir / "fig1b_sde.csv", trace, "sde",
+                                    seed, q))
         series.append(figsvg.PlotSeries("sde", trace.t, trace.n_mean))
         runs = [
             ("effective-bloch",
@@ -291,13 +269,8 @@ def _fig1(out_dir, cfg, threads, panel: str):
             ("modified-ere", kinetics.integrate_modified_ere(params, t_end, dt)),
         ]
         for name, kin in runs:
-            path = out_dir / f"fig1b_{name}.csv"
-            m = len(kin.t)
-            qcol = kin.q if kin.q is not None else _nans(m)
-            _write_csv(path, TRACE_HEADER,
-                       _trace_rows(kin.t, kin.n, _zeros(m), _zeros(m), qcol,
-                                   name, seed))
-            written.append(path)
+            written.append(_write_trace(out_dir / f"fig1b_{name}.csv", kin,
+                                        name, seed))
             series.append(figsvg.PlotSeries(name, kin.t, kin.n,
                                             dash=None if name == "effective-bloch" else "6,3"))
         title = "model hierarchy, omega0=sqrt(11), delta=5"
@@ -308,25 +281,18 @@ def _fig2(out_dir, cfg, threads, panel: str):
     """Ensemble-size convergence of the SDE mean toward effective Bloch."""
     t_end = _require(cfg, "t_end", 6.0)
     dt = _require(cfg, "dt", 1e-3)
-    seed = _fig_seed(cfg)
+    seed = cfg.seed
     delta, omega0 = (10.0, 2.0) if panel == "a" else (1.0, 6.0)
     params = SystemParams(a=1.0, delta=delta, omega0=omega0)
     written, series = [], []
     for n_traj in (1, 10, 100, 1000):
         trace, q = _sde_trace(params, n_traj, t_end, dt, seed, threads)
-        path = out_dir / f"fig2{panel}_n{n_traj}.csv"
-        _write_csv(path, TRACE_HEADER,
-                   _trace_rows(trace.t, trace.n_mean, np.sqrt(trace.n_var),
-                               trace.n_stderr, q, "sde", seed))
-        written.append(path)
+        written.append(_write_trace(out_dir / f"fig2{panel}_n{n_traj}.csv",
+                                    trace, "sde", seed, q))
         series.append(figsvg.PlotSeries(f"N={n_traj}", trace.t, trace.n_mean))
     kin = kinetics.integrate_effective_bloch(params, t_end, dt)
-    path = out_dir / f"fig2{panel}_bloch.csv"
-    m = len(kin.t)
-    _write_csv(path, TRACE_HEADER,
-               _trace_rows(kin.t, kin.n, _zeros(m), _zeros(m), kin.q,
-                           "effective-bloch", seed))
-    written.append(path)
+    written.append(_write_trace(out_dir / f"fig2{panel}_bloch.csv", kin,
+                                "effective-bloch", seed))
     series.append(figsvg.PlotSeries("effective-bloch", kin.t, kin.n, dash="6,3"))
     title = f"ensemble convergence, delta={delta:g}, omega0={omega0:g}"
     return written, series, title, "t [1/A]", "mean inversion", False, False
@@ -345,7 +311,7 @@ def _fig3(out_dir, cfg, threads, panel: str):
     t_end = _require(cfg, "t_end", t_end_def)
     dt = _require(cfg, "dt", 2e-3)
     n_traj = _require(cfg, "n_traj", 10000)
-    seed = _fig_seed(cfg)
+    seed = cfg.seed
     params = SystemParams(a=1.0, delta=delta, omega0=omega0)
     trace = run_ensemble(params, n_traj, t_end, dt, seed, threads=threads,
                          keep_final=True)
@@ -412,9 +378,7 @@ def cmd_decorrelate(cfg: RunConfig, out_dir: Path, threads: int,
     n_traj = _require(cfg, "n_traj", 10000)
     if cfg.n_tprime < 2:
         raise ConfigError("n_tprime must be >= 2")
-    total = int(round(cfg.t_obs / dt))
-    if total < 1 or abs(total * dt - cfg.t_obs) > 1e-9 * max(1.0, cfg.t_obs):
-        raise ConfigError(f"t_obs={cfg.t_obs} is not a positive multiple of dt={dt}")
+    total = grid_steps(cfg.t_obs, dt, "t_obs", positive=True)
     idx = np.unique(np.round(np.linspace(0, total, cfg.n_tprime)).astype(int))
     t_prime = idx * dt
 
@@ -501,9 +465,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, args.overrides)
         if args.seed is not None:
-            if not (0 <= args.seed < 2 ** 64):
-                raise ConfigError("--seed must fit in 64 bits")
-            cfg.seed = args.seed
+            cfg.seed = check_seed(args.seed)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         threads = _resolve_threads(getattr(args, "threads", None))

@@ -11,15 +11,25 @@ trajectory integrates
 Noise enters only through phi, which is exactly integrable: each step draws
 phi += sqrt(delta*dt)*z with z standard normal, and (n, sigma) advance with a
 deterministic implicit-midpoint step evaluated at the mid-step phase
-phi + dphi/2. The inner fixed-point iteration runs a fixed 8 sweeps (so a
-trajectory's arithmetic never depends on what else shares its batch) and must
-reach residual < 1e-12 or the step fails loudly.
+phi + dphi/2. At fixed phase the system is linear in (n, sigma), so the
+implicit step has a closed form (a Cayley map, which keeps the undamped
+Bloch radius n**2 + 4|sigma|**2 to rounding). With k = 2 + dt*gamma_perp and
+e = e^{i phi_mid}:
+
+    n_m     = (2n - dt*a + (4*Omega0*dt/k)*Im(sigma*e)) / (2 + dt*a + dt**2*Omega0**2/k)
+    sigma_m = (2*sigma - (i/2)*Omega0*dt*conj(e)*n_m) / k
+    n1 = 2*n_m - n,  sigma1 = 2*sigma_m - sigma
+
+A step guard refuses dt*max(a, gamma_perp, Omega0) > MAX_STEP_RATE before any
+step runs, and every noise chunk ends with a Bloch-sphere bound check.
 
 Reproducibility contract: trajectory i draws from a Philox stream keyed by
 (seed, i); normals are produced by the Box-Muller cosine branch, one uniform
 pair per normal, in fixed chunks of NOISE_CHUNK steps. Ensemble statistics are
 reduced per fixed-size trajectory block and the blocks are merged pairwise in
-index order, so results are bit-identical for any worker count.
+index order, so results are bit-identical for any worker count. Every entry
+point integrates through the same block engine, so trajectory i is the same
+trajectory everywhere.
 """
 
 from __future__ import annotations
@@ -30,27 +40,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import SystemParams
+from .params import SystemParams, check_seed, grid_steps
 
 BLOCK_TRAJ = 8192      # trajectories integrated together; independent of --threads
 NOISE_CHUNK = 1024     # steps drawn per stream call; fixed so noise is batch independent
-FIXED_POINT_ITERS = 8
-FIXED_POINT_TOL = 1e-12
+MAX_STEP_RATE = 0.05   # largest dt*max(a, gamma_perp, omega0) the step guard allows
 
 _U64 = 0xFFFFFFFFFFFFFFFF
 
 
 class IntegratorError(RuntimeError):
-    """A trajectory step failed to converge or produced unphysical values."""
-
-
-@dataclass(frozen=True)
-class AtomState:
-    """Instantaneous (n, sigma, phi) of one trajectory. Immutable."""
-
-    n: float
-    sigma: complex
-    phi: float
+    """A step is too coarse for the rates or a trajectory became unphysical."""
 
 
 class RngStream:
@@ -59,18 +59,15 @@ class RngStream:
     Output is a pure function of (seed, index, position): the stream wraps a
     Philox generator keyed by the pair, and every normal consumes exactly one
     uniform pair (Box-Muller, cosine branch), so the j-th normal is the same
-    no matter how draws are chunked into calls.
+    no matter how draws are chunked into calls. The seed must lie in
+    [0, 2**64).
     """
 
     def __init__(self, seed: int, index: int = 0):
-        self.seed = seed & _U64
+        self.seed = check_seed(seed)
         self.index = index & _U64
         key = np.array([self.seed, self.index], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
-
-    def uniforms(self, count: int) -> np.ndarray:
-        """``count`` samples uniform on [0, 1)."""
-        return self._gen.random(count)
 
     def normals(self, count: int) -> np.ndarray:
         u = self._gen.random(2 * count)
@@ -102,6 +99,31 @@ def gaussian_pair(u1, u2):
     return z1, z2
 
 
+def _normals(seed, lo, hi, n_steps, increments=None):
+    """Standard normals for steps 0..n_steps-1 of trajectories [lo, hi).
+
+    Yields arrays of shape (hi - lo, <= NOISE_CHUNK) in step order, so no
+    more than one chunk is ever held. ``increments`` (explicit normals, one
+    per step, for a single trajectory) is sliced in the same chunks in place
+    of the streams.
+    """
+    if increments is not None:
+        for c in range(0, n_steps, NOISE_CHUNK):
+            yield increments[None, c:c + NOISE_CHUNK]
+        return
+    # a single chunk uses each stream once, so streams are then made one at a
+    # time instead of holding a block's worth of generators
+    streams = (RngStream(seed, i) for i in range(lo, hi))
+    if n_steps > NOISE_CHUNK:
+        streams = list(streams)
+    for c in range(0, n_steps, NOISE_CHUNK):
+        clen = min(NOISE_CHUNK, n_steps - c)
+        z = np.empty((hi - lo, clen))
+        for i, stream in enumerate(streams):
+            z[i] = stream.normals(clen)
+        yield z
+
+
 @dataclass
 class EnsembleTrace:
     """Per-time statistics of n over an ensemble.
@@ -122,59 +144,34 @@ class EnsembleTrace:
 
 
 # ----------------------------------------------------------------------
-# core stepping kernel (vectorized over trajectories; width 1 for scalars)
+# core stepping kernel (vectorized over trajectories) and its step guard
 
-def _midpoint_step(n, sigma, phi, z, a, gamma_perp, delta, omega0, dt, step_label):
-    """One step of every trajectory in the arrays. Returns (n, sigma, phi).
+def _midpoint_step(n, sigma, phi, z, a, gamma_perp, delta, omega0, dt):
+    """One closed-form implicit-midpoint step of every trajectory in the arrays.
 
-    The fixed-point sweep count is constant (not adaptive) so each
-    trajectory's arithmetic is independent of its neighbours in the block.
+    Returns (n, sigma, phi). Purely elementwise, so each trajectory's
+    arithmetic is independent of its neighbours in the block.
     """
     dphi = math.sqrt(delta * dt) * z
     e_mid = np.exp(1j * (phi + 0.5 * dphi))
-    drive_coeff = (-0.5j * omega0) * np.conj(e_mid)   # multiplies n in dsigma/dt
+    k = 2.0 + dt * gamma_perp
+    w = omega0 * dt
+    n_m = ((2.0 * n - dt * a + (4.0 * w / k) * (sigma * e_mid).imag)
+           / (2.0 + dt * a + w * w / k))
+    s_m = (2.0 * sigma - (0.5j * w) * np.conj(e_mid) * n_m) / k
+    return 2.0 * n_m - n, 2.0 * s_m - sigma, phi + dphi
 
-    n1 = n
-    s1 = sigma
-    res_n = res_s = math.inf
-    for it in range(FIXED_POINT_ITERS):
-        nm = 0.5 * (n + n1)
-        sm = 0.5 * (sigma + s1)
-        n_next = n + dt * (-a * (nm + 1.0) + 2.0 * omega0 * (sm * e_mid).imag)
-        s_next = sigma + dt * (drive_coeff * nm - gamma_perp * sm)
-        if it == FIXED_POINT_ITERS - 1:
-            res_n = float(np.max(np.abs(n_next - n1)))
-            res_s = float(np.max(np.abs(s_next - s1)))
-        n1 = n_next
-        s1 = s_next
-    residual = max(res_n, res_s)
-    if not residual < FIXED_POINT_TOL:
+
+def _check_step(params: SystemParams, dt: float) -> None:
+    # the closed form cannot fail, so a step too coarse for the fastest rate
+    # is refused up front rather than left to the Bloch-sphere check
+    rate = max(params.a, params.gamma_perp, params.omega0)
+    if dt * rate > MAX_STEP_RATE * (1.0 + 1e-12):
         raise IntegratorError(
-            f"implicit midpoint did not converge at step {step_label} "
-            f"(residual {residual:.3e} after {FIXED_POINT_ITERS} iterations); "
-            f"reduce dt"
+            f"dt={dt:g} too coarse for rate {rate:g}: the midpoint step needs "
+            f"dt*max(a, gamma_perp, omega0) <= {MAX_STEP_RATE:g}, "
+            f"i.e. dt <= {MAX_STEP_RATE / rate:.3g}"
         )
-    return n1, s1, phi + dphi
-
-
-def step_trajectory(state: AtomState, params: SystemParams, dt: float,
-                    rng: RngStream) -> AtomState:
-    """Advance one trajectory by one step of size dt.
-
-    The phase moves by an exact Wiener increment sqrt(delta*dt)*z; (n, sigma)
-    take a deterministic implicit-midpoint step at the mid-step phase. Same
-    seed and inputs give a bit-identical output state.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    z = rng.normals(1)
-    n, sigma, phi = _midpoint_step(
-        np.array([state.n]), np.array([state.sigma], dtype=complex),
-        np.array([state.phi]), z,
-        params.a, params.gamma_perp, params.delta, params.omega0, dt,
-        step_label="(single)",
-    )
-    return AtomState(n=float(n[0]), sigma=complex(sigma[0]), phi=float(phi[0]))
 
 
 # ----------------------------------------------------------------------
@@ -206,12 +203,10 @@ def _tree_merge(items):
     return items[0]
 
 
-def _block_moments(values: np.ndarray, axis: int = 0):
-    """Exact (count, mean, m2) of one block along ``axis``."""
-    count = values.shape[axis]
-    mean = values.mean(axis=axis)
-    m2 = ((values - np.expand_dims(mean, axis)) ** 2).sum(axis=axis)
-    return count, mean, m2
+def _block_moments(values: np.ndarray):
+    """Exact (count, mean, m2) of one block along axis 0."""
+    mean = values.mean(axis=0)
+    return len(values), mean, ((values - mean) ** 2).sum(axis=0)
 
 
 def _var_stderr(count, m2):
@@ -219,28 +214,20 @@ def _var_stderr(count, m2):
     return var, np.sqrt(var / count)
 
 
-def _steps_for(t_value: float, dt: float, name: str) -> int:
-    steps = int(round(t_value / dt))
-    if abs(steps * dt - t_value) > 1e-9 * max(1.0, abs(t_value)):
-        raise ValueError(f"{name}={t_value} is not a multiple of dt={dt}")
-    return steps
-
-
 # ----------------------------------------------------------------------
 # block integration
 
 def _run_block(params, seed, idx_lo, idx_hi, n_steps, dt, n0, sigma0, phi0,
-               want_coherence, snap_steps):
+               want_coherence, snap_steps, increments):
     """Integrate trajectories [idx_lo, idx_hi) and reduce them on the fly.
 
     Returns per-block moment triple for n(t), optional coherence sums,
-    optional snapshot arrays at the requested step indices, and the final
-    (n, phi) of every trajectory.
+    optional snapshot arrays of (n, sigma, phi) at the requested step
+    indices, and the final (n, phi) of every trajectory.
     """
     a, gperp = params.a, params.gamma_perp
     delta, omega0 = params.delta, params.omega0
     width = idx_hi - idx_lo
-    streams = [RngStream(seed, i) for i in range(idx_lo, idx_hi)]
 
     n = np.full(width, float(n0))
     sigma = np.full(width, complex(sigma0), dtype=complex)
@@ -250,8 +237,9 @@ def _run_block(params, seed, idx_lo, idx_hi, n_steps, dt, n0, sigma0, phi0,
     m2 = np.empty(n_steps + 1)
     coh = np.empty(n_steps + 1, dtype=complex) if want_coherence else None
     snap_lookup = {s: j for j, s in enumerate(snap_steps)}
-    snap_n = np.empty((width, len(snap_steps))) if snap_steps else None
-    snap_phi = np.empty((width, len(snap_steps))) if snap_steps else None
+    snap_n = np.empty((width, len(snap_steps)))
+    snap_sigma = np.empty((width, len(snap_steps)), dtype=complex)
+    snap_phi = np.empty((width, len(snap_steps)))
 
     bound_n = 1.0 + 10.0 * dt
     bound_s = 0.5 + 10.0 * dt
@@ -263,21 +251,16 @@ def _run_block(params, seed, idx_lo, idx_hi, n_steps, dt, n0, sigma0, phi0,
         j = snap_lookup.get(k)
         if j is not None:
             snap_n[:, j] = n
+            snap_sigma[:, j] = sigma
             snap_phi[:, j] = phi
 
     record(0)
     step = 0
-    for chunk_lo in range(0, n_steps, NOISE_CHUNK):
-        clen = min(NOISE_CHUNK, n_steps - chunk_lo)
-        z = np.empty((width, clen))
-        for i, stream in enumerate(streams):
-            z[i] = stream.normals(clen)
-        for j in range(clen):
+    for z in _normals(seed, idx_lo, idx_hi, n_steps, increments):
+        for z_step in z.T:
             step += 1
-            n, sigma, phi = _midpoint_step(
-                n, sigma, phi, z[:, j], a, gperp, delta, omega0, dt,
-                step_label=f"{step} (t={step * dt:g})",
-            )
+            n, sigma, phi = _midpoint_step(n, sigma, phi, z_step, a, gperp,
+                                           delta, omega0, dt)
             record(step)
         # sanity bounds once per chunk; the comparison is written so NaN fails it
         max_n = float(np.max(np.abs(n)))
@@ -292,21 +275,28 @@ def _run_block(params, seed, idx_lo, idx_hi, n_steps, dt, n0, sigma0, phi0,
         "moments": (width, mean, m2),
         "coh_sum": coh,
         "snap_n": snap_n,
+        "snap_sigma": snap_sigma,
         "snap_phi": snap_phi,
         "final_n": n,
         "final_phi": phi,
     }
 
 
-def _run_blocks(params, n_traj, n_steps, dt, seed, n0, sigma0, phi0,
-                want_coherence=False, snap_steps=(), threads=1):
-    """Run all trajectory blocks (possibly on a thread pool) in fixed order."""
-    spans = [(lo, min(lo + BLOCK_TRAJ, n_traj)) for lo in range(0, n_traj, BLOCK_TRAJ)]
+def _run_blocks(params, seed, lo, hi, n_steps, dt, n0=-1.0, sigma0=0j,
+                phi0=0.0, want_coherence=False, snap_steps=(),
+                increments=None, threads=1):
+    """Run trajectories [lo, hi) in blocks (possibly on a thread pool), in fixed order.
+
+    The step guard runs here, once, after the callers have validated the grid.
+    """
+    if hi <= lo:
+        raise ValueError("n_traj must be >= 1")
+    _check_step(params, dt)
+    spans = [(s, min(s + BLOCK_TRAJ, hi)) for s in range(lo, hi, BLOCK_TRAJ)]
 
     def job(span):
-        lo, hi = span
-        return _run_block(params, seed, lo, hi, n_steps, dt, n0, sigma0, phi0,
-                          want_coherence, tuple(snap_steps))
+        return _run_block(params, seed, *span, n_steps, dt, n0, sigma0, phi0,
+                          want_coherence, tuple(snap_steps), increments)
 
     if threads > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -327,12 +317,8 @@ def run_ensemble(params: SystemParams, n_traj: int, t_end: float, dt: float,
     Deterministic: the same (params, n_traj, t_end, dt, seed) give the same
     trace bit for bit, for any ``threads``.
     """
-    if n_traj < 1:
-        raise ValueError("n_traj must be >= 1")
-    if dt <= 0 or t_end <= 0:
-        raise ValueError("dt and t_end must be positive")
-    n_steps = _steps_for(t_end, dt, "t_end")
-    results = _run_blocks(params, n_traj, n_steps, dt, seed, n0, sigma0, phi0,
+    n_steps = grid_steps(t_end, dt, positive=True)
+    results = _run_blocks(params, seed, 0, n_traj, n_steps, dt, n0, sigma0, phi0,
                           want_coherence=with_coherence, threads=threads)
 
     count, mean, m2 = _tree_merge([r["moments"] for r in results])
@@ -367,50 +353,51 @@ def run_trajectory(params: SystemParams, t_end: float, dt: float, seed: int,
                    increments: np.ndarray | None = None) -> TrajectoryTrace:
     """Full history of a single trajectory.
 
-    Uses the same chunked noise drawing as the batch path, so trajectory
-    ``index`` here is the exact trajectory that run_ensemble folds into its
-    statistics. ``increments`` substitutes an explicit array of standard
-    normals (one per step) for the stream, which lets tests refine a noise
-    path: the coarse path over dt is recovered from the fine path over dt/2
-    by summing adjacent increments.
+    Runs the ensemble engine at width 1 with a snapshot at every step, so
+    trajectory ``index`` here is the exact trajectory that run_ensemble folds
+    into its statistics. One step is ``t_end=dt``. ``increments`` substitutes
+    an explicit array of standard normals (one per step) for the stream,
+    which lets tests refine a noise path: the coarse path over dt is
+    recovered from the fine path over dt/2 by summing adjacent increments.
     """
-    n_steps = _steps_for(t_end, dt, "t_end")
+    n_steps = grid_steps(t_end, dt)
     if increments is not None:
         increments = np.asarray(increments, dtype=float)
         if increments.shape != (n_steps,):
             raise ValueError(f"increments must have shape ({n_steps},)")
-    stream = RngStream(seed, index) if increments is None else None
-
-    n = np.array([float(n0)])
-    sigma = np.array([complex(sigma0)], dtype=complex)
-    phi = np.array([float(phi0)])
-    out_n = np.empty(n_steps + 1)
-    out_s = np.empty(n_steps + 1, dtype=complex)
-    out_p = np.empty(n_steps + 1)
-    out_n[0], out_s[0], out_p[0] = n[0], sigma[0], phi[0]
-
-    step = 0
-    for chunk_lo in range(0, n_steps, NOISE_CHUNK):
-        clen = min(NOISE_CHUNK, n_steps - chunk_lo)
-        if stream is not None:
-            z = stream.normals(clen)
-        else:
-            z = increments[chunk_lo:chunk_lo + clen]
-        for j in range(clen):
-            step += 1
-            n, sigma, phi = _midpoint_step(
-                n, sigma, phi, z[j:j + 1], params.a, params.gamma_perp,
-                params.delta, params.omega0, dt,
-                step_label=f"{step} (t={step * dt:g})",
-            )
-            out_n[step], out_s[step], out_p[step] = n[0], sigma[0], phi[0]
-
+    (r,) = _run_blocks(params, seed, index, index + 1, n_steps, dt, n0,
+                       sigma0, phi0, snap_steps=range(n_steps + 1),
+                       increments=increments)
     t = np.arange(n_steps + 1) * dt
-    return TrajectoryTrace(t=t, n=out_n, sigma=out_s, phi=out_p)
+    return TrajectoryTrace(t=t, n=r["snap_n"][0], sigma=r["snap_sigma"][0],
+                           phi=r["snap_phi"][0])
 
 
 # ----------------------------------------------------------------------
 # phase-only helpers (the phase decouples from (n, sigma))
+
+def _check_phase_args(delta: float, n_traj: int) -> None:
+    if not (math.isfinite(delta) and delta >= 0):
+        raise ValueError(f"delta must be finite and >= 0, got {delta!r}")
+    if n_traj < 1:
+        raise ValueError("n_traj must be >= 1")
+
+
+def _wiener_paths(seed, lo, hi, scale, out):
+    """Fill ``out`` (hi - lo, steps) with the running sums of scale[j] * z_j.
+
+    Chunks are summed in order with the previous chunk's last phase as the
+    first summand, so each row equals one cumsum over the whole row.
+    """
+    c = 0
+    for z in _normals(seed, lo, hi, out.shape[1]):
+        clen = z.shape[1]
+        incr = scale[c:c + clen] * z
+        if c:
+            incr[:, 0] += out[:, c - 1]
+        np.cumsum(incr, axis=1, out=out[:, c:c + clen])
+        c += clen
+
 
 def simulate_phases(delta: float, n_traj: int, t_end: float, dt: float,
                     seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -419,17 +406,13 @@ def simulate_phases(delta: float, n_traj: int, t_end: float, dt: float,
     Uses the same streams as run_ensemble, so these are the phases the full
     simulation would see.
     """
-    n_steps = _steps_for(t_end, dt, "t_end")
-    scale = math.sqrt(delta * dt)
+    _check_phase_args(delta, n_traj)
+    n_steps = grid_steps(t_end, dt)
+    scale = np.full(n_steps, math.sqrt(delta * dt))
     phi = np.empty((n_traj, n_steps + 1))
     phi[:, 0] = 0.0
-    for i in range(n_traj):
-        stream = RngStream(seed, i)
-        z = np.concatenate([
-            stream.normals(min(NOISE_CHUNK, n_steps - lo))
-            for lo in range(0, n_steps, NOISE_CHUNK)
-        ]) if n_steps else np.empty(0)
-        np.cumsum(scale * z, out=phi[i, 1:])
+    for i in range(n_traj):       # one path at a time: noise memory stays one chunk
+        _wiener_paths(seed, i, i + 1, scale, phi[i:i + 1, 1:])
     t = np.arange(n_steps + 1) * dt
     return t, phi
 
@@ -451,21 +434,19 @@ def phase_autocorrelation(delta: float, n_traj: int, tau_grid,
     each trajectory draws the increments between consecutive tau points.
     The expected value is exp(-delta*|tau|/2).
     """
+    _check_phase_args(delta, n_traj)
     tau = np.asarray(tau_grid, dtype=float)
     if tau.ndim != 1 or len(tau) == 0:
         raise ValueError("tau_grid must be a non-empty 1-d array")
     if np.any(tau < 0) or np.any(np.diff(tau) <= 0):
         raise ValueError("tau_grid must be non-negative and strictly increasing")
 
-    gaps = np.diff(np.concatenate([[0.0], tau]))
-    scale = np.sqrt(delta * gaps)
+    scale = np.sqrt(delta * np.diff(np.concatenate([[0.0], tau])))
     parts = []
     for lo in range(0, n_traj, BLOCK_TRAJ):
         hi = min(lo + BLOCK_TRAJ, n_traj)
-        z = np.empty((hi - lo, len(tau)))
-        for i in range(lo, hi):
-            z[i - lo] = RngStream(seed, i).normals(len(tau))
-        phases = np.cumsum(scale * z, axis=1)
+        phases = np.empty((hi - lo, len(tau)))
+        _wiener_paths(seed, lo, hi, scale, phases)
         samples = np.exp(1j * phases)
         parts.append((_block_moments(samples.real), _block_moments(samples.imag)))
 
@@ -523,10 +504,9 @@ def decorrelation_residual(params: SystemParams, n_traj: int, t: float,
     if t < t_prime[-1]:
         raise ValueError("observation time t must be >= max(t_prime_grid)")
 
-    n_steps = _steps_for(t, dt, "t")
-    snap_steps = tuple(_steps_for(tp, dt, "t_prime") for tp in t_prime)
-    results = _run_blocks(params, n_traj, n_steps, dt, seed,
-                          n0=-1.0, sigma0=0j, phi0=0.0,
+    n_steps = grid_steps(t, dt, "t")
+    snap_steps = [grid_steps(tp, dt, "t_prime") for tp in t_prime]
+    results = _run_blocks(params, seed, 0, n_traj, n_steps, dt,
                           snap_steps=snap_steps, threads=threads)
 
     k_parts, c_parts, n_parts = [], [], []

@@ -26,7 +26,7 @@ import numpy as np
 from scipy import constants
 from scipy.integrate import trapezoid
 
-from .params import SystemParams
+from .params import SystemParams, grid_steps
 from .spectrum import (SpectrumModel, autocorrelation_kernel,
                        from_phase_diffusion)
 
@@ -105,16 +105,7 @@ class CollisionParams:
 
 
 # ----------------------------------------------------------------------
-# grid and step-size plumbing
-
-def _grid(t_end: float, dt: float) -> np.ndarray:
-    if dt <= 0 or t_end <= 0:
-        raise ValueError("dt and t_end must be positive")
-    steps = int(round(t_end / dt))
-    if steps < 1 or abs(steps * dt - t_end) > 1e-9 * max(1.0, t_end):
-        raise ValueError(f"t_end={t_end} is not a positive multiple of dt={dt}")
-    return np.arange(steps + 1) * dt
-
+# step-size plumbing
 
 def _check_step(dt: float, rate: float, model: str) -> None:
     # 0.1 per fastest rate keeps the one-step method well inside its
@@ -147,7 +138,7 @@ def _affine_rk4(decay: float, drive: float, y0: float,
 def integrate_ere(params: SystemParams, t_end: float, dt: float,
                   n0: float = -1.0) -> KineticTrace:
     """Plain rate equation dn/dt = -a(n+1) - 2*zeta*bw21*n."""
-    t = _grid(t_end, dt)
+    t = np.arange(grid_steps(t_end, dt, positive=True) + 1) * dt
     rate = params.a + 2.0 * params.zeta_bw21
     _check_step(dt, rate, "ere")
     n = _affine_rk4(rate, -params.a, n0, t)
@@ -172,7 +163,7 @@ def integrate_generalized_ere(params: SystemParams, coll: CollisionParams,
     zeta*bw21 = omega0^2/(delta + 2*gamma_perp) uses that broadened width.
     With gamma_21 = gamma_12 = 0 this reduces exactly to integrate_ere.
     """
-    t = _grid(t_end, dt)
+    t = np.arange(grid_steps(t_end, dt, positive=True) + 1) * dt
     g_par = coll.gamma_parallel(params.a)
     n_eq = coll.n_equilibrium(params.a)
     gamma_perp = 0.5 * g_par + params.gamma_dc
@@ -190,7 +181,7 @@ def integrate_modified_ere(params: SystemParams, t_end: float, dt: float,
     dn/dt = -a(n+1) - 2*zeta*bw21*n*(1 - exp(-gamma_eff*t)). The transient
     factor removes the rate equation's spurious linear rise at t ~< 1/gamma_eff.
     """
-    t = _grid(t_end, dt)
+    t = np.arange(grid_steps(t_end, dt, positive=True) + 1) * dt
     a = params.a
     k2 = 2.0 * params.zeta_bw21
     g = params.gamma_eff
@@ -223,7 +214,7 @@ def integrate_effective_bloch(params: SystemParams, t_end: float, dt: float,
     dn/dt = -a(n+1) - 2*zeta*bw21*q
     dq/dt = gamma_eff*(n - q)
     """
-    t = _grid(t_end, dt)
+    t = np.arange(grid_steps(t_end, dt, positive=True) + 1) * dt
     a = params.a
     k2 = 2.0 * params.zeta_bw21
     g = params.gamma_eff
@@ -273,7 +264,7 @@ def integrate_memory_kernel(spectrum: SpectrumModel | None,
     classic one-step stage evaluation inapplicable); at dt=1e-4 the error
     stays below 1e-6 for unit-scale rates.
     """
-    t = _grid(t_end, dt)
+    t = np.arange(grid_steps(t_end, dt, positive=True) + 1) * dt
     a = params.a
     gp = params.gamma_perp
     if gp <= 0:

@@ -23,6 +23,7 @@ Symbols used throughout the package:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from scipy import constants
@@ -35,6 +36,32 @@ class CoherentLimitError(ValueError):
 def _require_finite(name: str, value: float) -> None:
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def grid_steps(t: float, dt: float, name: str = "t_end", *,
+               positive: bool = False) -> int:
+    """Number of steps of size dt from 0 to t on the uniform grid k*dt.
+
+    Raises ValueError unless dt > 0 and t >= 0 are finite and t lies on the
+    grid to a relative 1e-9; ``positive`` also refuses t = 0 (zero steps).
+    """
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {t!r}")
+    steps = int(round(t / dt))
+    if (positive and steps == 0) or abs(steps * dt - t) > 1e-9 * max(1.0, t):
+        kind = "a positive" if positive else "a"
+        raise ValueError(f"{name}={t} is not {kind} multiple of dt={dt}")
+    return steps
+
+
+def check_seed(seed: int) -> int:
+    """Return ``seed`` as an int; ValueError unless 0 <= seed < 2**64."""
+    seed = operator.index(seed)
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    return seed
 
 
 @dataclass(frozen=True)
@@ -85,32 +112,6 @@ class SystemParams:
     def zeta_bw21(self) -> float:
         # zeta*bw21 written in its cancelled form: finite for every delta >= 0.
         return self.omega0 ** 2 / (self.delta + 2.0 * self.gamma_perp)
-
-
-@dataclass(frozen=True)
-class DerivedParams:
-    """Snapshot of every derived rate, as returned by derive()."""
-
-    gamma_perp: float
-    gamma_eff: float
-    zeta: float
-    bw21: float
-    zeta_bw21: float
-
-
-def derive(params: SystemParams) -> DerivedParams:
-    """Evaluate all derived quantities of ``params`` at once.
-
-    Raises CoherentLimitError when delta=0, where bw21 does not exist;
-    callers in that regime should use omega0 directly.
-    """
-    return DerivedParams(
-        gamma_perp=params.gamma_perp,
-        gamma_eff=params.gamma_eff,
-        zeta=params.zeta,
-        bw21=params.bw21,
-        zeta_bw21=params.zeta_bw21,
-    )
 
 
 @dataclass(frozen=True)

@@ -68,6 +68,9 @@ def test_seed_must_fit_64_bits(tmp_path):
         load_config(None, [f"seed={2 ** 64}"])
     rc = main(["analyze", "--seed", str(2 ** 64), "--out", str(tmp_path)])
     assert rc == 2
+    with pytest.raises(ConfigError):
+        load_config(None, ["seed=-1"])
+    assert main(["analyze", "--seed=-1", "--out", str(tmp_path)]) == 2
 
 
 # ----------------------------------------------------------------------
@@ -118,12 +121,18 @@ def test_simulate_sde_q_is_scaled_coherence(tmp_path):
 def test_simulate_rejects_bad_model(tmp_path):
     assert main(["simulate", "--set", "model=bogus", "--out", str(tmp_path)]) == 2
     assert main(["simulate", "--out", str(tmp_path)]) == 2
+    for model in ("ere", "sde"):
+        assert main(["simulate", "--set", f"model={model}", "--set", "t_end=inf",
+                     "--out", str(tmp_path)]) == 2
 
 
 def test_simulate_step_guard_maps_to_exit_3(tmp_path):
     rc = main(["simulate", "--set", "model=effective-bloch",
                "--set", "delta=100", "--set", "omega0=2",
                "--set", "t_end=1", "--set", "dt=0.05", "--out", str(tmp_path)])
+    assert rc == 3
+    rc = main(["simulate", "--set", "model=sde", "--set", "omega0=6",
+               "--set", "t_end=1", "--set", "dt=0.01", "--out", str(tmp_path)])
     assert rc == 3
 
 
@@ -224,3 +233,4 @@ def test_decorrelate_rejects_off_grid_t_obs(tmp_path):
                "--set", "n_traj=10", "--set", "t_obs=0.35", "--set", "dt=0.1",
                "--out", str(tmp_path)])
     assert rc == 2
+    assert main(["decorrelate", "--set", "dt=0", "--out", str(tmp_path)]) == 2

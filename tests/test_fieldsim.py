@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blochrate import (
-    AtomState,
     IntegratorError,
     RngStream,
     SystemParams,
@@ -16,7 +15,6 @@ from blochrate import (
     run_ensemble,
     run_trajectory,
     simulate_phases,
-    step_trajectory,
 )
 from blochrate.fieldsim import _midpoint_step
 
@@ -57,6 +55,16 @@ def test_gaussian_pair_arrays_and_domain():
             gaussian_pair(bad1, bad2)
 
 
+def test_stream_seed_range():
+    assert np.array_equal(RngStream(2**64 - 1, 0).normals(4),
+                          RngStream(2**64 - 1, 0).normals(4))
+    for bad in (-1, 2**64):
+        with pytest.raises(ValueError):
+            RngStream(bad, 0)
+        with pytest.raises(ValueError):
+            run_ensemble(REF, n_traj=2, t_end=0.01, dt=1e-3, seed=bad)
+
+
 def test_stream_moments():
     z = RngStream(2024, 0).normals(1_000_000)
     assert abs(z.mean()) < 4e-3
@@ -84,23 +92,12 @@ def test_noiseless_resonant_step_is_rabi_flopping():
     radius = []
     for k in range(n_steps):
         n, sigma, phi = _midpoint_step(n, sigma, phi, z, 0.0, 0.0, 0.0,
-                                       omega0, dt, step_label=str(k))
+                                       omega0, dt)
         radius.append(n[0] ** 2 + 4.0 * abs(sigma[0]) ** 2)
     t_end = n_steps * dt
     assert abs(n[0] - (-math.cos(omega0 * t_end))) <= 1e-4
     # implicit midpoint preserves the Bloch-sphere radius to the solver tol
     assert max(abs(r - 1.0) for r in radius) <= 1e-11
-
-
-def test_step_trajectory_matches_full_run():
-    st0 = AtomState(n=-1.0, sigma=0j, phi=0.0)
-    stepped = step_trajectory(st0, REF, 1e-3, RngStream(9, 0))
-    tr = run_trajectory(REF, 1e-3, 1e-3, seed=9, index=0)
-    assert stepped.n == tr.n[1]
-    assert stepped.sigma == tr.sigma[1]
-    assert stepped.phi == tr.phi[1]
-    with pytest.raises(ValueError):
-        step_trajectory(st0, REF, 0.0, RngStream(9, 0))
 
 
 @given(delta=st.floats(min_value=0.5, max_value=20.0),
@@ -134,12 +131,26 @@ def test_strong_convergence_under_noise_refinement():
 def test_increments_shape_checked():
     with pytest.raises(ValueError):
         run_trajectory(REF, 1.0, 1e-3, seed=0, increments=np.zeros(999))
+    with pytest.raises(ValueError):
+        run_trajectory(REF, 1e-3, 0.0, seed=0)
 
 
 def test_integrator_error_on_coarse_step():
     p = SystemParams(a=1.0, delta=1.0, omega0=6.0)
     with pytest.raises(IntegratorError):
         run_trajectory(p, 1.0, 0.5, seed=0)
+
+
+def test_step_guard_bound():
+    # dt*omega0 = 0.06 is refused before any step; 0.05 is the largest legal
+    p = SystemParams(a=1.0, delta=1.0, omega0=6.0)
+    with pytest.raises(IntegratorError, match="0.05"):
+        run_ensemble(p, n_traj=4, t_end=1.0, dt=0.01, seed=0)
+    with pytest.raises(IntegratorError):
+        decorrelation_residual(p, 4, 1.0, np.array([0.5]), seed=0, dt=0.01)
+    dt = 0.05 / 6.0
+    tr = run_trajectory(p, 60 * dt, dt, seed=0)
+    assert np.max(np.abs(tr.n)) <= 1.0
 
 
 # ----------------------------------------------------------------------
@@ -197,6 +208,8 @@ def test_ensemble_input_validation():
         run_ensemble(REF, n_traj=0, t_end=1.0, dt=1e-3, seed=0)
     with pytest.raises(ValueError):
         run_ensemble(REF, n_traj=4, t_end=1.0, dt=0.3, seed=0)
+    with pytest.raises(ValueError):
+        run_ensemble(REF, n_traj=4, t_end=math.inf, dt=1e-3, seed=0)
 
 
 # ----------------------------------------------------------------------
@@ -230,6 +243,15 @@ def test_phase_autocorrelation_grid_validation():
     for bad in [np.array([]), np.array([-1.0, 0.5]), np.array([0.5, 0.5])]:
         with pytest.raises(ValueError):
             phase_autocorrelation(1.0, 10, bad, seed=0)
+    for delta, n_traj in [(-1.0, 10), (1.0, 0)]:
+        with pytest.raises(ValueError):
+            phase_autocorrelation(delta, n_traj, np.array([0.5]), seed=0)
+
+
+def test_simulate_phases_input_validation():
+    for delta, n_traj, dt in [(-1.0, 4, 0.1), (1.0, 0, 0.1), (1.0, 4, 0.0)]:
+        with pytest.raises(ValueError):
+            simulate_phases(delta, n_traj, 1.0, dt, seed=0)
 
 
 # ----------------------------------------------------------------------
@@ -260,3 +282,5 @@ def test_decorrelation_grid_validation():
     with pytest.raises(ValueError):
         decorrelation_residual(REF, 16, 1.0, np.array([0.5, 0.25]),
                                seed=0, dt=1e-2)
+    with pytest.raises(ValueError):
+        decorrelation_residual(REF, 16, 1.0, np.array([0.5]), seed=0, dt=0.0)

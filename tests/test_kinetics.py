@@ -73,6 +73,9 @@ def test_ere_refuses_coarse_step():
 def test_grid_requires_commensurate_times():
     with pytest.raises(ValueError):
         integrate_ere(REF, 1.0, 0.3)
+    for t_end, dt in [(math.inf, 1e-3), (1.0, 0.0), (0.0, 1e-3)]:
+        with pytest.raises(ValueError):
+            integrate_ere(REF, t_end, dt)
 
 
 # ----------------------------------------------------------------------

@@ -8,9 +8,9 @@ from blochrate import (
     CoherentLimitError,
     DipoleParams,
     SystemParams,
-    derive,
     einstein_b,
 )
+from blochrate.params import grid_steps
 
 # High-precision evaluation of pi*mu^2/(3*hbar^2*eps0) at mu = 1 debye
 # (50-digit decimal arithmetic, CODATA hbar/eps0 as shipped by scipy).
@@ -51,16 +51,6 @@ def test_bw21_undefined_for_monochromatic_drive():
     # the cancelled product stays finite there
     assert math.isclose(p.zeta_bw21, 1.0 / (2.0 * p.gamma_perp), rel_tol=1e-15)
     assert p.zeta == 0.0
-
-
-def test_derive_snapshot_matches_properties():
-    p = SystemParams(a=1.5, delta=4.0, omega0=2.5, gamma_dc=0.5)
-    d = derive(p)
-    assert d.gamma_perp == p.gamma_perp
-    assert d.gamma_eff == p.gamma_eff
-    assert d.zeta == p.zeta
-    assert d.bw21 == p.bw21
-    assert d.zeta_bw21 == p.zeta_bw21
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -146,3 +136,15 @@ def test_einstein_b_one_debye_against_decimal_oracle():
 def test_invalid_dipole_rejected(mu, omega21):
     with pytest.raises(ValueError):
         DipoleParams(mu=mu, omega21=omega21)
+
+
+def test_grid_steps():
+    assert grid_steps(1.0, 1e-3) == 1000
+    assert grid_steps(0.0, 0.1) == 0
+    with pytest.raises(ValueError):
+        grid_steps(0.0, 0.1, positive=True)
+    for t, dt in [(1.0, 0.0), (1.0, -0.1), (1.0, math.nan), (1.0, math.inf),
+                  (math.inf, 0.1), (math.nan, 0.1), (-0.1, 0.1), (0.35, 0.1)]:
+        with pytest.raises(ValueError):
+            grid_steps(t, dt)
+
