@@ -222,8 +222,9 @@ def _run_block(params, seed, idx_lo, idx_hi, n_steps, dt, n0, sigma0, phi0,
     """Integrate trajectories [idx_lo, idx_hi) and reduce them on the fly.
 
     Returns per-block moment triple for n(t), optional coherence sums,
-    optional snapshot arrays of (n, sigma, phi) at the requested step
-    indices, and the final (n, phi) of every trajectory.
+    snapshot arrays of (n, sigma, phi) at the requested step indices (one
+    column per index, none when none are requested), and the final (n, phi)
+    of every trajectory.
     """
     a, gperp = params.a, params.gamma_perp
     delta, omega0 = params.delta, params.omega0
