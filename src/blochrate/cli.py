@@ -154,9 +154,11 @@ def _write_trace(path: Path, run, model: str, seed: int, q=None) -> Path:
     else:
         n, std, se, q = run.n, np.zeros(m), np.zeros(m), run.q
     q = np.full(m, math.nan) if q is None else q
-    rows = [",".join([_fmt(run.t[k]), _fmt(n[k]), _fmt(std[k]), _fmt(se[k]),
-                      _fmt(q[k]), model, str(seed)])
-            for k in range(m)]
+    # one %-template per row: "%.17g" formats a float exactly as _fmt does
+    row = "%.17g,%.17g,%.17g,%.17g,%.17g," + f"{model},{seed}".replace("%", "%%")
+    columns = (run.t, n, std, se, q)
+    rows = [row % values
+            for values in zip(*(np.asarray(c, dtype=float).tolist() for c in columns))]
     _write_csv(path, TRACE_HEADER, rows)
     return path
 

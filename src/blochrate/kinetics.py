@@ -15,10 +15,16 @@ uniform grid (the memory-kernel model, whose right side depends on history,
 uses a 2nd-order predictor-corrector with trapezoid history quadrature).
 Affine models are advanced with the exact closed form of the RK4 map, which
 is the same discrete solution without per-step rounding.
+
+The memory-kernel history sum costs O(1) per step for a Lorentzian line,
+whose damped kernel is one complex exponential and so obeys a recursion over
+the whole history, and O(window) per step for a tabulated spectrum, summed
+directly over the window where the damped kernel exceeds 1e-12 of its peak.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -27,8 +33,8 @@ from scipy import constants
 from scipy.integrate import trapezoid
 
 from .params import SystemParams, grid_steps
-from .spectrum import (SpectrumModel, autocorrelation_kernel,
-                       from_phase_diffusion)
+from .spectrum import (LorentzianSpectrum, SpectrumModel,
+                       autocorrelation_kernel, from_phase_diffusion)
 
 __all__ = [
     "KineticTrace", "CollisionParams", "StepSizeError",
@@ -255,10 +261,15 @@ def integrate_memory_kernel(spectrum: SpectrumModel | None,
 
     with I the field autocorrelation kernel of ``spectrum`` (pass None to use
     the Lorentzian implied by params). History integrals use trapezoid
-    quadrature on the solver grid; the kernel window is truncated where
-    exp(-gamma_perp tau)|I(tau)| falls below 1e-12 of its tau=0 value. Only
-    a and gamma_perp are read from params when a spectrum is given; the drive
-    strength lives entirely in the spectrum.
+    quadrature on the solver grid. For a Lorentzian, exp(-gamma_perp tau) I(tau)
+    is Re(g0 rho^m) on the grid, so the history sum follows an exact
+    O(1)-per-step recursion over the whole history, with no window. A
+    tabulated spectrum's history is summed directly, O(window) per step, over
+    the window where exp(-gamma_perp tau)|I(tau)| stays above 1e-12 of its
+    tau=0 value; the kernel is evaluated only out to tau = (ln(1e12) + 1)/
+    gamma_perp, where that window must end. Only a and gamma_perp are read
+    from params when a spectrum is given; the drive strength lives entirely
+    in the spectrum.
 
     Second-order predictor-corrector stepping (the history dependence makes
     classic one-step stage evaluation inapplicable); at dt=1e-4 the error
@@ -272,16 +283,17 @@ def integrate_memory_kernel(spectrum: SpectrumModel | None,
         # coherence decay a non-decaying kernel would need unbounded history
         raise ValueError("memory window unbounded: gamma_perp must be positive")
 
+    if spectrum is None and params.omega0 != 0:
+        spectrum = from_phase_diffusion(params.omega0, params.delta)
+    # |I(tau)| <= I(0) for a non-negative spectrum, so past this horizon the
+    # damped kernel is below e^-1 * 1e-12 of its peak: outside the window
+    horizon = min(len(t), int((math.log(1e12) + 1.0) / (gp * dt)) + 2)
     if spectrum is None:
-        if params.omega0 == 0:
-            kernel = np.zeros(len(t))
-        else:
-            spec = from_phase_diffusion(params.omega0, params.delta)
-            kernel = autocorrelation_kernel(spec, t)
+        kernel = np.zeros(horizon)
     else:
-        kernel = autocorrelation_kernel(spectrum, t)
+        kernel = autocorrelation_kernel(spectrum, t[:horizon])
 
-    g_full = kernel * np.exp(-gp * t)
+    g_full = kernel * np.exp(-gp * t[:horizon])
     peak = abs(g_full[0])
     if peak == 0.0:
         window = 0
@@ -289,7 +301,7 @@ def integrate_memory_kernel(spectrum: SpectrumModel | None,
         alive = np.nonzero(np.abs(g_full) >= 1e-12 * peak)[0]
         window = int(alive[-1])
     g = g_full[:window + 1]
-    g0 = g[0]
+    g0 = float(g[0])
     grev = g[::-1].copy()          # contiguous reversed copy for fast dots
 
     markov_rate = a + 2.0 * float(trapezoid(g, dx=dt))
@@ -303,9 +315,20 @@ def integrate_memory_kernel(spectrum: SpectrumModel | None,
                 f"memory-kernel: dt={dt:g} under-resolves the kernel "
                 f"(per-step change {kernel_step:.3g} of peak, limit 0.1)")
 
+    # A Lorentzian's g[m] is Re(g0 * rho**m), so its trapezoid history sum
+    # obeys an exact recursion: hist[k] = sum_{j<k} n[j] rho**(k-j) with the
+    # far-edge half weight folded into hist[0] = -n[0]/2, and
+    # hist[k+1] = rho*(hist[k] + n[k]). No window is needed.
+    rho = None
+    if window > 0 and isinstance(spectrum, LorentzianSpectrum):
+        rho = cmath.exp(complex(-(0.5 * spectrum.fwhm + gp) * dt,
+                                spectrum.center * dt))
+
     steps = len(t) - 1
     n = np.empty(len(t))
     n[0] = n0
+    nk = float(n0)
+    hist = -0.5 * nk + 0j
     j_curr = 0.0                   # trapezoid history integral at step k
 
     def tail_sum(k_next: int) -> float:
@@ -316,18 +339,22 @@ def integrate_memory_kernel(spectrum: SpectrumModel | None,
         return lead
 
     for k in range(steps):
-        f_k = -a * (n[k] + 1.0) - 2.0 * j_curr
-        n_pred = n[k] + dt * f_k
-        if window > 0:
+        f_k = -a * (nk + 1.0) - 2.0 * j_curr
+        n_pred = nk + dt * f_k
+        if rho is not None:
+            hist = rho * (hist + nk)
+            j_pred = dt * (g0 * hist.real + 0.5 * g0 * n_pred)
+        elif window > 0:
             j_pred = dt * (tail_sum(k + 1) + 0.5 * g0 * n_pred)
         else:
             j_pred = 0.0
         f_pred = -a * (n_pred + 1.0) - 2.0 * j_pred
-        n[k + 1] = n[k] + 0.5 * dt * (f_k + f_pred)
-        if not math.isfinite(n[k + 1]):
+        nk = nk + 0.5 * dt * (f_k + f_pred)
+        if not math.isfinite(nk):
             raise StepSizeError(f"memory-kernel: diverged at step {k + 1}")
+        n[k + 1] = nk
         # finalize J with the corrected endpoint for the next step
-        j_curr = j_pred + dt * 0.5 * g0 * (n[k + 1] - n_pred) if window > 0 else 0.0
+        j_curr = j_pred + dt * 0.5 * g0 * (nk - n_pred) if window > 0 else 0.0
     return KineticTrace(t=t, n=n, model="memory-kernel")
 
 

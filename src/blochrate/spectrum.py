@@ -39,6 +39,10 @@ __all__ = [
 ]
 
 
+# element budget of one tau chunk in autocorrelation_kernel (2 MB per float array)
+_KERNEL_CHUNK = 1 << 18
+
+
 class SpectrumSupportError(ValueError):
     """A tabulated spectrum's grid cannot support the requested operation."""
 
@@ -192,7 +196,9 @@ def autocorrelation_kernel(s: SpectrumModel, tau, omega21: float = 0.0):
     spectra integrate the linear interpolant exactly on each table interval,
     which keeps the result accurate for tau out to many coherence times. The
     table must decay at its edges, otherwise the truncated tail mass would
-    poison the kernel and a SpectrumSupportError is raised.
+    poison the kernel and a SpectrumSupportError is raised. Tabulated tau
+    values are evaluated in chunks sized to the table, so the temporaries stay
+    a few MB whatever the length of tau (and so of a solver's t_end).
     """
     tau = np.asarray(tau, dtype=float)
     scalar = tau.ndim == 0
@@ -218,28 +224,38 @@ def autocorrelation_kernel(s: SpectrumModel, tau, omega21: float = 0.0):
     sgrid = s.omega - omega21
     w = s.values
     sa, sb = sgrid[:-1], sgrid[1:]
-    wa, wb = w[:-1], w[1:]
-    slope = (wb - wa) / (sb - sa)
-    out = np.empty_like(tau)
+    wa = w[:-1]
+    slope = (w[1:] - wa) / (sb - sa)
+    flat = tau.reshape(-1)
+    out = np.empty_like(flat)
 
     # Exact integral of the interpolant per interval; below tau*|s| ~ 1e-4 the
     # closed form loses digits to cancellation and plain trapezoid quadrature
     # of W*cos is already exact to ~1e-9, so switch over there.
     smax = float(np.max(np.abs(sgrid))) or 1.0
-    small = np.abs(tau) * smax < 1e-4
-    if np.any(small):
-        ts = tau[small][:, None]
-        vals = w[None, :] * np.cos(sgrid[None, :] * ts)
-        out[small] = trapezoid(vals, sgrid, axis=1) / math.pi
-    big = ~small
-    if np.any(big):
-        tb = tau[big][:, None]
-        sin_b, sin_a = np.sin(sb * tb), np.sin(sa * tb)
-        cos_b, cos_a = np.cos(sb * tb), np.cos(sa * tb)
-        # Int (wa + slope*(s-sa)) cos(s tau) ds over [sa, sb]
-        term = ((wa - slope * sa) * (sin_b - sin_a) / tb
-                + slope * ((cos_b - cos_a) / tb ** 2 + (sb * sin_b - sa * sin_a) / tb))
-        out[big] = term.sum(axis=1) / math.pi
+    small = np.abs(flat) * smax < 1e-4
+    # tau rows go in chunks of about _KERNEL_CHUNK elements, so the
+    # temporaries stay bounded for any tau length; each row is reduced on
+    # its own, so chunking does not change a bit of the result
+    rows = max(1, _KERNEL_CHUNK // len(sgrid))
+    for lo in range(0, len(flat), rows):
+        part = slice(lo, lo + rows)
+        chunk, sm, dest = flat[part], small[part], out[part]
+        if np.any(sm):
+            ts = chunk[sm][:, None]
+            dest[sm] = trapezoid(w * np.cos(sgrid * ts), sgrid, axis=1) / math.pi
+        if not np.all(sm):
+            tb = chunk[~sm][:, None]
+            # neighbouring intervals share a node: one sin/cos per node
+            arg = sgrid * tb
+            sin, cos = np.sin(arg), np.cos(arg)
+            sin_a, sin_b = sin[:, :-1], sin[:, 1:]
+            # Int (wa + slope*(s-sa)) cos(s tau) ds over [sa, sb]
+            term = ((wa - slope * sa) * (sin_b - sin_a) / tb
+                    + slope * ((cos[:, 1:] - cos[:, :-1]) / tb ** 2
+                               + (sb * sin_b - sa * sin_a) / tb))
+            dest[~sm] = term.sum(axis=1) / math.pi
+    out = out.reshape(tau.shape)
     return float(out[0]) if scalar else out
 
 

@@ -3,10 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from blochrate import SystemParams, integrate_effective_bloch, integrate_ere, run_ensemble
+from blochrate import (KineticTrace, SystemParams, integrate_effective_bloch, integrate_ere,
+                       run_ensemble)
 from blochrate.cli import (
+    TRACE_HEADER,
     ConfigError,
     RunConfig,
+    _fmt,
+    _write_trace,
     cmd_figure,
     load_config,
     main,
@@ -90,6 +94,16 @@ def test_simulate_ere_round_trip(tmp_path):
     assert np.all(np.isnan(floats(cols, "q_mean")))
     assert set(cols["model"]) == {"ere"}
     assert set(cols["seed"]) == {"12345"}
+
+
+def test_trace_rows_format_like_fmt(tmp_path):
+    t = np.arange(6) * 0.1
+    n = np.array([math.nan, math.inf, -math.inf, -0.0, 1e-300, 1.0 / 3.0])
+    q = n[::-1].copy()
+    _write_trace(tmp_path / "x.csv", KineticTrace(t=t, n=n, q=q), "m%s", 7)
+    want = [",".join([_fmt(t[k]), _fmt(n[k]), "0", "0", _fmt(q[k]), "m%s", "7"])
+            for k in range(len(t))]
+    assert (tmp_path / "x.csv").read_text() == "\n".join([TRACE_HEADER, *want]) + "\n"
 
 
 def test_simulate_bloch_writes_q_column(tmp_path):

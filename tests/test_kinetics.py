@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,17 +13,22 @@ from blochrate import (
     LorentzianSpectrum,
     StepSizeError,
     SystemParams,
+    TabulatedSpectrum,
     adiabatic_series_check,
+    autocorrelation_kernel,
     eigenvalues,
     ere_exact,
+    from_phase_diffusion,
     integrate_effective_bloch,
     integrate_ere,
     integrate_generalized_ere,
     integrate_memory_kernel,
     integrate_modified_ere,
     measured_oscillation_frequency,
+    spectral_density,
     steady_state,
 )
+from blochrate import kinetics
 
 REF = SystemParams(a=1.0, delta=5.0, omega0=math.sqrt(11.0))  # zeta*bw21 = 11/6
 
@@ -179,6 +185,66 @@ def test_memory_kernel_refuses_unresolved_kernel():
     p = SystemParams(a=1.0, delta=1e3, omega0=math.sqrt(1e3))
     with pytest.raises(StepSizeError):
         integrate_memory_kernel(None, p, 1.0, 1e-2)
+
+
+@pytest.mark.parametrize("params,spec", [
+    (REF, None),                                               # criterion 5
+    (SystemParams(a=1.0, delta=25.0, omega0=4.0), None),
+    (REF, LorentzianSpectrum(peak=2.2, fwhm=5.0, center=3.0)),  # off-centre line
+])
+def test_memory_kernel_lorentzian_recursion_matches_direct_sum(params, spec,
+                                                               monkeypatch):
+    t_end, dt = 10.0, 1e-3
+    fast = integrate_memory_kernel(spec, params, t_end, dt)
+    line = spec or from_phase_diffusion(params.omega0, params.delta)
+    # oracle: the same sampled kernel through the windowed direct history
+    # sum, which the solver runs for any spectrum that is not a Lorentzian
+    monkeypatch.setattr(kinetics, "autocorrelation_kernel",
+                        lambda _, tau: autocorrelation_kernel(line, tau))
+    direct = integrate_memory_kernel(SimpleNamespace(), params, t_end, dt)
+    assert np.max(np.abs(fast.n - direct.n)) <= 1e-10
+
+
+def ref_table():
+    """REF's Lorentzian on 1201 nodes: uniform to |omega| = 10, then geometric to 3e4."""
+    half = np.concatenate([np.linspace(0.0, 10.0, 401),
+                           np.geomspace(10.0, 3e4, 201)[1:]])
+    omega = np.concatenate([-half[:0:-1], half])
+    lor = LorentzianSpectrum(peak=2.2, fwhm=5.0)
+    return TabulatedSpectrum(omega=omega, values=spectral_density(lor, omega))
+
+
+def test_memory_kernel_tabulated_memory_is_bounded():
+    tab = ref_table()
+    peak_mb = {}
+    for t_end in (10.0, 40.0):
+        tracemalloc.start()
+        try:
+            integrate_memory_kernel(tab, REF, t_end, 1e-3)
+            peak_mb[t_end] = tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+    # only the len(t) arrays grow, about 0.24 MB each from t_end=10 to 40
+    assert peak_mb[10.0] < 64.0
+    assert peak_mb[40.0] - peak_mb[10.0] < 5.0, peak_mb
+
+
+def test_memory_kernel_horizon_lies_past_the_window(monkeypatch):
+    # the solver evaluates the kernel only out to a horizon; every damped
+    # value it skips must be below the window's 1e-12 threshold
+    tab = ref_table()
+    t = np.arange(10001) * 1e-2
+    damped = autocorrelation_kernel(tab, t) * np.exp(-REF.gamma_perp * t)
+    asked = []
+
+    def kernel(spec, tau):
+        asked.append(len(tau))
+        return autocorrelation_kernel(spec, tau)
+
+    monkeypatch.setattr(kinetics, "autocorrelation_kernel", kernel)
+    integrate_memory_kernel(tab, REF, 100.0, 1e-2)
+    assert asked[0] < len(t)
+    assert np.all(np.abs(damped[asked[0]:]) < 1e-12 * damped[0])
 
 
 def test_memory_kernel_refuses_undecaying_history():

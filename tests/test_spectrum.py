@@ -20,6 +20,7 @@ from blochrate import (
     width_hint,
     wk_estimate,
 )
+from blochrate import spectrum
 
 
 def lorentz_table(lor, edge, core_halfwidth=50.0, dx=0.01, ratio=1.005):
@@ -146,6 +147,15 @@ def test_tabulated_kernel_matches_closed_form():
     tau = np.linspace(0.0, 10.0, 401)
     err = autocorrelation_kernel(tab, tau) - autocorrelation_kernel(lor, tau)
     assert np.max(np.abs(err)) <= 1e-5
+
+
+def test_tabulated_kernel_chunks_are_bit_identical():
+    tab = lorentz_table(LorentzianSpectrum(peak=1.0, fwhm=2.0), edge=2e5)
+    rows = spectrum._KERNEL_CHUNK // len(tab.omega)
+    # more than three chunks; tau=0 and 1e-9 take the small-tau branch
+    tau = np.concatenate([[0.0, 1e-9], np.linspace(1e-3, 20.0, 3 * rows + 7)])
+    whole = autocorrelation_kernel(tab, tau)
+    assert np.array_equal(whole, [autocorrelation_kernel(tab, x) for x in tau])
 
 
 def test_kernel_refuses_undecayed_table():
