@@ -25,7 +25,10 @@ step runs, and every noise chunk ends with a Bloch-sphere bound check.
 
 Reproducibility contract: trajectory i draws from a Philox stream keyed by
 (seed, i); normals are produced by the Box-Muller cosine branch, one uniform
-pair per normal, in fixed chunks of NOISE_CHUNK steps. Ensemble statistics are
+pair per normal, in fixed chunks of NOISE_CHUNK steps. Within a chunk each
+stream fills its own row of a block of uniforms, and the whole block is then
+transformed at once; the transform is elementwise, so a stream's normals do
+not depend on the block around it. Ensemble statistics are
 reduced per fixed-size trajectory block and the blocks are merged pairwise in
 index order, so results are bit-identical for any worker count. Every entry
 point integrates through the same block engine, so trajectory i is the same
@@ -44,6 +47,7 @@ from .params import SystemParams, check_seed, grid_steps
 
 BLOCK_TRAJ = 8192      # trajectories integrated together; independent of --threads
 NOISE_CHUNK = 1024     # steps drawn per stream call; fixed so noise is batch independent
+NOISE_TILE = 1 << 16   # uniforms transformed together; bounds the noise temporaries
 MAX_STEP_RATE = 0.05   # largest dt*max(a, gamma_perp, omega0) the step guard allows
 
 _U64 = 0xFFFFFFFFFFFFFFFF
@@ -70,11 +74,7 @@ class RngStream:
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
     def normals(self, count: int) -> np.ndarray:
-        u = self._gen.random(2 * count)
-        u1 = 1.0 - u[0::2]          # maps [0,1) onto (0,1]; keeps log finite
-        u2 = u[1::2]
-        z1, _ = gaussian_pair(u1, u2)
-        return z1
+        return _box_muller(self._gen.random(2 * count))
 
 
 def gaussian_pair(u1, u2):
@@ -99,18 +99,32 @@ def gaussian_pair(u1, u2):
     return z1, z2
 
 
+def _box_muller(u):
+    """Box-Muller cosine branch over the last axis of uniforms in [0, 1).
+
+    Each pair (u[2j], u[2j+1]) gives sqrt(-2 ln(1 - u[2j])) * cos(2 pi u[2j+1]);
+    1 - u maps [0, 1) onto (0, 1], so the log stays finite and no domain check
+    is needed. Elementwise, so any block of rows gives each row's normals bit
+    for bit.
+    """
+    r = np.sqrt(-2.0 * np.log(1.0 - u[..., 0::2]))
+    return r * np.cos((2.0 * math.pi) * u[..., 1::2])
+
+
 def _normals(seed, lo, hi, n_steps, increments=None):
     """Standard normals for steps 0..n_steps-1 of trajectories [lo, hi).
 
     Yields arrays of shape (hi - lo, <= NOISE_CHUNK) in step order, so no
-    more than one chunk is ever held. ``increments`` (explicit normals, one
-    per step, for a single trajectory) is sliced in the same chunks in place
-    of the streams.
+    more than one chunk is ever held. Each stream fills its own row of a
+    tile of at most NOISE_TILE uniforms, and each tile goes through one
+    _box_muller call. ``increments`` (explicit normals, one per step, for a
+    single trajectory) is sliced in the same chunks in place of the streams.
     """
     if increments is not None:
         for c in range(0, n_steps, NOISE_CHUNK):
             yield increments[None, c:c + NOISE_CHUNK]
         return
+    width = hi - lo
     # a single chunk uses each stream once, so streams are then made one at a
     # time instead of holding a block's worth of generators
     streams = (RngStream(seed, i) for i in range(lo, hi))
@@ -118,9 +132,15 @@ def _normals(seed, lo, hi, n_steps, increments=None):
         streams = list(streams)
     for c in range(0, n_steps, NOISE_CHUNK):
         clen = min(NOISE_CHUNK, n_steps - c)
-        z = np.empty((hi - lo, clen))
-        for i, stream in enumerate(streams):
-            z[i] = stream.normals(clen)
+        rows = min(width, max(1, NOISE_TILE // (2 * clen)))
+        u = np.empty((rows, 2 * clen))
+        z = np.empty((width, clen))
+        pending = iter(streams)
+        for r in range(0, width, rows):
+            tile = u[:min(rows, width - r)]
+            for row, stream in zip(tile, pending):   # zip stops at the tile's end
+                stream._gen.random(out=row)
+            z[r:r + len(tile)] = _box_muller(tile)
         yield z
 
 
@@ -412,8 +432,11 @@ def simulate_phases(delta: float, n_traj: int, t_end: float, dt: float,
     scale = np.full(n_steps, math.sqrt(delta * dt))
     phi = np.empty((n_traj, n_steps + 1))
     phi[:, 0] = 0.0
-    for i in range(n_traj):       # one path at a time: noise memory stays one chunk
-        _wiener_paths(seed, i, i + 1, scale, phi[i:i + 1, 1:])
+    # paths go in groups of one noise tile, so noise memory stays one tile
+    rows = max(1, NOISE_TILE // (2 * NOISE_CHUNK))
+    for lo in range(0, n_traj, rows):
+        hi = min(lo + rows, n_traj)
+        _wiener_paths(seed, lo, hi, scale, phi[lo:hi, 1:])
     t = np.arange(n_steps + 1) * dt
     return t, phi
 
@@ -448,8 +471,8 @@ def phase_autocorrelation(delta: float, n_traj: int, tau_grid,
         hi = min(lo + BLOCK_TRAJ, n_traj)
         phases = np.empty((hi - lo, len(tau)))
         _wiener_paths(seed, lo, hi, scale, phases)
-        samples = np.exp(1j * phases)
-        parts.append((_block_moments(samples.real), _block_moments(samples.imag)))
+        parts.append((_block_moments(np.cos(phases)),
+                      _block_moments(np.sin(phases))))
 
     count, mean_re, m2_re = _tree_merge([p[0] for p in parts])
     _, mean_im, m2_im = _tree_merge([p[1] for p in parts])

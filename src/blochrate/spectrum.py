@@ -259,6 +259,39 @@ def autocorrelation_kernel(s: SpectrumModel, tau, omega21: float = 0.0):
     return float(out[0]) if scalar else out
 
 
+def _check_lags(tau: np.ndarray) -> None:
+    # an unordered or non-finite grid would give trapezoid weights of any sign
+    if tau.ndim != 1 or len(tau) == 0:
+        raise ValueError("tau grid must be a non-empty 1-d array")
+    if not (np.all(np.isfinite(tau)) and tau[0] >= 0.0 and np.all(np.diff(tau) > 0)):
+        raise ValueError("tau grid must be finite, non-negative and increasing")
+
+
+def _trapezoid_transform(f, tau, x):
+    """Trapezoid quadrature of Re(f(tau) e^{-i x tau}) over tau, for every x.
+
+    f has tau along its last axis and may be complex; the result has x in
+    place of tau. Each x takes one row of a cos (and, for complex f, sin)
+    matrix, built in row chunks of about _KERNEL_CHUNK elements so the
+    temporaries stay bounded whatever the grid sizes.
+    """
+    d = np.diff(tau)
+    w = np.zeros_like(tau)
+    w[:-1] += 0.5 * d
+    w[1:] += 0.5 * d
+    wc = f.real * w
+    ws = f.imag * w if np.iscomplexobj(f) else None
+    out = np.empty(f.shape[:-1] + x.shape)
+    rows = max(1, _KERNEL_CHUNK // len(tau))
+    for lo in range(0, len(x), rows):
+        arg = np.multiply.outer(x[lo:lo + rows], tau)
+        part = wc @ np.cos(arg).T
+        if ws is not None:
+            part += ws @ np.sin(arg).T
+        out[..., lo:lo + rows] = part
+    return out
+
+
 def spectrum_from_kernel(kernel, tau, omega, omega21: float = 0.0):
     """Inverse transform: W(omega) = Int_0^inf I(tau) cos((omega-omega21) tau) dtau.
 
@@ -268,12 +301,12 @@ def spectrum_from_kernel(kernel, tau, omega, omega21: float = 0.0):
     kernel = np.asarray(kernel, dtype=float)
     tau = np.asarray(tau, dtype=float)
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    if tau[0] != 0.0 or np.any(np.diff(tau) <= 0):
-        raise ValueError("tau grid must start at 0 and increase")
-    out = np.empty_like(omega)
-    for i, w in enumerate(omega):
-        out[i] = trapezoid(kernel * np.cos((w - omega21) * tau), tau)
-    return out
+    _check_lags(tau)
+    if tau[0] != 0.0:
+        raise ValueError("tau grid must start at 0")
+    if kernel.shape != tau.shape:
+        raise ValueError("kernel and tau must have matching shapes")
+    return _trapezoid_transform(kernel, tau, omega - omega21)
 
 
 # ----------------------------------------------------------------------
@@ -303,29 +336,37 @@ def spectrum_from_autocorrelation(g, tau, omega_grid, omega0: float,
     """Transform a (possibly complex) field autocorrelation into B*W/b.
 
     g(tau) is the normalized autocorrelation <e^{i[phi(t+tau)-phi(t)]}> on a
-    non-negative tau grid; negative lags enter through the Hermitian symmetry
-    g(-tau) = conj(g(tau)). omega_grid holds offsets from the transition.
+    non-negative, increasing tau grid; negative lags enter through the
+    Hermitian symmetry g(-tau) = conj(g(tau)). omega_grid holds offsets from
+    the transition. g may stack several autocorrelations along leading axes
+    (tau along the last); the result then has omega in place of tau.
     """
     g = np.asarray(g)
     tau = np.asarray(tau, dtype=float)
     omega_grid = np.atleast_1d(np.asarray(omega_grid, dtype=float))
-    if g.shape != tau.shape:
-        raise ValueError("g and tau must have matching shapes")
+    _check_lags(tau)
+    if g.shape[-1:] != tau.shape:
+        raise ValueError("g must have tau's length along its last axis")
     pref = omega0 ** 2 / (4.0 * b)
-    out = np.empty(len(omega_grid))
-    for i, x in enumerate(omega_grid):
-        out[i] = 2.0 * pref * trapezoid((g * np.exp(-1j * x * tau)).real, tau)
-    return out
+    return 2.0 * pref * _trapezoid_transform(g, tau, omega_grid)
 
 
-def _batch_autocorrelation(rows: np.ndarray) -> np.ndarray:
-    """Mean lagged product over a batch: g[k] = <s(t+k) conj(s(t))>, all lags."""
-    n_traj, n_t = rows.shape
-    m = next_fast_len(2 * n_t)
-    spec = fft(rows, n=m, axis=1)
-    corr = ifft(spec * np.conj(spec), axis=1)[:, :n_t]
-    counts = n_t - np.arange(n_t)
-    return corr.sum(axis=0) / (n_traj * counts)
+def _batch_autocorrelation(rows: np.ndarray, k_max: int) -> np.ndarray:
+    """Mean lagged product g[k] = <s(t+k) conj(s(t))> of s = e^{i rows}, k <= k_max.
+
+    Zero padding to any length >= n_t + k_max keeps lags 0..k_max free of
+    wrap-around, so they are the exact linear correlations. The rows' power
+    spectra are summed before a single inverse FFT.
+    """
+    n_t = rows.shape[1]
+    s = np.zeros((len(rows), next_fast_len(n_t + k_max)), dtype=complex)
+    np.cos(rows, out=s.real[:, :n_t])
+    np.sin(rows, out=s.imag[:, :n_t])
+    spec = fft(s, axis=1, overwrite_x=True)      # transforms s in place
+    power = np.square(spec.real).sum(axis=0)
+    power += np.square(spec.imag).sum(axis=0)
+    counts = n_t - np.arange(k_max + 1)
+    return ifft(power)[:k_max + 1] / (len(rows) * counts)
 
 
 def wk_estimate(phi: np.ndarray, dt: float, omega0: float, omega_grid,
@@ -339,6 +380,12 @@ def wk_estimate(phi: np.ndarray, dt: float, omega0: float, omega_grid,
     to-frequency by trapezoid quadrature. Trajectories are split into
     ``n_batches`` groups whose independent estimates give the standard error.
 
+    Each batch forms e^{i phi} only for its own rows, zero-padded to
+    next_fast_len(n_steps+1 + lags), which is enough for the lags the window
+    keeps to be exact linear (not circular) correlations; its power spectra
+    are summed before one inverse FFT. Beyond phi itself, memory is one
+    batch.
+
     The window must cover many coherence times or the transform is biased;
     ``truncation_estimate`` reports the batch-pooled autocorrelation
     magnitude near the window end as a relative scale for that bias.
@@ -349,29 +396,32 @@ def wk_estimate(phi: np.ndarray, dt: float, omega0: float, omega_grid,
     phi = np.asarray(phi, dtype=float)
     if phi.ndim != 2 or phi.shape[0] < 2 or phi.shape[1] < 2:
         raise ValueError("phi must be (n_traj >= 2, n_steps+1 >= 2)")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
+    # min and max propagate NaN and expose +-inf without a full-size mask
+    if not (math.isfinite(phi.min()) and math.isfinite(phi.max())):
+        raise ValueError("phi must be finite")
     omega_grid = np.atleast_1d(np.asarray(omega_grid, dtype=float))
     n_traj, n_t = phi.shape
     n_batches = max(2, min(n_batches, n_traj))
     if max_lag is None:
         k_max = n_t - 1
     else:
+        if not math.isfinite(max_lag):
+            raise ValueError(f"max_lag must be finite, got {max_lag!r}")
         k_max = min(n_t - 1, int(round(max_lag / dt)))
         if k_max < 1:
             raise ValueError("max_lag shorter than one sample")
     tau = np.arange(k_max + 1) * dt
 
-    batch_vals = np.empty((n_batches, len(omega_grid)))
-    tail = []
-    for j, rows in enumerate(np.array_split(np.exp(1j * phi), n_batches, axis=0)):
-        g = _batch_autocorrelation(rows)[:k_max + 1]
-        batch_vals[j] = spectrum_from_autocorrelation(g, tau, omega_grid,
-                                                      omega0, b=b)
-        tail.append(np.mean(g[-max(1, (k_max + 1) // 20):]))
+    g = np.empty((n_batches, k_max + 1), dtype=complex)
+    for j, rows in enumerate(np.array_split(phi, n_batches, axis=0)):
+        g[j] = _batch_autocorrelation(rows, k_max)
 
+    batch_vals = spectrum_from_autocorrelation(g, tau, omega_grid, omega0, b=b)
     values = batch_vals.mean(axis=0)
     stderr = batch_vals.std(axis=0, ddof=1) / math.sqrt(n_batches)
+    tail = g[:, -max(1, (k_max + 1) // 20):].mean(axis=1)
     trunc = float(abs(np.mean(tail)))
     return WkEstimate(omega=omega_grid, values=values, stderr=stderr,
                       window=tau[-1], n_batches=n_batches,

@@ -16,6 +16,7 @@ from blochrate import (
     run_trajectory,
     simulate_phases,
 )
+import blochrate.fieldsim as fs
 from blochrate.fieldsim import _midpoint_step
 
 REF = SystemParams(a=1.0, delta=5.0, omega0=math.sqrt(11.0))
@@ -69,6 +70,29 @@ def test_stream_moments():
     z = RngStream(2024, 0).normals(1_000_000)
     assert abs(z.mean()) < 4e-3
     assert abs(z.var(ddof=1) - 1.0) < 1e-2
+
+
+def _block_noise(seed, lo, hi, n_steps):
+    return np.concatenate(list(fs._normals(seed, lo, hi, n_steps)), axis=1)
+
+
+@pytest.mark.parametrize("lo, hi, n_steps", [
+    (3, 4, 2500),        # width 1, several chunks
+    (0, 7, 1500),        # width 7, a full chunk and a tail
+    (10, 1010, 40),      # many short streams over several tiles
+])
+def test_block_noise_matches_streams(lo, hi, n_steps):
+    want = np.array([RngStream(21, i).normals(n_steps) for i in range(lo, hi)])
+    assert np.array_equal(_block_noise(21, lo, hi, n_steps), want)
+
+
+def test_block_noise_chunk_tail(monkeypatch):
+    monkeypatch.setattr(fs, "NOISE_CHUNK", 64)
+    monkeypatch.setattr(fs, "NOISE_TILE", 300)      # two rows a tile, last one short
+    chunks = list(fs._normals(8, 0, 5, 150))
+    assert [c.shape for c in chunks] == [(5, 64), (5, 64), (5, 22)]
+    want = np.array([RngStream(8, i).normals(150) for i in range(5)])
+    assert np.array_equal(np.concatenate(chunks, axis=1), want)
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 
 from blochrate import (
     LorentzianSpectrum,
@@ -224,13 +226,84 @@ def test_wk_estimate_stderr_scales_inverse_sqrt_n():
     assert 2.0 / 1.5 <= pooled / full <= 2.0 * 1.5
 
 
+def _trapezoid_oracle(f, tau, x):
+    # the per-omega quadrature the matrix form replaced
+    return np.array([trapezoid((f * np.exp(-1j * w * tau)).real, tau) for w in x])
+
+
+@pytest.mark.parametrize("chunk", [1 << 18, 500])      # one omega chunk, many
+def test_transforms_match_per_omega_quadrature(monkeypatch, chunk):
+    monkeypatch.setattr(spectrum, "_KERNEL_CHUNK", chunk)
+    tau = np.concatenate([np.linspace(0.0, 2.0, 81), np.linspace(2.1, 9.0, 70)])
+    g = np.exp((-0.7 + 1.3j) * tau) + 0.2 * np.exp(-2.0 * tau)
+    omega = np.linspace(-6.0, 6.0, 97)
+    for got, want in [
+        (spectrum_from_kernel(g.real, tau, omega, omega21=0.4),
+         _trapezoid_oracle(g.real, tau, omega - 0.4)),
+        (spectrum_from_kernel(g.real, tau, 1.5), _trapezoid_oracle(g.real, tau, [1.5])),
+        (spectrum_from_autocorrelation(g, tau, omega, 1.0),
+         0.5 * _trapezoid_oracle(g, tau, omega)),
+        (spectrum_from_autocorrelation(np.stack([g, 2 * g]), tau, omega, 1.0)[1],
+         _trapezoid_oracle(g, tau, omega)),
+    ]:
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("max_lag", [None, 4])
+def test_batch_autocorrelation_is_the_linear_lagged_mean(max_lag):
+    rows = np.random.default_rng(3).normal(0.0, 2.0, (3, 17))
+    k_max = 16 if max_lag is None else max_lag
+    s = np.exp(1j * rows)
+    want = [np.mean(s[:, k:] * np.conj(s[:, :17 - k])) for k in range(k_max + 1)]
+    got = spectrum._batch_autocorrelation(rows, k_max)
+    assert np.max(np.abs(got - want)) <= 1e-14
+
+
+def test_wk_estimate_memory_stays_below_the_input():
+    _, phi = simulate_phases(2.0, 512, 30.0, 0.01, seed=6)
+    tracemalloc.start()
+    try:
+        wk_estimate(phi, 0.01, 2.0, np.linspace(-6.0, 6.0, 121), max_lag=12.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    print(f"wk_estimate peak {peak / phi.nbytes:.2f} x phi.nbytes")
+    assert peak < phi.nbytes
+
+
+@pytest.mark.parametrize("tau", [[0.0, -1.0, 2.0], [0.0, 1.0, 1.0],
+                                 [-1.0, 0.0, 1.0], [0.0, 1.0, math.nan]])
+def test_transforms_refuse_bad_lag_grids(tau):
+    with pytest.raises(ValueError):
+        spectrum_from_autocorrelation(np.ones(3), tau, [0.0], 1.0)
+    with pytest.raises(ValueError):
+        spectrum_from_kernel(np.ones(3), tau, [0.0])
+
+
+def _phases_with(value):
+    phi = np.zeros((4, 50))
+    phi[2, 30] = value
+    return phi
+
+
 @pytest.mark.parametrize("bad", [
     dict(phi=np.zeros((1, 50)), dt=0.01),
     dict(phi=np.zeros((4, 1)), dt=0.01),
     dict(phi=np.zeros((4, 50)), dt=0.0),
     dict(phi=np.zeros((4, 50)), dt=0.01, max_lag=1e-6),
+    dict(phi=np.zeros((4, 50)), dt=math.nan),
+    dict(phi=np.zeros((4, 50)), dt=math.inf),
+    dict(phi=np.zeros((4, 50)), dt=0.01, max_lag=math.inf),
+    dict(phi=np.zeros((4, 50)), dt=0.01, max_lag=math.nan),
+    dict(phi=_phases_with(math.nan), dt=0.01),
+    dict(phi=_phases_with(-math.inf), dt=0.01),
 ])
-def test_wk_estimate_rejects_bad_input(bad):
+def test_wk_estimate_rejects_bad_input(monkeypatch, bad):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the FFT ran before the input was checked")
+
+    monkeypatch.setattr(spectrum, "fft", no_work)
     with pytest.raises(ValueError):
         wk_estimate(bad["phi"], bad["dt"], 1.0, np.array([0.0]),
                     max_lag=bad.get("max_lag"))
