@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import blochrate.fieldsim as fs
 from blochrate import (
     IntegratorError,
     RngStream,
@@ -16,7 +17,6 @@ from blochrate import (
     run_trajectory,
     simulate_phases,
 )
-import blochrate.fieldsim as fs
 from blochrate.fieldsim import _midpoint_step
 
 REF = SystemParams(a=1.0, delta=5.0, omega0=math.sqrt(11.0))
@@ -72,10 +72,6 @@ def test_stream_moments():
     assert abs(z.var(ddof=1) - 1.0) < 1e-2
 
 
-def _block_noise(seed, lo, hi, n_steps):
-    return np.concatenate(list(fs._normals(seed, lo, hi, n_steps)), axis=1)
-
-
 @pytest.mark.parametrize("lo, hi, n_steps", [
     (3, 4, 2500),        # width 1, several chunks
     (0, 7, 1500),        # width 7, a full chunk and a tail
@@ -83,7 +79,8 @@ def _block_noise(seed, lo, hi, n_steps):
 ])
 def test_block_noise_matches_streams(lo, hi, n_steps):
     want = np.array([RngStream(21, i).normals(n_steps) for i in range(lo, hi)])
-    assert np.array_equal(_block_noise(21, lo, hi, n_steps), want)
+    got = np.concatenate(list(fs._normals(21, lo, hi, n_steps)), axis=1)
+    assert np.array_equal(got, want)
 
 
 def test_block_noise_chunk_tail(monkeypatch):
