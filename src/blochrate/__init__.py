@@ -12,9 +12,8 @@ from .analysis import (AnalysisReport, ModeSpectrum, QuadratureError,
                        thresholds, zeta_lorentzian, zeta_numeric, zeta_peaked)
 from .fieldsim import (DecorrelationResult, EnsembleTrace, IntegratorError,
                        PhaseAutocorrelation, RngStream, TrajectoryTrace,
-                       decorrelation_residual, gaussian_pair,
-                       phase_autocorrelation, run_ensemble, run_trajectory,
-                       simulate_phases)
+                       decorrelation_residual, phase_autocorrelation,
+                       run_ensemble, run_trajectory, simulate_phases)
 from .kinetics import (CollisionParams, KineticTrace, StepSizeError,
                        adiabatic_series_check, ere_exact, integrate_effective_bloch,
                        integrate_ere, integrate_generalized_ere,

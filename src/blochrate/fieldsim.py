@@ -25,10 +25,13 @@ step runs, and every noise chunk ends with a Bloch-sphere bound check.
 
 Reproducibility contract: trajectory i draws from a Philox stream keyed by
 (seed, i); normals are produced by the Box-Muller cosine branch, one uniform
-pair per normal, in fixed chunks of NOISE_CHUNK steps. Within a chunk each
-stream fills its own row of a block of uniforms, and the whole block is then
-transformed at once; the transform is elementwise, so a stream's normals do
-not depend on the block around it. Ensemble statistics are
+pair per normal, in fixed chunks of NOISE_CHUNK steps. Philox is counter
+based, so a stream is nothing but its key and a counter position: one
+generator is re-pointed from stream to stream by setting both, never rebuilt
+per trajectory. Within a chunk each stream fills its own row of a block of
+uniforms, and the whole block is then transformed at once; the transform is
+elementwise, so a stream's normals do not depend on the block around it or
+on how its draws are split into chunks. Ensemble statistics are
 reduced per fixed-size trajectory block and the blocks are merged pairwise in
 index order, so results are bit-identical for any worker count. Every entry
 point integrates through the same block engine, so trajectory i is the same
@@ -50,53 +53,59 @@ NOISE_CHUNK = 1024     # steps drawn per stream call; fixed so noise is batch in
 NOISE_TILE = 1 << 16   # uniforms transformed together; bounds the noise temporaries
 MAX_STEP_RATE = 0.05   # largest dt*max(a, gamma_perp, omega0) the step guard allows
 
-_U64 = 0xFFFFFFFFFFFFFFFF
-
 
 class IntegratorError(RuntimeError):
     """A step is too coarse for the rates or a trajectory became unphysical."""
 
 
+class _PhiloxCursor:
+    """One Philox generator that is pointed at any stream (seed, i) in turn.
+
+    Stream (seed, i) is the Philox generator keyed by (seed, i) with its
+    counter at 0. Philox turns each counter value into a block of four 64-bit
+    words and each uniform takes one word, so after p uniforms the stream's
+    counter reads p // 4 with p % 4 words of the next block used. ``seek``
+    writes exactly that state, which makes re-pointing a state write instead
+    of a new generator (whose constructor would also draw OS entropy).
+    """
+
+    def __init__(self, seed: int):
+        self._key = [check_seed(seed), 0]
+        self._counter = [0, 0, 0, 0]
+        self._state = {"bit_generator": "Philox",
+                       "state": {"counter": self._counter, "key": self._key},
+                       "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+                       "has_uint32": 0, "uinteger": 0}
+        self._bitgen = np.random.Philox(0)     # a fixed seed: no OS entropy
+        self._gen = np.random.Generator(self._bitgen)
+
+    def seek(self, index: int, position: int = 0) -> np.random.Generator:
+        """Point at uniform ``position`` of stream (seed, index); return the generator."""
+        self._key[1] = index
+        self._counter[0] = position // 4
+        self._bitgen.state = self._state
+        if position % 4:
+            self._bitgen.random_raw(position % 4, output=False)
+        return self._gen
+
+
 class RngStream:
     """Counter-based random stream for one trajectory.
 
-    Output is a pure function of (seed, index, position): the stream wraps a
-    Philox generator keyed by the pair, and every normal consumes exactly one
-    uniform pair (Box-Muller, cosine branch), so the j-th normal is the same
-    no matter how draws are chunked into calls. The seed must lie in
-    [0, 2**64).
+    Output is a pure function of (seed, index, position): the stream is the
+    Philox generator keyed by the pair (see _PhiloxCursor), and every normal
+    consumes exactly one uniform pair (Box-Muller, cosine branch), so the
+    j-th normal is the same no matter how draws are chunked into calls. The
+    seed and the index must lie in [0, 2**64).
     """
 
     def __init__(self, seed: int, index: int = 0):
         self.seed = check_seed(seed)
-        self.index = index & _U64
-        key = np.array([self.seed, self.index], dtype=np.uint64)
-        self._gen = np.random.Generator(np.random.Philox(key=key))
+        self.index = check_seed(index, "index")
+        self._gen = _PhiloxCursor(self.seed).seek(self.index)
 
     def normals(self, count: int) -> np.ndarray:
         return _box_muller(self._gen.random(2 * count))
-
-
-def gaussian_pair(u1, u2):
-    """Box-Muller transform of a uniform pair into two standard normals.
-
-    z1 = sqrt(-2 ln u1) cos(2 pi u2), z2 = sqrt(-2 ln u1) sin(2 pi u2).
-    Accepts scalars or arrays. u1 must lie in (0, 1] (u1 = 0 hits the log
-    singularity), u2 in [0, 1).
-    """
-    u1 = np.asarray(u1, dtype=float)
-    u2 = np.asarray(u2, dtype=float)
-    if np.any(u1 <= 0.0) or np.any(u1 > 1.0):
-        raise ValueError("gaussian_pair: u1 must lie in (0, 1]")
-    if np.any(u2 < 0.0) or np.any(u2 >= 1.0):
-        raise ValueError("gaussian_pair: u2 must lie in [0, 1)")
-    r = np.sqrt(-2.0 * np.log(u1))
-    ang = (2.0 * math.pi) * u2
-    z1 = r * np.cos(ang)
-    z2 = r * np.sin(ang)
-    if z1.ndim == 0:
-        return float(z1), float(z2)
-    return z1, z2
 
 
 def _box_muller(u):
@@ -115,31 +124,28 @@ def _normals(seed, lo, hi, n_steps, increments=None):
     """Standard normals for steps 0..n_steps-1 of trajectories [lo, hi).
 
     Yields arrays of shape (hi - lo, <= NOISE_CHUNK) in step order, so no
-    more than one chunk is ever held. Each stream fills its own row of a
-    tile of at most NOISE_TILE uniforms, and each tile goes through one
-    _box_muller call. ``increments`` (explicit normals, one per step, for a
-    single trajectory) is sliced in the same chunks in place of the streams.
+    more than one chunk is ever held. One Philox generator serves every
+    stream: for each row of a tile of at most NOISE_TILE uniforms it is
+    pointed at stream (seed, i) where the chunk starts, two uniforms per
+    step, and fills the row; each tile goes through one _box_muller call.
+    ``increments`` (explicit normals, one per step, for a single trajectory)
+    is sliced in the same chunks in place of the streams.
     """
     if increments is not None:
         for c in range(0, n_steps, NOISE_CHUNK):
             yield increments[None, c:c + NOISE_CHUNK]
         return
     width = hi - lo
-    # a single chunk uses each stream once, so streams are then made one at a
-    # time instead of holding a block's worth of generators
-    streams = (RngStream(seed, i) for i in range(lo, hi))
-    if n_steps > NOISE_CHUNK:
-        streams = list(streams)
+    cursor = _PhiloxCursor(seed)
     for c in range(0, n_steps, NOISE_CHUNK):
         clen = min(NOISE_CHUNK, n_steps - c)
         rows = min(width, max(1, NOISE_TILE // (2 * clen)))
         u = np.empty((rows, 2 * clen))
         z = np.empty((width, clen))
-        pending = iter(streams)
         for r in range(0, width, rows):
             tile = u[:min(rows, width - r)]
-            for row, stream in zip(tile, pending):   # zip stops at the tile's end
-                stream._gen.random(out=row)
+            for i, row in enumerate(tile, lo + r):
+                cursor.seek(i, 2 * c).random(out=row)
             z[r:r + len(tile)] = _box_muller(tile)
         yield z
 
@@ -381,6 +387,7 @@ def run_trajectory(params: SystemParams, t_end: float, dt: float, seed: int,
     which lets tests refine a noise path: the coarse path over dt is
     recovered from the fine path over dt/2 by summing adjacent increments.
     """
+    index = check_seed(index, "index")
     n_steps = grid_steps(t_end, dt)
     if increments is not None:
         increments = np.asarray(increments, dtype=float)

@@ -56,11 +56,15 @@ def grid_steps(t: float, dt: float, name: str = "t_end", *,
     return steps
 
 
-def check_seed(seed: int) -> int:
-    """Return ``seed`` as an int; ValueError unless 0 <= seed < 2**64."""
+def check_seed(seed: int, name: str = "seed") -> int:
+    """Return ``seed`` as an int; ValueError unless 0 <= seed < 2**64.
+
+    Also checks the other half of a stream key, a trajectory index (pass
+    ``name="index"``), which has the same range.
+    """
     seed = operator.index(seed)
     if not 0 <= seed < 2 ** 64:
-        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+        raise ValueError(f"{name} must lie in [0, 2**64), got {seed}")
     return seed
 
 

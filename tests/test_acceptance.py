@@ -7,12 +7,15 @@ so a pass is reproducible and a failure is a real regression.
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
+import blochrate
 from blochrate import (
     LorentzianSpectrum,
     SystemParams,
@@ -180,12 +183,16 @@ def test_criterion_10_csv_byte_identity_across_threads(tmp_path):
             "--set", "model=sde", "--set", "delta=5", "--set", "omega0=2",
             "--set", "n_traj=20000", "--set", "t_end=1", "--set", "dt=0.001",
             "--seed", "321"]
+    # the CLI runs from the package this test imported, installed or not
+    src = str(Path(blochrate.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     blobs = []
     for threads in (1, 2, 4):
         out = tmp_path / f"threads{threads}"
         proc = subprocess.run([*base, "--out", str(out),
                                "--threads", str(threads)],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         blobs.append((out / "sde_trace.csv").read_bytes())
     print(f"{len(blobs[0])} bytes per file, identical across threads")

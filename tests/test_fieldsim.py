@@ -11,7 +11,6 @@ from blochrate import (
     RngStream,
     SystemParams,
     decorrelation_residual,
-    gaussian_pair,
     phase_autocorrelation,
     run_ensemble,
     run_trajectory,
@@ -40,20 +39,13 @@ def test_stream_chunking_does_not_change_draws():
     assert np.array_equal(whole, parts)
 
 
-def test_gaussian_pair_frozen_values():
-    z1, z2 = gaussian_pair(0.5, 0.25)
-    assert abs(z1) < 1e-15
-    assert math.isclose(z2, 1.1774100225154747, rel_tol=0, abs_tol=1e-15)
-    z1, z2 = gaussian_pair(1.0, 0.125)
-    assert z1 == 0.0 and z2 == 0.0
-
-
-def test_gaussian_pair_arrays_and_domain():
-    z1, z2 = gaussian_pair(np.array([0.5, 1.0]), np.array([0.25, 0.0]))
-    assert z1.shape == (2,) and z2.shape == (2,)
-    for bad1, bad2 in [(0.0, 0.5), (1.5, 0.5), (0.5, -0.1), (0.5, 1.0)]:
-        with pytest.raises(ValueError):
-            gaussian_pair(bad1, bad2)
+def test_box_muller_frozen_values():
+    # cosine branch on (1 - u[2j], u[2j+1]): sqrt(-2 ln 0.5) cos(2 pi 0.25) ~ 0,
+    # ln 1 = 0, and sqrt(-2 ln 0.5) cos(0) = sqrt(2 ln 2)
+    z = fs._box_muller(np.array([0.5, 0.25, 0.0, 0.125, 0.5, 0.0]))
+    assert abs(z[0]) < 1e-15
+    assert z[1] == 0.0
+    assert math.isclose(z[2], 1.1774100225154747, rel_tol=0, abs_tol=1e-15)
 
 
 def test_stream_seed_range():
@@ -64,6 +56,27 @@ def test_stream_seed_range():
             RngStream(bad, 0)
         with pytest.raises(ValueError):
             run_ensemble(REF, n_traj=2, t_end=0.01, dt=1e-3, seed=bad)
+    # the trajectory index is the other half of the key and has the same range
+    last = run_trajectory(REF, 0.01, 1e-3, seed=3, index=2**64 - 1)
+    assert np.array_equal(last.phi, run_trajectory(REF, 0.01, 1e-3, seed=3,
+                                                   index=2**64 - 1).phi)
+    for bad in (-1, 2**64):
+        with pytest.raises(ValueError, match="index"):
+            RngStream(0, bad)
+        with pytest.raises(ValueError, match="index"):
+            run_trajectory(REF, 0.01, 1e-3, seed=3, index=bad)
+
+
+@pytest.mark.parametrize("seed, index", [(21, 0), (21, 7), (2**64 - 1, 2**64 - 1)])
+def test_seek_matches_a_fresh_philox(seed, index):
+    # the one definition of "stream (seed, i) at position p", checked against
+    # a generator built from the key and advanced by drawing
+    fresh = np.random.Generator(
+        np.random.Philox(key=np.array([seed, index], dtype=np.uint64))).random(40)
+    cursor = fs._PhiloxCursor(seed)
+    for position in range(9):
+        got = cursor.seek(index, position).random(40 - position)
+        assert np.array_equal(got, fresh[position:]), position
 
 
 def test_stream_moments():
@@ -84,12 +97,35 @@ def test_block_noise_matches_streams(lo, hi, n_steps):
 
 
 def test_block_noise_chunk_tail(monkeypatch):
-    monkeypatch.setattr(fs, "NOISE_CHUNK", 64)
-    monkeypatch.setattr(fs, "NOISE_TILE", 300)      # two rows a tile, last one short
-    chunks = list(fs._normals(8, 0, 5, 150))
-    assert [c.shape for c in chunks] == [(5, 64), (5, 64), (5, 22)]
-    want = np.array([RngStream(8, i).normals(150) for i in range(5)])
-    assert np.array_equal(np.concatenate(chunks, axis=1), want)
+    monkeypatch.setattr(fs, "NOISE_TILE", 300)      # a short last tile in every chunk
+    # an odd chunk takes 66 uniforms, so every other chunk resumes its streams
+    # two words into a 4-word Philox block; the last case takes the largest
+    # seed and indices
+    for chunk, seed, lo, hi in [(64, 8, 0, 5), (33, 8, 0, 5),
+                                (33, 2**64 - 1, 2**64 - 5, 2**64)]:
+        monkeypatch.setattr(fs, "NOISE_CHUNK", chunk)
+        chunks = list(fs._normals(seed, lo, hi, 150))
+        assert [c.shape for c in chunks] == [(5, min(chunk, 150 - c))
+                                             for c in range(0, 150, chunk)]
+        want = np.array([RngStream(seed, i).normals(150) for i in range(lo, hi)])
+        assert np.array_equal(np.concatenate(chunks, axis=1), want)
+
+
+@pytest.mark.parametrize("width, n_steps", [(1000, 40), (50, 2500)])
+def test_block_noise_builds_one_generator(monkeypatch, width, n_steps):
+    # streams are re-pointed, not rebuilt: no generator (and no OS entropy)
+    # per trajectory, in one chunk or in several
+    built = []
+    philox = np.random.Philox
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting)
+    for _ in fs._normals(21, 0, width, n_steps):
+        pass
+    assert len(built) <= 1
 
 
 # ----------------------------------------------------------------------
