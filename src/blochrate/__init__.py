@@ -7,23 +7,22 @@ the analysis tools to decide which reduction is valid where.
 """
 
 from .analysis import (AnalysisReport, ModeSpectrum, QuadratureError,
-                       RegimeFlags, build_report, eigenvalues, lorentz_line,
+                       RegimeFlags, build_report, eigenvalues,
                        measured_oscillation_frequency, steady_state,
-                       thresholds, zeta_lorentzian, zeta_numeric, zeta_peaked)
+                       thresholds, zeta_numeric)
 from .fieldsim import (DecorrelationResult, EnsembleTrace, IntegratorError,
-                       PhaseAutocorrelation, RngStream, TrajectoryTrace,
+                       PhaseAutocorrelation, TrajectoryTrace,
                        decorrelation_residual, phase_autocorrelation,
                        run_ensemble, run_trajectory, simulate_phases)
 from .kinetics import (CollisionParams, KineticTrace, StepSizeError,
-                       adiabatic_series_check, ere_exact, integrate_effective_bloch,
-                       integrate_ere, integrate_generalized_ere,
-                       integrate_memory_kernel, integrate_modified_ere)
-from .params import CoherentLimitError, DipoleParams, SystemParams, einstein_b
+                       integrate_effective_bloch, integrate_ere,
+                       integrate_generalized_ere, integrate_memory_kernel,
+                       integrate_modified_ere)
+from .params import CoherentLimitError, SystemParams
 from .spectrum import (LorentzianSpectrum, SpectrumModel, SpectrumSupportError,
                        TabulatedSpectrum, WkEstimate, autocorrelation_kernel,
-                       bw21_of, energy_density, from_phase_diffusion, fwhm_of,
-                       load_tabulated, spectral_density,
-                       spectrum_from_autocorrelation, spectrum_from_kernel,
-                       width_hint, wk_estimate)
+                       from_phase_diffusion, fwhm_of, load_tabulated,
+                       spectral_density, spectrum_from_autocorrelation,
+                       spectrum_from_kernel, width_hint, wk_estimate)
 
 __version__ = "0.1.0"

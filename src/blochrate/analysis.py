@@ -1,10 +1,10 @@
 """Closed-form and quadrature evaluation of derived quantities.
 
-Covers the spectral overlap factor zeta (general quadrature, Lorentzian
-closed form, narrow-line limit), the pumped steady state, the eigenvalues of
-the linearized two-variable dynamics with their oscillation threshold, and a
-peak-spacing frequency estimator for measured traces. Everything is a pure
-function of the inputs.
+Covers the spectral overlap factor zeta by quadrature for any spectrum (the
+resonant Lorentzian's closed form is SystemParams.zeta), the pumped steady
+state, the eigenvalues of the linearized two-variable dynamics with their
+oscillation threshold, and a peak-spacing frequency estimator for measured
+traces. Everything is a pure function of the inputs.
 """
 
 from __future__ import annotations
@@ -20,26 +20,13 @@ from .spectrum import SpectrumModel, TabulatedSpectrum, spectral_density, width_
 
 __all__ = [
     "QuadratureError", "ModeSpectrum", "RegimeFlags", "AnalysisReport",
-    "lorentz_line", "zeta_lorentzian", "zeta_numeric", "zeta_peaked",
-    "steady_state", "eigenvalues", "thresholds",
+    "zeta_numeric", "steady_state", "eigenvalues", "thresholds",
     "measured_oscillation_frequency", "build_report",
 ]
 
 
 class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance."""
-
-
-def lorentz_line(x):
-    """Unit-area Lorentzian line shape L(x) = 1/(pi*(1+x^2))."""
-    return 1.0 / (math.pi * (1.0 + np.asarray(x, dtype=float) ** 2))
-
-
-def zeta_lorentzian(delta: float, gamma_perp: float) -> float:
-    """Spectral overlap of a resonant Lorentzian line: delta/(delta + 2*gamma_perp)."""
-    if delta < 0 or gamma_perp <= 0:
-        raise ValueError("need delta >= 0 and gamma_perp > 0")
-    return delta / (delta + 2.0 * gamma_perp)
 
 
 def _theta_breaks(s: SpectrumModel, gamma_perp: float, omega21: float):
@@ -85,21 +72,6 @@ def zeta_numeric(s: SpectrumModel, gamma_perp: float, omega21: float = 0.0,
             f"(value {value:.6e}), worse than requested"
         )
     return value
-
-
-def zeta_peaked(u: float, w21: float, gamma_perp: float, center: float,
-                omega21: float = 0.0) -> float:
-    """Overlap factor for a spectrum much narrower than the atomic line.
-
-    When all the light sits within a sliver at ``center``, only the total
-    energy density u and the line shape at that detuning matter:
-    zeta = u/(gamma_perp*W21) * L((center-omega21)/gamma_perp). The caller is
-    responsible for the narrowness assumption.
-    """
-    if gamma_perp <= 0 or w21 <= 0:
-        raise ValueError("need gamma_perp > 0 and w21 > 0")
-    x = (center - omega21) / gamma_perp
-    return u / (gamma_perp * w21) * float(lorentz_line(x))
 
 
 def steady_state(params: SystemParams) -> float:

@@ -313,6 +313,8 @@ def _fig3(out_dir, cfg, threads, panel: str):
     t_end = _require(cfg, "t_end", t_end_def)
     dt = _require(cfg, "dt", 2e-3)
     n_traj = _require(cfg, "n_traj", 10000)
+    if n_traj < 2:
+        raise ConfigError(f"fig3 needs n_traj >= 2 for a sample std, got {n_traj}")
     seed = cfg.seed
     params = SystemParams(a=1.0, delta=delta, omega0=omega0)
     trace = run_ensemble(params, n_traj, t_end, dt, seed, threads=threads,
@@ -342,13 +344,9 @@ def cmd_figure(name: str, cfg: RunConfig, out_dir: Path, threads: int,
                plot: bool):
     if name not in FIGURES:
         raise ConfigError(f"unknown figure {name!r}; choose from: " + ", ".join(FIGURES))
-    builder = {"fig1a": lambda: _fig1(out_dir, cfg, threads, "a"),
-               "fig1b": lambda: _fig1(out_dir, cfg, threads, "b"),
-               "fig2a": lambda: _fig2(out_dir, cfg, threads, "a"),
-               "fig2b": lambda: _fig2(out_dir, cfg, threads, "b"),
-               "fig3a": lambda: _fig3(out_dir, cfg, threads, "a"),
-               "fig3b": lambda: _fig3(out_dir, cfg, threads, "b")}[name]
-    written, series, title, xlabel, ylabel, logx, logy = builder()
+    builder = {"fig1": _fig1, "fig2": _fig2, "fig3": _fig3}[name[:-1]]
+    written, series, title, xlabel, ylabel, logx, logy = builder(
+        out_dir, cfg, threads, name[-1])
     if plot:
         svg = figsvg.render_line_plot(series, title=title, xlabel=xlabel,
                                       ylabel=ylabel, logx=logx, logy=logy)
@@ -381,7 +379,10 @@ def cmd_decorrelate(cfg: RunConfig, out_dir: Path, threads: int,
     if cfg.n_tprime < 2:
         raise ConfigError("n_tprime must be >= 2")
     total = grid_steps(cfg.t_obs, dt, "t_obs", positive=True)
-    idx = np.unique(np.round(np.linspace(0, total, cfg.n_tprime)).astype(int))
+    # past total + 1 points the spacing is below one step and rounding already
+    # hits every grid index, so the clamp bounds memory without changing idx
+    idx = np.unique(np.round(np.linspace(0, total, min(cfg.n_tprime, total + 1)))
+                    .astype(int))
     t_prime = idx * dt
 
     result = decorrelation_residual(params, n_traj, cfg.t_obs, t_prime,
@@ -389,16 +390,11 @@ def cmd_decorrelate(cfg: RunConfig, out_dir: Path, threads: int,
     if result.low_statistics:
         sys.stderr.write(f"warning: only {result.n_traj} trajectories; "
                          "residual errors are unreliable\n")
-    rows = []
-    for j in range(len(t_prime)):
-        rows.append(",".join([
-            _fmt(result.t), _fmt(result.t_prime[j]),
-            _fmt(result.k_mean[j]), _fmt(result.k_stderr[j]),
-            _fmt(result.c_mean[j]), _fmt(result.c_stderr[j]),
-            _fmt(result.n_mean[j]), _fmt(result.n_stderr[j]),
-            _fmt(result.residual[j]), _fmt(result.residual_stderr[j]),
-            "1" if result.low_statistics else "0",
-        ]))
+    # the header's inner names are the result's per-t' fields, in column order
+    columns = [getattr(result, name) for name in DECORR_HEADER.split(",")[1:-1]]
+    low = "1" if result.low_statistics else "0"
+    rows = [",".join([_fmt(result.t), *map(_fmt, values), low])
+            for values in zip(*columns)]
     out = out_dir / (cfg.out or "decorrelation.csv")
     _write_csv(out, DECORR_HEADER, rows)
     verdict = "HOLDS" if result.holds_3sigma else "VIOLATED"

@@ -97,6 +97,9 @@ class RngStream:
     consumes exactly one uniform pair (Box-Muller, cosine branch), so the
     j-th normal is the same no matter how draws are chunked into calls. The
     seed and the index must lie in [0, 2**64).
+
+    Not exported: the package draws noise through _normals. It stays only
+    because perfbench/tracing.py patches RngStream.__init__ by name.
     """
 
     def __init__(self, seed: int, index: int = 0):

@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import constants
 from scipy.integrate import trapezoid
 
 from .params import SystemParams, grid_steps
@@ -38,9 +37,8 @@ from .spectrum import (LorentzianSpectrum, SpectrumModel,
 
 __all__ = [
     "KineticTrace", "CollisionParams", "StepSizeError",
-    "integrate_ere", "ere_exact", "integrate_modified_ere",
-    "integrate_effective_bloch", "integrate_memory_kernel",
-    "integrate_generalized_ere", "adiabatic_series_check",
+    "integrate_ere", "integrate_modified_ere", "integrate_effective_bloch",
+    "integrate_memory_kernel", "integrate_generalized_ere",
 ]
 
 
@@ -59,7 +57,6 @@ class KineticTrace:
     t: np.ndarray
     n: np.ndarray
     q: np.ndarray | None = None
-    model: str = ""
 
 
 @dataclass(frozen=True)
@@ -81,25 +78,6 @@ class CollisionParams:
             raise ValueError("gamma_12 must be finite and >= 0")
         if self.gamma_12 > self.gamma_21:
             raise ValueError("gamma_12 > gamma_21 implies a negative temperature")
-
-    @classmethod
-    def from_temperature(cls, gamma_21: float, omega21: float,
-                         temperature: float) -> "CollisionParams":
-        """Build the upward rate by detailed balance at the given temperature.
-
-        omega21 is the transition angular frequency in rad/s and temperature
-        is in kelvin; T=0 gives gamma_12 = 0.
-        """
-        if temperature < 0:
-            raise ValueError("temperature must be >= 0")
-        if omega21 <= 0:
-            raise ValueError("omega21 must be positive")
-        if temperature == 0:
-            ratio = 0.0
-        else:
-            ratio = math.exp(-constants.hbar * omega21
-                             / (constants.k * temperature))
-        return cls(gamma_21=gamma_21, gamma_12=gamma_21 * ratio)
 
     def gamma_parallel(self, a: float) -> float:
         """Total inversion damping rate a + gamma_21 + gamma_12."""
@@ -143,20 +121,11 @@ def _affine_rk4(decay: float, drive: float, y0: float,
 
 def integrate_ere(params: SystemParams, t_end: float, dt: float,
                   n0: float = -1.0) -> KineticTrace:
-    """Plain rate equation dn/dt = -a(n+1) - 2*zeta*bw21*n."""
-    t = np.arange(grid_steps(t_end, dt, positive=True) + 1) * dt
-    rate = params.a + 2.0 * params.zeta_bw21
-    _check_step(dt, rate, "ere")
-    n = _affine_rk4(rate, -params.a, n0, t)
-    return KineticTrace(t=t, n=n, model="ere")
+    """Plain rate equation dn/dt = -a(n+1) - 2*zeta*bw21*n.
 
-
-def ere_exact(params: SystemParams, t, n0: float = -1.0) -> np.ndarray:
-    """Closed solution of the rate equation on an arbitrary time grid."""
-    t = np.asarray(t, dtype=float)
-    rate = params.a + 2.0 * params.zeta_bw21
-    n_inf = -params.a / rate
-    return n_inf + (n0 - n_inf) * np.exp(-rate * t)
+    This is the generalized rate equation without radiative collisions.
+    """
+    return integrate_generalized_ere(params, CollisionParams(), t_end, dt, n0)
 
 
 def integrate_generalized_ere(params: SystemParams, coll: CollisionParams,
@@ -167,7 +136,7 @@ def integrate_generalized_ere(params: SystemParams, coll: CollisionParams,
     dn/dt = -gamma_par*(n - n_eq) - 2*zeta*bw21*n, where the collisions
     broaden the coherence decay, gamma_perp = gamma_par/2 + gamma_dc, and
     zeta*bw21 = omega0^2/(delta + 2*gamma_perp) uses that broadened width.
-    With gamma_21 = gamma_12 = 0 this reduces exactly to integrate_ere.
+    With gamma_21 = gamma_12 = 0 it is the plain rate equation, integrate_ere.
     """
     t = np.arange(grid_steps(t_end, dt, positive=True) + 1) * dt
     g_par = coll.gamma_parallel(params.a)
@@ -177,7 +146,7 @@ def integrate_generalized_ere(params: SystemParams, coll: CollisionParams,
     rate = g_par + 2.0 * zeta_bw21
     _check_step(dt, rate, "generalized-ere")
     n = _affine_rk4(rate, g_par * n_eq, n0, t)
-    return KineticTrace(t=t, n=n, model="generalized-ere")
+    return KineticTrace(t=t, n=n)
 
 
 def integrate_modified_ere(params: SystemParams, t_end: float, dt: float,
@@ -207,7 +176,7 @@ def integrate_modified_ere(params: SystemParams, t_end: float, dt: float,
         k3 = f(tk + 0.5 * h, nk + 0.5 * h * k2_)
         k4 = f(tk + h, nk + h * k3)
         n[k + 1] = nk + (h / 6.0) * (k1 + 2.0 * k2_ + 2.0 * k3 + k4)
-    return KineticTrace(t=t, n=n, model="modified-ere")
+    return KineticTrace(t=t, n=n)
 
 
 # ----------------------------------------------------------------------
@@ -246,7 +215,7 @@ def integrate_effective_bloch(params: SystemParams, t_end: float, dt: float,
         nk += (h / 6.0) * (an1 + 2.0 * an2 + 2.0 * an3 + an4)
         qk += (h / 6.0) * (aq1 + 2.0 * aq2 + 2.0 * aq3 + aq4)
         n[k + 1], q[k + 1] = nk, qk
-    return KineticTrace(t=t, n=n, q=q, model="effective-bloch")
+    return KineticTrace(t=t, n=n, q=q)
 
 
 # ----------------------------------------------------------------------
@@ -355,19 +324,4 @@ def integrate_memory_kernel(spectrum: SpectrumModel | None,
         n[k + 1] = nk
         # finalize J with the corrected endpoint for the next step
         j_curr = j_pred + dt * 0.5 * g0 * (nk - n_pred) if window > 0 else 0.0
-    return KineticTrace(t=t, n=n, model="memory-kernel")
-
-
-# ----------------------------------------------------------------------
-# diagnostics
-
-def adiabatic_series_check(params: SystemParams,
-                           trace: KineticTrace) -> np.ndarray:
-    """Pointwise size of the first adiabatic correction, |dn/dt|/(gamma_eff |n|).
-
-    The reduction q ~= n is justified where this is small. The ratio blows up
-    at zero crossings of n (returns inf there); judge it away from them.
-    """
-    dndt = np.gradient(trace.n, trace.t)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.abs(dndt) / (params.gamma_eff * np.abs(trace.n))
+    return KineticTrace(t=t, n=n)

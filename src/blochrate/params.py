@@ -1,9 +1,9 @@
 """Physical parameters of a driven two-level atom and their closed-form algebra.
 
 Rates are expressed in units where time is measured in 1/A (the spontaneous
-decay rate), so A=1 in typical runs and SI enters only through DipoleParams.
-The field is resonant with the atomic transition; detuned spectra are handled
-by the tabulated-spectrum path in the analysis module.
+decay rate), so A=1 in typical runs. The field is resonant with the atomic
+transition; detuned spectra are handled by the tabulated-spectrum path in the
+analysis module.
 
 Symbols used throughout the package:
 
@@ -25,8 +25,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-
-from scipy import constants
 
 
 class CoherentLimitError(ValueError):
@@ -116,28 +114,3 @@ class SystemParams:
     def zeta_bw21(self) -> float:
         # zeta*bw21 written in its cancelled form: finite for every delta >= 0.
         return self.omega0 ** 2 / (self.delta + 2.0 * self.gamma_perp)
-
-
-@dataclass(frozen=True)
-class DipoleParams:
-    """SI-side description of the transition: dipole moment and Bohr frequency.
-
-    mu is the transition dipole magnitude in C*m, omega21 the transition
-    angular frequency in rad/s. Only the conversion helpers below use SI.
-    """
-
-    mu: float
-    omega21: float
-
-    def __post_init__(self) -> None:
-        _require_finite("mu", self.mu)
-        _require_finite("omega21", self.omega21)
-        if self.mu < 0:
-            raise ValueError(f"mu must be non-negative, got {self.mu}")
-        if self.omega21 <= 0:
-            raise ValueError(f"omega21 must be positive, got {self.omega21}")
-
-
-def einstein_b(d: DipoleParams) -> float:
-    """Stimulated-emission coefficient pi*mu**2 / (3*hbar**2*epsilon_0)."""
-    return math.pi * d.mu ** 2 / (3.0 * constants.hbar ** 2 * constants.epsilon_0)

@@ -33,7 +33,7 @@ from scipy.integrate import trapezoid
 __all__ = [
     "LorentzianSpectrum", "TabulatedSpectrum", "SpectrumModel",
     "SpectrumSupportError", "from_phase_diffusion", "load_tabulated",
-    "spectral_density", "energy_density", "bw21_of", "width_hint",
+    "spectral_density", "width_hint",
     "autocorrelation_kernel", "spectrum_from_kernel",
     "spectrum_from_autocorrelation", "wk_estimate", "WkEstimate", "fwhm_of",
 ]
@@ -128,28 +128,6 @@ def spectral_density(s: SpectrumModel, omega):
     else:
         out = np.interp(omega, s.omega, s.values, left=0.0, right=0.0)
     return float(out) if out.ndim == 0 else out
-
-
-def energy_density(s: SpectrumModel) -> float:
-    """Total integral of W over frequency (times B when values carry B*W)."""
-    if isinstance(s, LorentzianSpectrum):
-        return math.pi * s.fwhm * s.peak / 2.0
-    return float(trapezoid(s.values, s.omega))
-
-
-def bw21_of(s: SpectrumModel, b: float = 1.0, omega21: float = 0.0) -> float:
-    """Stimulated rate coefficient b * W(omega21).
-
-    Tabulated spectra must bracket omega21; extrapolating to an off-table
-    transition would silently return zero, so that case raises instead.
-    """
-    if isinstance(s, TabulatedSpectrum):
-        if not (s.omega[0] <= omega21 <= s.omega[-1]):
-            raise SpectrumSupportError(
-                f"omega21={omega21:g} lies outside the tabulated range "
-                f"[{s.omega[0]:g}, {s.omega[-1]:g}]"
-            )
-    return b * spectral_density(s, omega21)
 
 
 def width_hint(s: SpectrumModel) -> float:

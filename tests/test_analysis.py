@@ -12,13 +12,10 @@ from blochrate import (
     build_report,
     eigenvalues,
     integrate_effective_bloch,
-    lorentz_line,
     measured_oscillation_frequency,
     steady_state,
     thresholds,
-    zeta_lorentzian,
     zeta_numeric,
-    zeta_peaked,
 )
 
 rates = st.floats(min_value=1e-2, max_value=1e2,
@@ -37,8 +34,8 @@ nonneg = st.floats(min_value=0.0, max_value=1e2,
     (10.0, 0.5, 10.0 / 11.0),
 ])
 def test_zeta_closed_form_values(delta, gamma_perp, expected):
-    assert math.isclose(zeta_lorentzian(delta, gamma_perp), expected,
-                        rel_tol=1e-15)
+    p = SystemParams(a=2.0 * gamma_perp, delta=delta, omega0=0.0)
+    assert math.isclose(p.zeta, expected, rel_tol=1e-15)
 
 
 def test_zeta_quadrature_matches_closed_form():
@@ -67,29 +64,8 @@ def test_zeta_narrow_lorentzian_limit():
 def test_zeta_quadrature_consistency_sweep(log_ratio, gamma_perp):
     delta = gamma_perp * 10.0 ** log_ratio
     s = LorentzianSpectrum(peak=2.0, fwhm=delta)
-    assert abs(zeta_numeric(s, gamma_perp)
-               - zeta_lorentzian(delta, gamma_perp)) <= 1e-6
-
-
-def test_zeta_peaked_delta_spectrum_limit():
-    gp = 1.0
-    delta = 1e-3 * gp
-    u = math.pi * delta * 1.0 / 2.0          # area of the narrow Lorentzian
-    z = zeta_peaked(u, w21=1.0, gamma_perp=gp, center=0.0)
-    assert abs(z - zeta_lorentzian(delta, gp)) / z <= 1e-3
-
-
-def test_zeta_peaked_detuning_halves_at_one_linewidth():
-    z0 = zeta_peaked(1.0, w21=1.0, gamma_perp=2.0, center=0.0)
-    z1 = zeta_peaked(1.0, w21=1.0, gamma_perp=2.0, center=2.0)
-    assert math.isclose(z1, 0.5 * z0, rel_tol=1e-15)
-    assert zeta_peaked(0.0, w21=1.0, gamma_perp=2.0, center=0.0) == 0.0
-
-
-def test_lorentz_line_normalization():
-    assert math.isclose(lorentz_line(0.0), 1.0 / math.pi, rel_tol=1e-15)
-    assert math.isclose(lorentz_line(1.0), 1.0 / (2.0 * math.pi),
-                        rel_tol=1e-15)
+    closed = SystemParams(a=2.0 * gamma_perp, delta=delta, omega0=0.0).zeta
+    assert abs(zeta_numeric(s, gamma_perp) - closed) <= 1e-6
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -205,6 +206,16 @@ def test_figure_fig3_schema(tmp_path):
     assert np.allclose(se, sd / np.sqrt(sizes), rtol=1e-12)
 
 
+def test_figure_fig3_refuses_one_trajectory(tmp_path, capsys):
+    # one trajectory has no sample std: refused before the run, nothing written
+    for panel in ("fig3a", "fig3b"):
+        rc = main(["figure", panel, "--set", "n_traj=1", "--set", "t_end=0.1",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert "n_traj" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_figure_rejects_unknown_name(tmp_path):
     with pytest.raises(ConfigError):
         cmd_figure("fig9z", RunConfig(), tmp_path, threads=1, plot=False)
@@ -248,3 +259,22 @@ def test_decorrelate_rejects_off_grid_t_obs(tmp_path):
                "--out", str(tmp_path)])
     assert rc == 2
     assert main(["decorrelate", "--set", "dt=0", "--out", str(tmp_path)]) == 2
+
+
+def test_decorrelate_tprime_count_past_the_grid(tmp_path):
+    # t_obs/dt = 10 steps: any n_tprime above 11 names the same 11 grid points,
+    # and memory must not grow with n_tprime
+    base = ["decorrelate", "--set", "omega0=2", "--set", "delta=5",
+            "--set", "n_traj=20", "--set", "t_obs=0.01", "--set", "dt=1e-3"]
+    assert main([*base, "--set", "n_tprime=11", "--out", str(tmp_path / "a")]) == 0
+    tracemalloc.start()
+    try:
+        rc = main([*base, "--set", f"n_tprime={10 ** 6}", "--out", str(tmp_path / "b")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    want = (tmp_path / "a" / "decorrelation.csv").read_bytes()
+    assert (tmp_path / "b" / "decorrelation.csv").read_bytes() == want
+    assert len(want.splitlines()) == 12
+    assert peak < 1e6

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import blochrate.fieldsim as fs
 from blochrate import (
     IntegratorError,
-    RngStream,
     SystemParams,
     decorrelation_residual,
     phase_autocorrelation,
@@ -16,9 +15,16 @@ from blochrate import (
     run_trajectory,
     simulate_phases,
 )
-from blochrate.fieldsim import _midpoint_step
+from blochrate.fieldsim import RngStream, _midpoint_step
 
 REF = SystemParams(a=1.0, delta=5.0, omega0=math.sqrt(11.0))
+
+
+def stream_normals(seed, index, count):
+    """The first ``count`` normals of stream (seed, index), from a fresh Philox."""
+    key = np.array([seed, index], dtype=np.uint64)
+    return fs._box_muller(
+        np.random.Generator(np.random.Philox(key=key)).random(2 * count))
 
 
 # ----------------------------------------------------------------------
@@ -91,7 +97,7 @@ def test_stream_moments():
     (10, 1010, 40),      # many short streams over several tiles
 ])
 def test_block_noise_matches_streams(lo, hi, n_steps):
-    want = np.array([RngStream(21, i).normals(n_steps) for i in range(lo, hi)])
+    want = np.array([stream_normals(21, i, n_steps) for i in range(lo, hi)])
     got = np.concatenate(list(fs._normals(21, lo, hi, n_steps)), axis=1)
     assert np.array_equal(got, want)
 
@@ -107,7 +113,7 @@ def test_block_noise_chunk_tail(monkeypatch):
         chunks = list(fs._normals(seed, lo, hi, 150))
         assert [c.shape for c in chunks] == [(5, min(chunk, 150 - c))
                                              for c in range(0, 150, chunk)]
-        want = np.array([RngStream(seed, i).normals(150) for i in range(lo, hi)])
+        want = np.array([stream_normals(seed, i, 150) for i in range(lo, hi)])
         assert np.array_equal(np.concatenate(chunks, axis=1), want)
 
 
@@ -173,7 +179,7 @@ def test_strong_convergence_under_noise_refinement():
     # the same Wiener path sampled at dt, dt/2, dt/4: halving dt should
     # roughly halve the pathwise error (phase is exact, midpoint is the
     # deterministic part), so successive differences shrink about 2x
-    z_fine = RngStream(777, 0).normals(2000)          # dt = 5e-4
+    z_fine = stream_normals(777, 0, 2000)             # dt = 5e-4
     z_mid = (z_fine[0::2] + z_fine[1::2]) / math.sqrt(2.0)
     z_coarse = (z_mid[0::2] + z_mid[1::2]) / math.sqrt(2.0)
     n_f = run_trajectory(REF, 1.0, 5e-4, seed=0, increments=z_fine).n

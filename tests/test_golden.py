@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 import blochrate.fieldsim as fs
-from blochrate import (RngStream, SystemParams, decorrelation_residual,
+from blochrate import (SystemParams, decorrelation_residual,
                        phase_autocorrelation, run_ensemble, run_trajectory,
                        simulate_phases)
 
@@ -67,7 +67,9 @@ def golden_outputs() -> dict:
     out.update({"traj_stream.n": trj.n, "traj_stream.sigma": trj.sigma,
                 "traj_stream.phi": trj.phi})
 
-    z = RngStream(777, 0).normals(200)
+    # stream (777, 0) drawn from a fresh Philox, outside the package's cursor
+    key = np.array([777, 0], dtype=np.uint64)
+    z = fs._box_muller(np.random.Generator(np.random.Philox(key=key)).random(400))
     with _small_blocks(16, 64):
         trj = run_trajectory(RINGING, 0.2, 1e-3, seed=0, increments=z)
     out.update({"traj_incr.n": trj.n, "traj_incr.sigma": trj.sigma,

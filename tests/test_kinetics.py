@@ -4,7 +4,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.constants
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -14,10 +13,8 @@ from blochrate import (
     StepSizeError,
     SystemParams,
     TabulatedSpectrum,
-    adiabatic_series_check,
     autocorrelation_kernel,
     eigenvalues,
-    ere_exact,
     from_phase_diffusion,
     integrate_effective_bloch,
     integrate_ere,
@@ -31,6 +28,13 @@ from blochrate import (
 from blochrate import kinetics
 
 REF = SystemParams(a=1.0, delta=5.0, omega0=math.sqrt(11.0))  # zeta*bw21 = 11/6
+
+
+def ere_exact(params, t, n0=-1.0):
+    """Closed solution of the rate equation on an arbitrary time grid."""
+    rate = params.a + 2.0 * params.zeta_bw21
+    n_inf = -params.a / rate
+    return n_inf + (n0 - n_inf) * np.exp(-rate * np.asarray(t, dtype=float))
 
 
 # ----------------------------------------------------------------------
@@ -272,48 +276,11 @@ def test_generalized_collisional_equilibrium():
     assert abs(tr.n[-1] - (-0.6)) <= 1e-6
 
 
-def test_collision_rates_from_temperature_detailed_balance():
-    omega21, temp = 1e10, 300.0
-    coll = CollisionParams.from_temperature(gamma_21=2.0, omega21=omega21,
-                                            temperature=temp)
-    boltzmann = math.exp(-scipy.constants.hbar * omega21
-                         / (scipy.constants.k * temp))
-    assert math.isclose(coll.gamma_12 / coll.gamma_21, boltzmann,
-                        rel_tol=1e-12)
-    cold = CollisionParams.from_temperature(2.0, omega21, 0.0)
-    assert cold.gamma_12 == 0.0
-
-
 def test_collision_params_validation():
     with pytest.raises(ValueError):
         CollisionParams(gamma_21=1.0, gamma_12=2.0)   # inverted balance
     with pytest.raises(ValueError):
         CollisionParams(gamma_21=-1.0, gamma_12=0.0)
-
-
-# ----------------------------------------------------------------------
-# adiabatic-validity diagnostic
-
-def test_adiabatic_ratio_free_decay():
-    p = SystemParams(a=1.0, delta=99.0, omega0=0.0)   # gamma_eff = 50
-    tr = integrate_ere(p, 3.0, 1e-3, n0=0.0)
-    r = adiabatic_series_check(p, tr)
-    k = int(round(math.log(2.0) / 1e-3))
-    assert abs(r[k] - 0.02) / 0.02 <= 1e-2
-
-
-def test_adiabatic_ratio_small_in_rate_regime():
-    p = SystemParams(a=1.0, delta=1e3, omega0=1.0)
-    tr = integrate_ere(p, 5.0, 1e-3)
-    r = adiabatic_series_check(p, tr)
-    assert np.nanmax(r[np.isfinite(r)]) < 1e-2
-
-
-def test_adiabatic_ratio_flags_oscillatory_solution():
-    p = SystemParams(a=1.0, delta=1.0, omega0=6.0)
-    tr = integrate_effective_bloch(p, 5.0, 1e-3)
-    r = adiabatic_series_check(p, tr)
-    assert np.nanmax(r[np.isfinite(r)]) > 1.0
 
 
 # ----------------------------------------------------------------------

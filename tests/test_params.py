@@ -1,20 +1,13 @@
 import math
+import types
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blochrate import (
-    CoherentLimitError,
-    DipoleParams,
-    SystemParams,
-    einstein_b,
-)
+import blochrate
+from blochrate import CoherentLimitError, SystemParams
 from blochrate.params import grid_steps
-
-# High-precision evaluation of pi*mu^2/(3*hbar^2*eps0) at mu = 1 debye
-# (50-digit decimal arithmetic, CODATA hbar/eps0 as shipped by scipy).
-EINSTEIN_B_ONE_DEBYE = 1.1832756075088704e20
 
 
 def test_derived_rates_reference_point():
@@ -112,32 +105,6 @@ def test_zeta_antitone_in_dephasing(a, delta, gdc):
     assert z_hi <= z_lo
 
 
-def test_einstein_b_zero_dipole():
-    assert einstein_b(DipoleParams(mu=0.0, omega21=1e15)) == 0.0
-
-
-def test_einstein_b_quadratic_in_dipole():
-    b1 = einstein_b(DipoleParams(mu=1e-30, omega21=1e15))
-    b2 = einstein_b(DipoleParams(mu=2e-30, omega21=1e15))
-    assert math.isclose(b2, 4.0 * b1, rel_tol=1e-15)
-
-
-def test_einstein_b_one_debye_against_decimal_oracle():
-    got = einstein_b(DipoleParams(mu=3.33564e-30, omega21=2.5e15))
-    assert math.isclose(got, EINSTEIN_B_ONE_DEBYE, rel_tol=1e-13)
-
-
-@pytest.mark.parametrize("mu,omega21", [
-    (-1e-30, 1e15),
-    (1e-30, 0.0),
-    (1e-30, -1e15),
-    (math.nan, 1e15),
-])
-def test_invalid_dipole_rejected(mu, omega21):
-    with pytest.raises(ValueError):
-        DipoleParams(mu=mu, omega21=omega21)
-
-
 def test_grid_steps():
     assert grid_steps(1.0, 1e-3) == 1000
     assert grid_steps(0.0, 0.1) == 0
@@ -148,3 +115,27 @@ def test_grid_steps():
         with pytest.raises(ValueError):
             grid_steps(t, dt)
 
+
+def test_public_surface_is_pinned():
+    # adding or removing a public name is a deliberate edit of this list
+    public = sorted(name for name, value in vars(blochrate).items()
+                    if not name.startswith("_")
+                    and not isinstance(value, types.ModuleType))
+    assert public == [
+        "AnalysisReport", "CoherentLimitError", "CollisionParams",
+        "DecorrelationResult", "EnsembleTrace", "IntegratorError",
+        "KineticTrace", "LorentzianSpectrum", "ModeSpectrum",
+        "PhaseAutocorrelation", "QuadratureError", "RegimeFlags",
+        "SpectrumModel", "SpectrumSupportError", "StepSizeError",
+        "SystemParams", "TabulatedSpectrum", "TrajectoryTrace", "WkEstimate",
+        "autocorrelation_kernel", "build_report", "decorrelation_residual",
+        "eigenvalues", "from_phase_diffusion", "fwhm_of",
+        "integrate_effective_bloch", "integrate_ere",
+        "integrate_generalized_ere", "integrate_memory_kernel",
+        "integrate_modified_ere", "load_tabulated",
+        "measured_oscillation_frequency", "phase_autocorrelation",
+        "run_ensemble", "run_trajectory", "simulate_phases",
+        "spectral_density", "spectrum_from_autocorrelation",
+        "spectrum_from_kernel", "steady_state", "thresholds", "width_hint",
+        "wk_estimate", "zeta_numeric",
+    ]

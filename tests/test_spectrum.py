@@ -10,8 +10,6 @@ from blochrate import (
     SpectrumSupportError,
     TabulatedSpectrum,
     autocorrelation_kernel,
-    bw21_of,
-    energy_density,
     from_phase_diffusion,
     fwhm_of,
     load_tabulated,
@@ -76,7 +74,7 @@ def test_phase_diffusion_spectrum_has_pinned_peak():
 
 def test_bw21_of_matches_construction():
     s = from_phase_diffusion(omega0=2.0, delta=5.0, b=3.0)
-    assert math.isclose(bw21_of(s, b=3.0), 4.0 / 5.0, rel_tol=1e-15)
+    assert math.isclose(3.0 * spectral_density(s, 0.0), 4.0 / 5.0, rel_tol=1e-15)
 
 
 def test_tabulated_requires_sane_table(tmp_path):
@@ -100,17 +98,6 @@ def test_load_tabulated_roundtrip(tmp_path):
     assert spectral_density(s, 0.5) == 1.25
     # off-table queries read zero density
     assert spectral_density(s, 5.0) == 0.0
-    with pytest.raises(SpectrumSupportError):
-        bw21_of(s, omega21=5.0)
-
-
-def test_energy_density_lorentzian_and_table():
-    lor = LorentzianSpectrum(peak=1.0, fwhm=2.0)
-    assert math.isclose(energy_density(lor), math.pi, rel_tol=1e-15)
-    # truncation at +-500*fwhm keeps the missing tail mass under 0.1%
-    x = np.linspace(-1000.0, 1000.0, 200001)
-    tab = TabulatedSpectrum(omega=x, values=spectral_density(lor, x))
-    assert abs(energy_density(tab) - math.pi) / math.pi <= 1e-3
 
 
 def test_fwhm_of_gaussian_samples():
