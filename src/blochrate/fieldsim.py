@@ -13,12 +13,21 @@ phi += sqrt(delta*dt)*z with z standard normal, and (n, sigma) advance with a
 deterministic implicit-midpoint step evaluated at the mid-step phase
 phi + dphi/2. At fixed phase the system is linear in (n, sigma), so the
 implicit step has a closed form (a Cayley map, which keeps the undamped
-Bloch radius n**2 + 4|sigma|**2 to rounding). With k = 2 + dt*gamma_perp and
-e = e^{i phi_mid}:
+Bloch radius n**2 + 4|sigma|**2 to rounding).
 
-    n_m     = (2n - dt*a + (4*Omega0*dt/k)*Im(sigma*e)) / (2 + dt*a + dt**2*Omega0**2/k)
-    sigma_m = (2*sigma - (i/2)*Omega0*dt*conj(e)*n_m) / k
-    n1 = 2*n_m - n,  sigma1 = 2*sigma_m - sigma
+The phase enters only through e^{i phi}, so the engine carries the coherence
+in the frame that turns with the field phase, u = sigma*e^{i phi} (the
+quantity the coherence channel reports, with |u| = |sigma|), and the step
+needs e^{i phi} only over the step itself. With r = e^{i dphi/2},
+k = 2 + dt*gamma_perp and w = Omega0*dt, one step of (n, u) is
+
+    n_m = (2n - dt*a + (4w/k)*Im(u*r)) / (2 + dt*a + w**2/k)
+    v   = (2*u*r - (i/2)*w*n_m) / k
+    n1 = 2*n_m - n,  u1 = (2v - u*r)*r
+
+which is the lab-frame step of sigma multiplied through by e^{i phi_mid}
+(v = sigma_m*e^{i phi_mid}); sigma = u*e^{-i phi} is formed only where a
+caller asks for sigma (run_trajectory).
 
 A step guard refuses dt*max(a, gamma_perp, Omega0) > MAX_STEP_RATE before any
 step runs, and every noise chunk ends with a Bloch-sphere bound check.
@@ -41,6 +50,7 @@ trajectory everywhere.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -175,20 +185,22 @@ class EnsembleTrace:
 # ----------------------------------------------------------------------
 # core stepping kernel (vectorized over trajectories) and its step guard
 
-def _midpoint_step(n, sigma, phi, z, a, gamma_perp, delta, omega0, dt):
+def _midpoint_step(n, u, phi, z, a, gamma_perp, delta, omega0, dt):
     """One closed-form implicit-midpoint step of every trajectory in the arrays.
 
-    Returns (n, sigma, phi). Purely elementwise, so each trajectory's
+    Takes and returns (n, u, phi) with u = sigma*e^{i phi}, the coherence in
+    the frame of the field phase. Purely elementwise, so each trajectory's
     arithmetic is independent of its neighbours in the block.
     """
     dphi = math.sqrt(delta * dt) * z
-    e_mid = np.exp(1j * (phi + 0.5 * dphi))
+    r = np.exp(0.5j * dphi)
+    ur = u * r
     k = 2.0 + dt * gamma_perp
     w = omega0 * dt
-    n_m = ((2.0 * n - dt * a + (4.0 * w / k) * (sigma * e_mid).imag)
+    n_m = ((2.0 * n - dt * a + (4.0 * w / k) * ur.imag)
            / (2.0 + dt * a + w * w / k))
-    s_m = (2.0 * sigma - (0.5j * w) * np.conj(e_mid) * n_m) / k
-    return 2.0 * n_m - n, 2.0 * s_m - sigma, phi + dphi
+    v = (2.0 * ur - (0.5j * w) * n_m) / k
+    return 2.0 * n_m - n, (2.0 * v - ur) * r, phi + dphi
 
 
 def _check_step(params: SystemParams, dt: float) -> None:
@@ -251,16 +263,16 @@ def _run_block(params, seed, idx_lo, idx_hi, n_steps, dt, n0, sigma0, phi0,
     """Integrate trajectories [idx_lo, idx_hi) and reduce them on the fly.
 
     Returns per-block moment triple for n(t), optional coherence sums,
-    snapshot arrays of (n, sigma, phi) at the requested step indices (one
-    column per index, none when none are requested), and the final (n, phi)
-    of every trajectory.
+    snapshot arrays of (n, u, phi) at the requested step indices (one
+    column per index, none when none are requested; u = sigma*e^{i phi}),
+    and the final (n, phi) of every trajectory.
     """
     a, gperp = params.a, params.gamma_perp
     delta, omega0 = params.delta, params.omega0
     width = idx_hi - idx_lo
 
     n = np.full(width, float(n0))
-    sigma = np.full(width, complex(sigma0), dtype=complex)
+    u = np.full(width, complex(sigma0) * np.exp(1j * float(phi0)))
     phi = np.full(width, float(phi0))
 
     mean = np.empty(n_steps + 1)
@@ -268,7 +280,7 @@ def _run_block(params, seed, idx_lo, idx_hi, n_steps, dt, n0, sigma0, phi0,
     coh = np.empty(n_steps + 1, dtype=complex) if want_coherence else None
     snap_lookup = {s: j for j, s in enumerate(snap_steps)}
     snap_n = np.empty((width, len(snap_steps)))
-    snap_sigma = np.empty((width, len(snap_steps)), dtype=complex)
+    snap_u = np.empty((width, len(snap_steps)), dtype=complex)
     snap_phi = np.empty((width, len(snap_steps)))
 
     bound_n = 1.0 + 10.0 * dt
@@ -277,11 +289,11 @@ def _run_block(params, seed, idx_lo, idx_hi, n_steps, dt, n0, sigma0, phi0,
     def record(k):
         _, mean[k], m2[k] = _block_moments(n)  # count == width by construction
         if coh is not None:
-            coh[k] = (sigma * np.exp(1j * phi)).sum()
+            coh[k] = u.sum()
         j = snap_lookup.get(k)
         if j is not None:
             snap_n[:, j] = n
-            snap_sigma[:, j] = sigma
+            snap_u[:, j] = u
             snap_phi[:, j] = phi
 
     record(0)
@@ -289,12 +301,12 @@ def _run_block(params, seed, idx_lo, idx_hi, n_steps, dt, n0, sigma0, phi0,
     for z in _normals(seed, idx_lo, idx_hi, n_steps, increments):
         for z_step in z.T:
             step += 1
-            n, sigma, phi = _midpoint_step(n, sigma, phi, z_step, a, gperp,
-                                           delta, omega0, dt)
+            n, u, phi = _midpoint_step(n, u, phi, z_step, a, gperp, delta,
+                                       omega0, dt)
             record(step)
         # sanity bounds once per chunk; the comparison is written so NaN fails it
         max_n = float(np.max(np.abs(n)))
-        max_s = float(np.max(np.abs(sigma)))
+        max_s = float(np.max(np.abs(u)))      # |u| = |sigma|
         if not (max_n <= bound_n and max_s <= bound_s):
             raise IntegratorError(
                 f"trajectory left the Bloch sphere by step {step} "
@@ -305,7 +317,7 @@ def _run_block(params, seed, idx_lo, idx_hi, n_steps, dt, n0, sigma0, phi0,
         "moments": (width, mean, m2),
         "coh_sum": coh,
         "snap_n": snap_n,
-        "snap_sigma": snap_sigma,
+        "snap_u": snap_u,
         "snap_phi": snap_phi,
         "final_n": n,
         "final_phi": phi,
@@ -321,6 +333,8 @@ def _run_blocks(params, seed, lo, hi, n_steps, dt, n0=-1.0, sigma0=0j,
     """
     if hi <= lo:
         raise ValueError("n_traj must be >= 1")
+    if not isinstance(threads, numbers.Integral) or threads < 1:
+        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
     _check_step(params, dt)
     spans = [(s, min(s + BLOCK_TRAJ, hi)) for s in range(lo, hi, BLOCK_TRAJ)]
 
@@ -400,8 +414,9 @@ def run_trajectory(params: SystemParams, t_end: float, dt: float, seed: int,
                        sigma0, phi0, snap_steps=range(n_steps + 1),
                        increments=increments)
     t = np.arange(n_steps + 1) * dt
-    return TrajectoryTrace(t=t, n=r["snap_n"][0], sigma=r["snap_sigma"][0],
-                           phi=r["snap_phi"][0])
+    phi = r["snap_phi"][0]
+    return TrajectoryTrace(t=t, n=r["snap_n"][0],
+                           sigma=r["snap_u"][0] * np.exp(-1j * phi), phi=phi)
 
 
 # ----------------------------------------------------------------------

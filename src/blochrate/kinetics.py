@@ -125,7 +125,7 @@ def integrate_ere(params: SystemParams, t_end: float, dt: float,
 
     This is the generalized rate equation without radiative collisions.
     """
-    return integrate_generalized_ere(params, CollisionParams(), t_end, dt, n0)
+    return _rate_equation(params, CollisionParams(), t_end, dt, n0, "ere")
 
 
 def integrate_generalized_ere(params: SystemParams, coll: CollisionParams,
@@ -138,13 +138,18 @@ def integrate_generalized_ere(params: SystemParams, coll: CollisionParams,
     zeta*bw21 = omega0^2/(delta + 2*gamma_perp) uses that broadened width.
     With gamma_21 = gamma_12 = 0 it is the plain rate equation, integrate_ere.
     """
+    return _rate_equation(params, coll, t_end, dt, n0, "generalized-ere")
+
+
+def _rate_equation(params, coll, t_end, dt, n0, model):
+    """The generalized rate equation; ``model`` names it in a step refusal."""
     t = np.arange(grid_steps(t_end, dt, positive=True) + 1) * dt
     g_par = coll.gamma_parallel(params.a)
     n_eq = coll.n_equilibrium(params.a)
     gamma_perp = 0.5 * g_par + params.gamma_dc
     zeta_bw21 = params.omega0 ** 2 / (params.delta + 2.0 * gamma_perp)
     rate = g_par + 2.0 * zeta_bw21
-    _check_step(dt, rate, "generalized-ere")
+    _check_step(dt, rate, model)
     n = _affine_rk4(rate, g_par * n_eq, n0, t)
     return KineticTrace(t=t, n=n)
 

@@ -141,11 +141,19 @@ def test_simulate_rejects_bad_model(tmp_path):
                      "--out", str(tmp_path)]) == 2
 
 
-def test_simulate_step_guard_maps_to_exit_3(tmp_path):
+def test_simulate_step_guard_maps_to_exit_3(tmp_path, capsys):
     rc = main(["simulate", "--set", "model=effective-bloch",
                "--set", "delta=100", "--set", "omega0=2",
                "--set", "t_end=1", "--set", "dt=0.05", "--out", str(tmp_path)])
     assert rc == 3
+    # the refusal names the model that was asked for
+    for model in ("ere", "generalized-ere"):
+        capsys.readouterr()
+        rc = main(["simulate", "--set", f"model={model}", "--set", "t_end=2",
+                   "--set", "dt=1", "--out", str(tmp_path)])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith(
+            f"numerical failure: {model}: dt=1 ")
     rc = main(["simulate", "--set", "model=sde", "--set", "omega0=6",
                "--set", "t_end=1", "--set", "dt=0.01", "--out", str(tmp_path)])
     assert rc == 3

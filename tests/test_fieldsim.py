@@ -146,21 +146,74 @@ def test_zero_drive_trajectory_is_exact_decay():
 
 def test_noiseless_resonant_step_is_rabi_flopping():
     # undamped, monochromatic: outside SystemParams validation, so drive the
-    # stepping kernel directly with zero noise
+    # stepping kernel directly with zero noise. From the ground state the
+    # rotating-frame coherence is u(t) = (i/2) sin(omega0 t) while
+    # n(t) = -cos(omega0 t); the step never reads the phase itself.
     omega0, dt, n_steps = 2.0, 1e-3, 3000
     n = np.array([-1.0])
-    sigma = np.array([0j])
-    phi = np.array([0.0])
+    u = np.array([0j])
+    phi = np.array([0.7])
     z = np.zeros(1)
     radius = []
     for k in range(n_steps):
-        n, sigma, phi = _midpoint_step(n, sigma, phi, z, 0.0, 0.0, 0.0,
-                                       omega0, dt)
-        radius.append(n[0] ** 2 + 4.0 * abs(sigma[0]) ** 2)
+        n, u, phi = _midpoint_step(n, u, phi, z, 0.0, 0.0, 0.0, omega0, dt)
+        radius.append(n[0] ** 2 + 4.0 * abs(u[0]) ** 2)
     t_end = n_steps * dt
+    assert phi[0] == 0.7
     assert abs(n[0] - (-math.cos(omega0 * t_end))) <= 1e-4
+    assert abs(u[0] - 0.5j * math.sin(omega0 * t_end)) <= 1e-4
     # implicit midpoint preserves the Bloch-sphere radius to the solver tol
     assert max(abs(r - 1.0) for r in radius) <= 1e-11
+
+
+def lab_frame_step(n, sigma, phi, z, a, gamma_perp, delta, omega0, dt):
+    """Reference: the closed-form midpoint step of the lab-frame sigma.
+
+    The step evaluates e^{i phi_mid} of the whole phase; the package steps
+    u = sigma*e^{i phi} instead, which is the same map with another rounding.
+    """
+    dphi = math.sqrt(delta * dt) * z
+    e_mid = np.exp(1j * (phi + 0.5 * dphi))
+    k = 2.0 + dt * gamma_perp
+    w = omega0 * dt
+    n_m = ((2.0 * n - dt * a + (4.0 * w / k) * (sigma * e_mid).imag)
+           / (2.0 + dt * a + w * w / k))
+    s_m = (2.0 * sigma - (0.5j * w) * np.conj(e_mid) * n_m) / k
+    return 2.0 * n_m - n, 2.0 * s_m - sigma, phi + dphi
+
+
+@pytest.mark.parametrize("width", [1, 3])
+def test_rotating_frame_matches_lab_frame_oracle(width):
+    # the same normals through the lab-frame step, over two noise chunks,
+    # from a complex sigma0 at a nonzero phase
+    seed, dt, n_steps = 9, 1e-3, 1200
+    p = SystemParams(a=1.0, delta=5.0, omega0=math.sqrt(11.0), gamma_dc=0.25)
+    n0, sigma0, phi0 = 0.2, 0.1 - 0.3j, 1.3
+    n = np.full(width, n0)
+    sigma = np.full(width, sigma0)
+    phi = np.full(width, phi0)
+    hist = {"n": [n], "sigma": [sigma], "phi": [phi]}
+    for z in fs._normals(seed, 0, width, n_steps):
+        for z_step in z.T:
+            n, sigma, phi = lab_frame_step(n, sigma, phi, z_step, p.a,
+                                           p.gamma_perp, p.delta, p.omega0, dt)
+            hist["n"].append(n)
+            hist["sigma"].append(sigma)
+            hist["phi"].append(phi)
+    want = {key: np.array(rows) for key, rows in hist.items()}   # (steps+1, width)
+
+    t_end = n_steps * dt
+    tr = run_ensemble(p, width, t_end, dt, seed, n0=n0, sigma0=sigma0,
+                      phi0=phi0, with_coherence=True)
+    coherence = (want["sigma"] * np.exp(1j * want["phi"])).mean(axis=1)
+    assert np.max(np.abs(tr.n_mean - want["n"].mean(axis=1))) <= 1e-13
+    assert np.max(np.abs(tr.coherence_mean - coherence)) <= 1e-13
+    for i in range(width):
+        solo = run_trajectory(p, t_end, dt, seed, i, n0=n0, sigma0=sigma0,
+                              phi0=phi0)
+        assert np.array_equal(solo.phi, want["phi"][:, i])
+        assert np.max(np.abs(solo.n - want["n"][:, i])) <= 1e-13
+        assert np.max(np.abs(solo.sigma - want["sigma"][:, i])) <= 1e-13
 
 
 @given(delta=st.floats(min_value=0.5, max_value=20.0),
@@ -254,6 +307,21 @@ def test_ensemble_coherence_channel():
     assert tr.coherence_mean[0] == 0.3 + 0j
 
 
+def test_step_takes_one_exp_and_coherence_none(monkeypatch):
+    # one complex exp of dphi/2 per step, plus one for the initial state;
+    # the coherence channel reads u and evaluates no transcendental
+    calls = []
+    exp = np.exp
+
+    def counting(x, *args, **kwargs):
+        calls.append(np.size(x))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting)
+    run_ensemble(REF, n_traj=5, t_end=0.05, dt=1e-3, seed=2, with_coherence=True)
+    assert calls == [1] + [5] * 50
+
+
 def test_ensemble_thread_count_invariance(monkeypatch):
     # shrink the block size so 40 trajectories span several blocks
     import blochrate.fieldsim as fs
@@ -269,6 +337,13 @@ def test_ensemble_thread_count_invariance(monkeypatch):
 def test_ensemble_input_validation():
     with pytest.raises(ValueError):
         run_ensemble(REF, n_traj=0, t_end=1.0, dt=1e-3, seed=0)
+    # threads as the CLI validates it, in both entry points of the engine
+    for bad in (0, -3, 2.5):
+        with pytest.raises(ValueError, match="threads"):
+            run_ensemble(REF, n_traj=4, t_end=0.01, dt=1e-3, seed=0, threads=bad)
+        with pytest.raises(ValueError, match="threads"):
+            decorrelation_residual(REF, 4, 0.01, np.array([0.005]), seed=0,
+                                   dt=1e-3, threads=bad)
     with pytest.raises(ValueError):
         run_ensemble(REF, n_traj=4, t_end=1.0, dt=0.3, seed=0)
     with pytest.raises(ValueError):
