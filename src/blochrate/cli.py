@@ -133,9 +133,13 @@ def _fmt(x: float) -> str:
 
 def atomic_write_text(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    with open(tmp, "w", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)     # a failed write leaves neither file
+        raise
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
@@ -176,13 +180,17 @@ def _system_params(cfg: RunConfig) -> SystemParams:
                         gamma_dc=cfg.gamma_dc)
 
 
+def _q_column(params, trace):
+    """The trace CSV's q column from an ensemble's coherence channel."""
+    return (-(params.delta + 2.0 * params.gamma_perp) / params.omega0
+            * trace.coherence_mean.imag) if params.omega0 > 0 else None
+
+
 def _sde_trace(params, n_traj, t_end, dt, seed, threads):
     """Run the ensemble and map it onto the trace-CSV columns."""
     trace = run_ensemble(params, n_traj, t_end, dt, seed,
                          threads=threads, with_coherence=True)
-    q = (-(params.delta + 2.0 * params.gamma_perp) / params.omega0
-         * trace.coherence_mean.imag) if params.omega0 > 0 else None
-    return trace, q
+    return trace, _q_column(params, trace)
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: Path, threads: int,
@@ -287,11 +295,13 @@ def _fig2(out_dir, cfg, threads, panel: str):
     delta, omega0 = (10.0, 2.0) if panel == "a" else (1.0, 6.0)
     params = SystemParams(a=1.0, delta=delta, omega0=omega0)
     written, series = [], []
-    for n_traj in (1, 10, 100, 1000):
-        trace, q = _sde_trace(params, n_traj, t_end, dt, seed, threads)
-        written.append(_write_trace(out_dir / f"fig2{panel}_n{n_traj}.csv",
-                                    trace, "sde", seed, q))
-        series.append(figsvg.PlotSeries(f"N={n_traj}", trace.t, trace.n_mean))
+    # the smaller ensembles are prefixes of the 1000-trajectory run
+    full = run_ensemble(params, 1000, t_end, dt, seed, threads=threads,
+                        with_coherence=True, prefixes=(1, 10, 100))
+    for trace in (*full.prefix_traces, full):
+        written.append(_write_trace(out_dir / f"fig2{panel}_n{trace.n_traj}.csv",
+                                    trace, "sde", seed, _q_column(params, trace)))
+        series.append(figsvg.PlotSeries(f"N={trace.n_traj}", trace.t, trace.n_mean))
     kin = kinetics.integrate_effective_bloch(params, t_end, dt)
     written.append(_write_trace(out_dir / f"fig2{panel}_bloch.csv", kin,
                                 "effective-bloch", seed))

@@ -45,6 +45,22 @@ reduced per fixed-size trajectory block and the blocks are merged pairwise in
 index order, so results are bit-identical for any worker count. Every entry
 point integrates through the same block engine, so trajectory i is the same
 trajectory everywhere.
+
+Buffered reduction: each step writes n (and u, with the coherence channel on)
+into its row of a C-contiguous (rows, width) buffer, and every ``rows``
+steps the buffer is reduced along its contiguous axis. Numpy's pairwise sum
+over one contiguous row rounds exactly as over a 1-d array of that row, so the
+per-step moments do not depend on ``rows``; ``rows`` comes from the width
+alone (_buffer_rows), which bounds a block's buffers at 1.5 MB.
+
+Prefix ensembles: trajectory i is keyed by (seed, i), so the m-trajectory
+ensemble is the first m columns of any larger one. One flush also reduces
+the leading columns x[:, :m] of the block that a requested size m cuts (a
+column slice of the same rows, so again bit for bit the reduction a block of
+width m would make); the blocks before it contribute their full reductions.
+Those pieces go through the same pairwise merge and the same block-order
+coherence sum as a separate run of m trajectories, so run_ensemble's
+``prefixes`` give traces bit-identical to separate runs of those sizes.
 """
 
 from __future__ import annotations
@@ -171,6 +187,8 @@ class EnsembleTrace:
     n_stderr = sqrt(n_var / n_traj). coherence_mean, when requested, is the
     ensemble mean of sigma*e^{i phi} at each grid time. final_n, when
     requested, holds every trajectory's n(t_end) in trajectory-index order.
+    prefix_traces, when prefix sizes are requested, holds one trace per size,
+    in the order asked, each equal to a separate run of that many trajectories.
     """
 
     t: np.ndarray
@@ -180,6 +198,7 @@ class EnsembleTrace:
     n_traj: int
     coherence_mean: np.ndarray | None = None
     final_n: np.ndarray | None = None
+    prefix_traces: tuple[EnsembleTrace, ...] | None = None
 
 
 # ----------------------------------------------------------------------
@@ -244,10 +263,11 @@ def _tree_merge(items):
     return items[0]
 
 
-def _block_moments(values: np.ndarray):
-    """Exact (count, mean, m2) of one block along axis 0."""
-    mean = values.mean(axis=0)
-    return len(values), mean, ((values - mean) ** 2).sum(axis=0)
+def _block_moments(values: np.ndarray, axis: int = 0):
+    """Exact (count, mean, m2) of one block along ``axis``."""
+    mean = values.mean(axis=axis, keepdims=True)
+    return (values.shape[axis], mean.squeeze(axis),
+            ((values - mean) ** 2).sum(axis=axis))
 
 
 def _var_stderr(count, m2):
@@ -258,26 +278,44 @@ def _var_stderr(count, m2):
 # ----------------------------------------------------------------------
 # block integration
 
+def _check_count(value, name: str = "n_traj") -> None:
+    if not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
+def _buffer_rows(width: int) -> int:
+    """Steps a block buffers between reductions: 2**16 values, 1 to 64 rows."""
+    return min(64, max(1, (1 << 16) // width))
+
+
 def _run_block(params, seed, idx_lo, idx_hi, n_steps, dt, n0, sigma0, phi0,
-               want_coherence, snap_steps, increments):
+               want_coherence, snap_steps, increments, prefix_widths=()):
     """Integrate trajectories [idx_lo, idx_hi) and reduce them on the fly.
 
-    Returns per-block moment triple for n(t), optional coherence sums,
-    snapshot arrays of (n, u, phi) at the requested step indices (one
-    column per index, none when none are requested; u = sigma*e^{i phi}),
-    and the final (n, phi) of every trajectory.
+    Steps are buffered and reduced ``_buffer_rows(width)`` at a time (see the
+    module docstring). The block's leading ``prefix_widths`` columns are
+    reduced alongside the whole block. Returns the block's span, moment
+    triples for n(t) and, with the coherence on, coherence sums, both keyed
+    by the reduced width; snapshot arrays of (n, u, phi) at the requested
+    step indices (one column per index, none when none are requested;
+    u = sigma*e^{i phi}); and the final (n, phi) of every trajectory.
     """
     a, gperp = params.a, params.gamma_perp
     delta, omega0 = params.delta, params.omega0
     width = idx_hi - idx_lo
+    widths = sorted({*prefix_widths, width})
 
     n = np.full(width, float(n0))
     u = np.full(width, complex(sigma0) * np.exp(1j * float(phi0)))
     phi = np.full(width, float(phi0))
 
-    mean = np.empty(n_steps + 1)
-    m2 = np.empty(n_steps + 1)
-    coh = np.empty(n_steps + 1, dtype=complex) if want_coherence else None
+    rows = _buffer_rows(width)
+    n_buf = np.empty((rows, width))
+    u_buf = np.empty((rows, width), dtype=complex) if want_coherence else None
+    moments = {m: (m, np.empty(n_steps + 1), np.empty(n_steps + 1))
+               for m in widths}
+    coh = ({m: np.empty(n_steps + 1, dtype=complex) for m in widths}
+           if want_coherence else None)
     snap_lookup = {s: j for j, s in enumerate(snap_steps)}
     snap_n = np.empty((width, len(snap_steps)))
     snap_u = np.empty((width, len(snap_steps)), dtype=complex)
@@ -285,25 +323,38 @@ def _run_block(params, seed, idx_lo, idx_hi, n_steps, dt, n0, sigma0, phi0,
 
     bound_n = 1.0 + 10.0 * dt
     bound_s = 0.5 + 10.0 * dt
+    filled = 0
 
-    def record(k):
-        _, mean[k], m2[k] = _block_moments(n)  # count == width by construction
-        if coh is not None:
-            coh[k] = u.sum()
+    def store(k):
+        # buffer row `filled` holds step k; a full buffer (or the last step)
+        # is reduced row-wise into steps k - filled .. k
+        nonlocal filled
+        n_buf[filled] = n
+        if u_buf is not None:
+            u_buf[filled] = u
         j = snap_lookup.get(k)
         if j is not None:
             snap_n[:, j] = n
             snap_u[:, j] = u
             snap_phi[:, j] = phi
+        filled += 1
+        if filled == rows or k == n_steps:
+            span = slice(k + 1 - filled, k + 1)
+            for m, (_, mean, m2) in moments.items():
+                _, mean[span], m2[span] = _block_moments(n_buf[:filled, :m],
+                                                         axis=1)
+                if coh is not None:
+                    coh[m][span] = u_buf[:filled, :m].sum(axis=1)
+            filled = 0
 
-    record(0)
+    store(0)
     step = 0
     for z in _normals(seed, idx_lo, idx_hi, n_steps, increments):
         for z_step in z.T:
             step += 1
             n, u, phi = _midpoint_step(n, u, phi, z_step, a, gperp, delta,
                                        omega0, dt)
-            record(step)
+            store(step)
         # sanity bounds once per chunk; the comparison is written so NaN fails it
         max_n = float(np.max(np.abs(n)))
         max_s = float(np.max(np.abs(u)))      # |u| = |sigma|
@@ -314,7 +365,8 @@ def _run_block(params, seed, idx_lo, idx_hi, n_steps, dt, n0, sigma0, phi0,
             )
 
     return {
-        "moments": (width, mean, m2),
+        "span": (idx_lo, idx_hi),
+        "moments": moments,
         "coh_sum": coh,
         "snap_n": snap_n,
         "snap_u": snap_u,
@@ -326,21 +378,27 @@ def _run_block(params, seed, idx_lo, idx_hi, n_steps, dt, n0, sigma0, phi0,
 
 def _run_blocks(params, seed, lo, hi, n_steps, dt, n0=-1.0, sigma0=0j,
                 phi0=0.0, want_coherence=False, snap_steps=(),
-                increments=None, threads=1):
+                increments=None, threads=1, prefixes=()):
     """Run trajectories [lo, hi) in blocks (possibly on a thread pool), in fixed order.
 
-    The step guard runs here, once, after the callers have validated the grid.
+    ``prefixes`` are ensemble sizes counted from ``lo``; each block also
+    reduces the leading columns that one of them cuts it at. Every argument
+    is checked, and the step guard runs, before any block runs.
     """
-    if hi <= lo:
-        raise ValueError("n_traj must be >= 1")
-    if not isinstance(threads, numbers.Integral) or threads < 1:
-        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
+    _check_count(hi - lo)
+    _check_count(threads, "threads")
+    for size in prefixes:
+        if not isinstance(size, numbers.Integral) or not 1 <= size < hi - lo:
+            raise ValueError(f"prefix sizes must be integers in [1, n_traj), "
+                             f"got {size!r}")
     _check_step(params, dt)
     spans = [(s, min(s + BLOCK_TRAJ, hi)) for s in range(lo, hi, BLOCK_TRAJ)]
 
     def job(span):
+        cuts = [lo + size - span[0] for size in prefixes
+                if span[0] < lo + size < span[1]]
         return _run_block(params, seed, *span, n_steps, dt, n0, sigma0, phi0,
-                          want_coherence, tuple(snap_steps), increments)
+                          want_coherence, tuple(snap_steps), increments, cuts)
 
     if threads > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -350,37 +408,57 @@ def _run_blocks(params, seed, lo, hi, n_steps, dt, n0=-1.0, sigma0=0j,
     return results
 
 
-def run_ensemble(params: SystemParams, n_traj: int, t_end: float, dt: float,
-                 seed: int, *, n0: float = -1.0, sigma0: complex = 0j,
-                 phi0: float = 0.0, threads: int = 1,
-                 with_coherence: bool = False,
-                 keep_final: bool = False) -> EnsembleTrace:
-    """Ensemble statistics of n(t) over ``n_traj`` independent trajectories.
+def _ensemble_trace(results, size, t, with_coherence) -> EnsembleTrace:
+    """Statistics of trajectories [0, size) from run_ensemble's block results.
 
-    Default initial condition is the cold ground state n=-1, sigma=0, phi=0.
-    Deterministic: the same (params, n_traj, t_end, dt, seed) give the same
-    trace bit for bit, for any ``threads``.
+    Each block before ``size`` gives its full reduction and the block that
+    ``size`` cuts gives its prefix, merged in the order a separate run of
+    ``size`` trajectories merges its blocks.
     """
-    n_steps = grid_steps(t_end, dt, positive=True)
-    results = _run_blocks(params, seed, 0, n_traj, n_steps, dt, n0, sigma0, phi0,
-                          want_coherence=with_coherence, threads=threads)
-
-    count, mean, m2 = _tree_merge([r["moments"] for r in results])
+    parts = [(r, min(size, r["span"][1]) - r["span"][0])
+             for r in results if r["span"][0] < size]
+    count, mean, m2 = _tree_merge([r["moments"][m] for r, m in parts])
     if not np.all(np.isfinite(mean)):
         raise IntegratorError("ensemble mean is not finite")
     var, stderr = _var_stderr(count, m2)
 
     coherence = None
     if with_coherence:
-        total = np.zeros(n_steps + 1, dtype=complex)
-        for r in results:            # fixed block order
-            total += r["coh_sum"]
+        total = np.zeros(len(t), dtype=complex)
+        for r, m in parts:           # fixed block order
+            total += r["coh_sum"][m]
         coherence = total / count
-
-    final = np.concatenate([r["final_n"] for r in results]) if keep_final else None
-    t = np.arange(n_steps + 1) * dt
     return EnsembleTrace(t=t, n_mean=mean, n_var=var, n_stderr=stderr,
-                         n_traj=count, coherence_mean=coherence, final_n=final)
+                         n_traj=count, coherence_mean=coherence)
+
+
+def run_ensemble(params: SystemParams, n_traj: int, t_end: float, dt: float,
+                 seed: int, *, n0: float = -1.0, sigma0: complex = 0j,
+                 phi0: float = 0.0, threads: int = 1,
+                 with_coherence: bool = False,
+                 keep_final: bool = False,
+                 prefixes: tuple[int, ...] = ()) -> EnsembleTrace:
+    """Ensemble statistics of n(t) over ``n_traj`` independent trajectories.
+
+    Default initial condition is the cold ground state n=-1, sigma=0, phi=0.
+    Deterministic: the same (params, n_traj, t_end, dt, seed) give the same
+    trace bit for bit, for any ``threads``. ``prefixes`` (sizes in
+    [1, n_traj)) adds ``prefix_traces``: the traces of trajectories
+    [0, m) for each size m, bit-identical to separate runs of m trajectories,
+    from this one run.
+    """
+    n_steps = grid_steps(t_end, dt, positive=True)
+    results = _run_blocks(params, seed, 0, n_traj, n_steps, dt, n0, sigma0, phi0,
+                          want_coherence=with_coherence, threads=threads,
+                          prefixes=prefixes)
+    t = np.arange(n_steps + 1) * dt
+    trace = _ensemble_trace(results, n_traj, t, with_coherence)
+    if prefixes:
+        trace.prefix_traces = tuple(_ensemble_trace(results, m, t, with_coherence)
+                                    for m in prefixes)
+    if keep_final:
+        trace.final_n = np.concatenate([r["final_n"] for r in results])
+    return trace
 
 
 @dataclass
@@ -425,8 +503,7 @@ def run_trajectory(params: SystemParams, t_end: float, dt: float, seed: int,
 def _check_phase_args(delta: float, n_traj: int) -> None:
     if not (math.isfinite(delta) and delta >= 0):
         raise ValueError(f"delta must be finite and >= 0, got {delta!r}")
-    if n_traj < 1:
-        raise ValueError("n_traj must be >= 1")
+    _check_count(n_traj)
 
 
 def _wiener_paths(seed, lo, hi, scale, out):
@@ -487,6 +564,8 @@ def phase_autocorrelation(delta: float, n_traj: int, tau_grid,
     tau = np.asarray(tau_grid, dtype=float)
     if tau.ndim != 1 or len(tau) == 0:
         raise ValueError("tau_grid must be a non-empty 1-d array")
+    if not np.all(np.isfinite(tau)):
+        raise ValueError("tau_grid must be finite")
     if np.any(tau < 0) or np.any(np.diff(tau) <= 0):
         raise ValueError("tau_grid must be non-negative and strictly increasing")
 

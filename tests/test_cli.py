@@ -12,6 +12,7 @@ from blochrate.cli import (
     RunConfig,
     _fmt,
     _write_trace,
+    atomic_write_text,
     cmd_figure,
     load_config,
     main,
@@ -188,6 +189,22 @@ def test_threads_validation(tmp_path, monkeypatch):
     assert main(args) == 2
 
 
+def test_atomic_write_leaves_nothing_on_failure(tmp_path, monkeypatch):
+    target = tmp_path / "x.csv"
+    # a lone surrogate cannot be encoded, so the write itself raises
+    with pytest.raises(UnicodeEncodeError):
+        atomic_write_text(target, "a\udcff")
+    assert not list(tmp_path.iterdir())
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr("blochrate.cli.os.replace", refuse)
+    with pytest.raises(OSError, match="replace refused"):
+        atomic_write_text(target, "a,b\n")
+    assert not list(tmp_path.iterdir())
+
+
 # ----------------------------------------------------------------------
 # figure
 
@@ -200,6 +217,24 @@ def test_figure_fig1b_file_set(tmp_path):
                      "fig1b_ere.csv", "fig1b_modified-ere.csv", "fig1b.svg"}
     svg = (tmp_path / "fig1b.svg").read_text()
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
+
+
+def test_figure_fig2_file_set(tmp_path):
+    # the four ensembles are prefixes of one 1000-trajectory run, written
+    # the same for any thread count
+    for panel in ("fig2a", "fig2b"):
+        for threads in (1, 2):
+            out = tmp_path / f"{panel}_t{threads}"
+            rc = main(["figure", panel, "--set", "t_end=0.02", "--out", str(out),
+                       "--threads", str(threads)])
+            assert rc == 0
+            names = {p.name for p in out.iterdir()}
+            assert names == {f"{panel}_{n}.csv"
+                             for n in ("n1", "n10", "n100", "n1000", "bloch")}
+            for name in names:
+                assert len((out / name).read_text().splitlines()) == 1 + 21, name
+        one = (tmp_path / f"{panel}_t1" / f"{panel}_n10.csv").read_bytes()
+        assert (tmp_path / f"{panel}_t2" / f"{panel}_n10.csv").read_bytes() == one
 
 
 def test_figure_fig3_schema(tmp_path):

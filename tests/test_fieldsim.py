@@ -334,9 +334,61 @@ def test_ensemble_thread_count_invariance(monkeypatch):
     assert np.array_equal(t1.coherence_mean, t3.coherence_mean)
 
 
+@pytest.mark.parametrize("threads", [1, 3])
+def test_prefix_traces_match_separate_runs(monkeypatch, threads):
+    # 20 trajectories in blocks of 8: the sizes fall inside the first block,
+    # on its edge, inside the second block and inside the third, and 200
+    # steps end on a partly filled buffer
+    monkeypatch.setattr(fs, "BLOCK_TRAJ", 8)
+    kw = dict(t_end=0.2, dt=1e-3, seed=19, with_coherence=True, threads=threads)
+    sizes = (1, 5, 8, 13, 17)
+    full = run_ensemble(REF, 20, **kw, prefixes=sizes)
+    assert [tr.n_traj for tr in full.prefix_traces] == list(sizes)
+    for size, got in zip(sizes, full.prefix_traces):
+        want = run_ensemble(REF, size, **kw)
+        for field in ("n_mean", "n_var", "n_stderr", "coherence_mean"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), \
+                (size, field)
+    alone = run_ensemble(REF, 20, **kw)
+    assert alone.prefix_traces is None
+    assert np.array_equal(full.n_var, alone.n_var)
+    assert np.array_equal(full.coherence_mean, alone.coherence_mean)
+    for bad in (0, 20, 21, -1, 2.5):
+        with pytest.raises(ValueError, match="prefix"):
+            run_ensemble(REF, 20, **kw, prefixes=(bad,))
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+def test_buffer_rows_do_not_change_statistics(monkeypatch, rows):
+    # moments are reduced row by row, so how many steps the buffer holds
+    # between reductions cannot change a bit
+    kw = dict(n_traj=12, t_end=0.15, dt=1e-3, seed=6, with_coherence=True,
+              prefixes=(5,))
+    want = run_ensemble(REF, **kw)
+    monkeypatch.setattr(fs, "_buffer_rows", lambda width: rows)
+    got = run_ensemble(REF, **kw)
+    for a, b in [(got, want), (got.prefix_traces[0], want.prefix_traces[0])]:
+        assert np.array_equal(a.n_mean, b.n_mean)
+        assert np.array_equal(a.n_var, b.n_var)
+        assert np.array_equal(a.coherence_mean, b.coherence_mean)
+    # a block's buffers (n and u) stay within 1.5 MB at any width
+    assert max(fs._buffer_rows(w) * w for w in range(1, fs.BLOCK_TRAJ + 1)) <= 1 << 16
+
+
 def test_ensemble_input_validation():
     with pytest.raises(ValueError):
         run_ensemble(REF, n_traj=0, t_end=1.0, dt=1e-3, seed=0)
+    # n_traj is checked before any run, in every entry point that takes one
+    for bad in (0, 2.5):
+        with pytest.raises(ValueError, match="n_traj"):
+            run_ensemble(REF, n_traj=bad, t_end=0.01, dt=1e-3, seed=0)
+        with pytest.raises(ValueError, match="n_traj"):
+            decorrelation_residual(REF, bad, 0.01, np.array([0.005]), seed=0,
+                                   dt=1e-3)
+        with pytest.raises(ValueError, match="n_traj"):
+            simulate_phases(1.0, bad, 0.1, 0.01, seed=0)
+        with pytest.raises(ValueError, match="n_traj"):
+            phase_autocorrelation(1.0, bad, np.array([0.5]), seed=0)
     # threads as the CLI validates it, in both entry points of the engine
     for bad in (0, -3, 2.5):
         with pytest.raises(ValueError, match="threads"):
@@ -378,7 +430,8 @@ def test_phase_autocorrelation_zero_diffusion():
 
 
 def test_phase_autocorrelation_grid_validation():
-    for bad in [np.array([]), np.array([-1.0, 0.5]), np.array([0.5, 0.5])]:
+    for bad in [np.array([]), np.array([-1.0, 0.5]), np.array([0.5, 0.5]),
+                np.array([0.5, np.inf]), np.array([0.5, np.nan])]:
         with pytest.raises(ValueError):
             phase_autocorrelation(1.0, 10, bad, seed=0)
     for delta, n_traj in [(-1.0, 10), (1.0, 0)]:
