@@ -46,12 +46,14 @@ index order, so results are bit-identical for any worker count. Every entry
 point integrates through the same block engine, so trajectory i is the same
 trajectory everywhere.
 
-Buffered reduction: each step writes n (and u, with the coherence channel on)
-into its row of a C-contiguous (rows, width) buffer, and every ``rows``
-steps the buffer is reduced along its contiguous axis. Numpy's pairwise sum
-over one contiguous row rounds exactly as over a 1-d array of that row, so the
-per-step moments do not depend on ``rows``; ``rows`` comes from the width
-alone (_buffer_rows), which bounds a block's buffers at 1.5 MB.
+Buffered reduction: in the blocks of run_ensemble (the only caller that
+reads per-step moments), each step writes n (and u, with the coherence
+channel on) into its row of a C-contiguous (rows, width) buffer, and every
+``rows`` steps the buffer is reduced along its contiguous axis. Numpy's
+pairwise sum over one contiguous row rounds exactly as over a 1-d array of
+that row, so the per-step moments do not depend on ``rows``; ``rows`` comes
+from the width alone (_buffer_rows), which bounds a block's buffers at
+1.5 MB.
 
 Prefix ensembles: trajectory i is keyed by (seed, i), so the m-trajectory
 ensemble is the first m columns of any larger one. One flush also reduces
@@ -289,16 +291,19 @@ def _buffer_rows(width: int) -> int:
 
 
 def _run_block(params, seed, idx_lo, idx_hi, n_steps, dt, n0, sigma0, phi0,
-               want_coherence, snap_steps, increments, prefix_widths=()):
+               want_moments, want_coherence, snap_steps, increments,
+               prefix_widths=()):
     """Integrate trajectories [idx_lo, idx_hi) and reduce them on the fly.
 
-    Steps are buffered and reduced ``_buffer_rows(width)`` at a time (see the
-    module docstring). The block's leading ``prefix_widths`` columns are
-    reduced alongside the whole block. Returns the block's span, moment
-    triples for n(t) and, with the coherence on, coherence sums, both keyed
-    by the reduced width; snapshot arrays of (n, u, phi) at the requested
-    step indices (one column per index, none when none are requested;
-    u = sigma*e^{i phi}); and the final (n, phi) of every trajectory.
+    With ``want_moments``, steps are buffered and reduced
+    ``_buffer_rows(width)`` at a time (see the module docstring), and the
+    block's leading ``prefix_widths`` columns are reduced alongside the whole
+    block. Returns the block's span; moment triples for n(t) and, with the
+    coherence on, coherence sums, both keyed by the reduced width (None
+    without ``want_moments``); snapshot arrays of (n, u, phi) at the
+    requested step indices (one column per index, none when none are
+    requested; u = sigma*e^{i phi}); and the final (n, phi) of every
+    trajectory.
     """
     a, gperp = params.a, params.gamma_perp
     delta, omega0 = params.delta, params.omega0
@@ -310,12 +315,14 @@ def _run_block(params, seed, idx_lo, idx_hi, n_steps, dt, n0, sigma0, phi0,
     phi = np.full(width, float(phi0))
 
     rows = _buffer_rows(width)
-    n_buf = np.empty((rows, width))
-    u_buf = np.empty((rows, width), dtype=complex) if want_coherence else None
-    moments = {m: (m, np.empty(n_steps + 1), np.empty(n_steps + 1))
-               for m in widths}
-    coh = ({m: np.empty(n_steps + 1, dtype=complex) for m in widths}
-           if want_coherence else None)
+    moments = coh = u_buf = None
+    if want_moments:
+        n_buf = np.empty((rows, width))
+        moments = {m: (m, np.empty(n_steps + 1), np.empty(n_steps + 1))
+                   for m in widths}
+        if want_coherence:
+            u_buf = np.empty((rows, width), dtype=complex)
+            coh = {m: np.empty(n_steps + 1, dtype=complex) for m in widths}
     snap_lookup = {s: j for j, s in enumerate(snap_steps)}
     snap_n = np.empty((width, len(snap_steps)))
     snap_u = np.empty((width, len(snap_steps)), dtype=complex)
@@ -326,17 +333,19 @@ def _run_block(params, seed, idx_lo, idx_hi, n_steps, dt, n0, sigma0, phi0,
     filled = 0
 
     def store(k):
-        # buffer row `filled` holds step k; a full buffer (or the last step)
-        # is reduced row-wise into steps k - filled .. k
         nonlocal filled
-        n_buf[filled] = n
-        if u_buf is not None:
-            u_buf[filled] = u
         j = snap_lookup.get(k)
         if j is not None:
             snap_n[:, j] = n
             snap_u[:, j] = u
             snap_phi[:, j] = phi
+        if moments is None:
+            return
+        # buffer row `filled` holds step k; a full buffer (or the last step)
+        # is reduced row-wise into steps k - filled .. k
+        n_buf[filled] = n
+        if u_buf is not None:
+            u_buf[filled] = u
         filled += 1
         if filled == rows or k == n_steps:
             span = slice(k + 1 - filled, k + 1)
@@ -377,10 +386,12 @@ def _run_block(params, seed, idx_lo, idx_hi, n_steps, dt, n0, sigma0, phi0,
 
 
 def _run_blocks(params, seed, lo, hi, n_steps, dt, n0=-1.0, sigma0=0j,
-                phi0=0.0, want_coherence=False, snap_steps=(),
-                increments=None, threads=1, prefixes=()):
+                phi0=0.0, want_moments=False, want_coherence=False,
+                snap_steps=(), increments=None, threads=1, prefixes=()):
     """Run trajectories [lo, hi) in blocks (possibly on a thread pool), in fixed order.
 
+    Blocks reduce per-step moments only with ``want_moments``; callers that
+    read only snapshots and final values skip the buffer and its flushes.
     ``prefixes`` are ensemble sizes counted from ``lo``; each block also
     reduces the leading columns that one of them cuts it at. Every argument
     is checked, and the step guard runs, before any block runs.
@@ -398,7 +409,8 @@ def _run_blocks(params, seed, lo, hi, n_steps, dt, n0=-1.0, sigma0=0j,
         cuts = [lo + size - span[0] for size in prefixes
                 if span[0] < lo + size < span[1]]
         return _run_block(params, seed, *span, n_steps, dt, n0, sigma0, phi0,
-                          want_coherence, tuple(snap_steps), increments, cuts)
+                          want_moments, want_coherence, tuple(snap_steps),
+                          increments, cuts)
 
     if threads > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -449,8 +461,8 @@ def run_ensemble(params: SystemParams, n_traj: int, t_end: float, dt: float,
     """
     n_steps = grid_steps(t_end, dt, positive=True)
     results = _run_blocks(params, seed, 0, n_traj, n_steps, dt, n0, sigma0, phi0,
-                          want_coherence=with_coherence, threads=threads,
-                          prefixes=prefixes)
+                          want_moments=True, want_coherence=with_coherence,
+                          threads=threads, prefixes=prefixes)
     t = np.arange(n_steps + 1) * dt
     trace = _ensemble_trace(results, n_traj, t, with_coherence)
     if prefixes:

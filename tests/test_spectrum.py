@@ -21,6 +21,7 @@ from blochrate import (
     wk_estimate,
 )
 from blochrate import spectrum
+from test_kinetics import ref_table
 
 
 def lorentz_table(lor, edge, core_halfwidth=50.0, dx=0.01, ratio=1.005):
@@ -145,6 +146,39 @@ def test_tabulated_kernel_chunks_are_bit_identical():
     tau = np.concatenate([[0.0, 1e-9], np.linspace(1e-3, 20.0, 3 * rows + 7)])
     whole = autocorrelation_kernel(tab, tau)
     assert np.array_equal(whole, [autocorrelation_kernel(tab, x) for x in tau])
+
+
+@pytest.mark.parametrize("tau", [np.arange(200001) * 1e-3,       # solver lag grid
+                                 np.linspace(1e-3, 50.0, 777)])   # lag by lag
+def test_tabulated_kernel_of_a_triangle_is_exact(tau):
+    # W = max(0, 1 - |s|) is its own linear interpolant on these nodes, so
+    # the kernel is exactly 4 sin^2(tau/2) / (pi tau^2); the smallest lags
+    # carry the cancellation of the 1/tau^2 term
+    s = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+    tab = TabulatedSpectrum(omega=s, values=np.maximum(0.0, 1.0 - np.abs(s)))
+    exact = np.full_like(tau, 1.0 / math.pi)
+    nz = tau > 0
+    exact[nz] = 4.0 * np.sin(tau[nz] / 2.0) ** 2 / (math.pi * tau[nz] ** 2)
+    assert np.max(np.abs(autocorrelation_kernel(tab, tau) - exact)) <= 1e-11
+
+
+@pytest.mark.parametrize("dt", [1e-3, 1e-4])
+def test_tabulated_kernel_grid_path_matches_lag_by_lag(dt):
+    tab = ref_table()
+    tau = np.arange(20001) * dt
+    # reversed, the lags are no longer the solver grid and go lag by lag
+    lag_by_lag = autocorrelation_kernel(tab, tau[::-1])[::-1]
+    assert np.max(np.abs(autocorrelation_kernel(tab, tau) - lag_by_lag)) <= 1e-13
+
+
+@pytest.mark.parametrize("tau", [[math.nan], [math.inf], [0.5, math.nan]])
+@pytest.mark.parametrize("line", [
+    LorentzianSpectrum(peak=1.0, fwhm=2.0),
+    TabulatedSpectrum(omega=[-2.0, 0.0, 2.0], values=[0.0, 1.0, 0.0]),
+])
+def test_kernel_refuses_non_finite_lags(line, tau):
+    with pytest.raises(ValueError):
+        autocorrelation_kernel(line, tau)
 
 
 def test_kernel_refuses_undecayed_table():
