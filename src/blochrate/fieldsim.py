@@ -29,6 +29,16 @@ which is the lab-frame step of sigma multiplied through by e^{i phi_mid}
 (v = sigma_m*e^{i phi_mid}); sigma = u*e^{-i phi} is formed only where a
 caller asks for sigma (run_trajectory).
 
+The step runs in place: each block allocates one workspace, and every
+intermediate is written into it with ``out=``, by the same ufunc on the same
+operands in the same order as the expressions above, so the workspace
+changes no bit. r is evaluated as cos and sin of half = 0.5*dphi + 0.0 into
+its real and imaginary parts. That equals the complex exp of 0.5j*dphi bit
+for bit: the complex product hands the exp the argument (+-0) + i*half, and
+libm's cexp(+-0 + ih) is (cos h, sin h). The + 0.0 is the product's own
+addition, which turns a -0 increment into +0, so a zero increment's sine is
++0 as the exp has it, not sin(-0) = -0. A test checks the libm assumption.
+
 A step guard refuses dt*max(a, gamma_perp, Omega0) > MAX_STEP_RATE before any
 step runs, and every noise chunk ends with a Bloch-sphere bound check.
 
@@ -40,7 +50,9 @@ generator is re-pointed from stream to stream by setting both, never rebuilt
 per trajectory. Within a chunk each stream fills its own row of a block of
 uniforms, and the whole block is then transformed at once; the transform is
 elementwise, so a stream's normals do not depend on the block around it or
-on how its draws are split into chunks. Ensemble statistics are
+on how its draws are split into chunks. A chunk is handed to the step as a
+(steps, width) array, one contiguous row of normals per step; each tile of
+streams is transposed into it as it is transformed. Ensemble statistics are
 reduced per fixed-size trajectory block and the blocks are merged pairwise in
 index order, so results are bit-identical for any worker count. Every entry
 point integrates through the same block engine, so trajectory i is the same
@@ -139,32 +151,52 @@ class RngStream:
         return _box_muller(self._gen.random(2 * count))
 
 
-def _box_muller(u):
+def _box_muller(u, out=None, work=None):
     """Box-Muller cosine branch over the last axis of uniforms in [0, 1).
 
     Each pair (u[2j], u[2j+1]) gives sqrt(-2 ln(1 - u[2j])) * cos(2 pi u[2j+1]);
     1 - u maps [0, 1) onto (0, 1], so the log stays finite and no domain check
     is needed. Elementwise, so any block of rows gives each row's normals bit
-    for bit.
+    for bit. ``work`` (shape (2, *normals' shape), C-contiguous; allocated
+    when not given) holds the radius and the cosine, and ``out`` (any view
+    of the normals' shape) takes their product, so a caller can store the
+    normals transposed with no extra pass. Each operation is the ufunc,
+    operand order and dtype of the expression above, so the buffers change
+    no bit.
     """
-    r = np.sqrt(-2.0 * np.log(1.0 - u[..., 0::2]))
-    return r * np.cos((2.0 * math.pi) * u[..., 1::2])
+    if work is None:
+        work = np.empty((2, *u.shape[:-1], u.shape[-1] // 2))
+    radius, cosine = work
+    np.subtract(1.0, u[..., 0::2], out=radius)
+    np.log(radius, out=radius)
+    np.multiply(-2.0, radius, out=radius)
+    np.sqrt(radius, out=radius)
+    np.multiply(2.0 * math.pi, u[..., 1::2], out=cosine)
+    np.cos(cosine, out=cosine)
+    return np.multiply(radius, cosine, out=out)
 
 
 def _normals(seed, lo, hi, n_steps, increments=None):
     """Standard normals for steps 0..n_steps-1 of trajectories [lo, hi).
 
-    Yields arrays of shape (hi - lo, <= NOISE_CHUNK) in step order, so no
-    more than one chunk is ever held. One Philox generator serves every
-    stream: for each row of a tile of at most NOISE_TILE uniforms it is
-    pointed at stream (seed, i) where the chunk starts, two uniforms per
-    step, and fills the row; each tile goes through one _box_muller call.
+    Yields arrays of shape (<= NOISE_CHUNK, hi - lo) in step order, one
+    C-contiguous row per step, so the step kernel reads each step's normals
+    contiguously and no more than one chunk is ever held. One Philox
+    generator serves every stream: for each row of a tile of at most
+    NOISE_TILE uniforms it is pointed at stream (seed, i) where the chunk
+    starts, two uniforms per step, and fills the row; each tile goes through
+    one _box_muller call, whose buffers are allocated once per chunk and
+    whose last product is written transposed into the tile's columns of the
+    chunk. Transposing tile by tile keeps the copy in cache (a transpose of
+    the whole chunk would cost more than the row layout saves), and the
+    chunk's rows are padded by one cache line so that a power-of-two width
+    does not put every row of a tile's column strip in the same cache sets.
     ``increments`` (explicit normals, one per step, for a single trajectory)
     is sliced in the same chunks in place of the streams.
     """
     if increments is not None:
         for c in range(0, n_steps, NOISE_CHUNK):
-            yield increments[None, c:c + NOISE_CHUNK]
+            yield increments[c:c + NOISE_CHUNK, None]
         return
     width = hi - lo
     cursor = _PhiloxCursor(seed)
@@ -172,12 +204,13 @@ def _normals(seed, lo, hi, n_steps, increments=None):
         clen = min(NOISE_CHUNK, n_steps - c)
         rows = min(width, max(1, NOISE_TILE // (2 * clen)))
         u = np.empty((rows, 2 * clen))
-        z = np.empty((width, clen))
+        work = np.empty((2, rows, clen))
+        z = np.empty((clen, width + 8))[:, :width]
         for r in range(0, width, rows):
-            tile = u[:min(rows, width - r)]
-            for i, row in enumerate(tile, lo + r):
+            m = min(rows, width - r)
+            for i, row in enumerate(u[:m], lo + r):
                 cursor.seek(i, 2 * c).random(out=row)
-            z[r:r + len(tile)] = _box_muller(tile)
+            _box_muller(u[:m], z[:, r:r + m].T, work[:, :m])
         yield z
 
 
@@ -206,22 +239,77 @@ class EnsembleTrace:
 # ----------------------------------------------------------------------
 # core stepping kernel (vectorized over trajectories) and its step guard
 
-def _midpoint_step(n, u, phi, z, a, gamma_perp, delta, omega0, dt):
-    """One closed-form implicit-midpoint step of every trajectory in the arrays.
+_TWO, _HALF, _ZERO = np.array(2.0), np.array(0.5), np.array(0.0)
 
-    Takes and returns (n, u, phi) with u = sigma*e^{i phi}, the coherence in
-    the frame of the field phase. Purely elementwise, so each trajectory's
-    arithmetic is independent of its neighbours in the block.
+
+class _StepWorkspace:
+    """The constants and scratch arrays of _midpoint_step for one block.
+
+    The step's scalars are held as 0-d float64 and complex128 arrays: a ufunc
+    converts a Python scalar on every call, which at narrow widths costs more
+    than the arithmetic, and a 0-d array of the same dtype selects the same
+    loop, so the bits do not change.
     """
-    dphi = math.sqrt(delta * dt) * z
-    r = np.exp(0.5j * dphi)
-    ur = u * r
-    k = 2.0 + dt * gamma_perp
-    w = omega0 * dt
-    n_m = ((2.0 * n - dt * a + (4.0 * w / k) * ur.imag)
-           / (2.0 + dt * a + w * w / k))
-    v = (2.0 * ur - (0.5j * w) * n_m) / k
-    return 2.0 * n_m - n, (2.0 * v - ur) * r, phi + dphi
+
+    def __init__(self, width, a, gamma_perp, delta, omega0, dt):
+        k = 2.0 + dt * gamma_perp
+        w = omega0 * dt
+        self.scale = np.array(math.sqrt(delta * dt))
+        self.decay = np.array(dt * a)
+        self.drive = np.array(4.0 * w / k)
+        self.denom = np.array(2.0 + dt * a + w * w / k)
+        self.pump = np.array(0.5j * w)
+        self.k = np.array(k)
+        self.dphi, self.half, self.n_m = (np.empty(width) for _ in range(3))
+        self.r, self.ur, self.v, self.pw = (np.empty(width, dtype=complex)
+                                            for _ in range(4))
+
+
+def _midpoint_step(n, u, phi, z, ws):
+    """One closed-form implicit-midpoint step of every trajectory, in place.
+
+    Advances (n, u, phi) with u = sigma*e^{i phi}, the coherence in the frame
+    of the field phase, by the step of the module docstring for the rates
+    that ``ws`` (a _StepWorkspace of their width) was built with. Every
+    intermediate goes through ``ws``, so a step allocates nothing. Purely
+    elementwise, so each trajectory's arithmetic is independent of its
+    neighbours in the block.
+
+    r = e^{i dphi/2} is evaluated as cos and sin of half = 0.5*dphi + 0.0
+    straight into r's real and imaginary parts. That is bit for bit the
+    complex exp of 0.5j*dphi: the complex product gives the exp the argument
+    (+-0) + i(0.0 + 0.5*dphi), and libm's cexp(+-0 + ih) is (cos h, sin h).
+    The ``+ 0.0`` is the product's addition, which turns a -0 increment into
+    +0; without it a zero increment would give sin(-0) = -0 where the exp
+    gives +0. Every other operation is the ufunc, operand order and dtype of
+    the plain expressions of the step, only with ``out=``.
+    """
+    dphi, half, n_m, r, ur, v, pw = (ws.dphi, ws.half, ws.n_m, ws.r, ws.ur,
+                                     ws.v, ws.pw)
+    np.multiply(ws.scale, z, out=dphi)
+    np.multiply(_HALF, dphi, out=half)
+    np.add(half, _ZERO, out=half)
+    np.cos(half, out=r.real)
+    np.sin(half, out=r.imag)
+    np.multiply(u, r, out=ur)
+    # n_m = (2n - dt*a + (4w/k)*Im(ur)) / (2 + dt*a + w**2/k)
+    np.multiply(_TWO, n, out=n_m)
+    np.subtract(n_m, ws.decay, out=n_m)
+    np.multiply(ws.drive, ur.imag, out=half)
+    np.add(n_m, half, out=n_m)
+    np.divide(n_m, ws.denom, out=n_m)
+    # v = (2ur - (i/2)w*n_m) / k
+    np.multiply(_TWO, ur, out=v)
+    np.multiply(ws.pump, n_m, out=pw)
+    np.subtract(v, pw, out=v)
+    np.divide(v, ws.k, out=v)
+    # n1 = 2n_m - n, u1 = (2v - ur)*r, phi1 = phi + dphi
+    np.multiply(_TWO, n_m, out=half)
+    np.subtract(half, n, out=n)
+    np.multiply(_TWO, v, out=v)
+    np.subtract(v, ur, out=v)
+    np.multiply(v, r, out=u)
+    np.add(phi, dphi, out=phi)
 
 
 def _check_step(params: SystemParams, dt: float) -> None:
@@ -356,13 +444,13 @@ def _run_block(params, seed, idx_lo, idx_hi, n_steps, dt, n0, sigma0, phi0,
                     coh[m][span] = u_buf[:filled, :m].sum(axis=1)
             filled = 0
 
+    ws = _StepWorkspace(width, a, gperp, delta, omega0, dt)
     store(0)
     step = 0
     for z in _normals(seed, idx_lo, idx_hi, n_steps, increments):
-        for z_step in z.T:
+        for z_step in z:
             step += 1
-            n, u, phi = _midpoint_step(n, u, phi, z_step, a, gperp, delta,
-                                       omega0, dt)
+            _midpoint_step(n, u, phi, z_step, ws)
             store(step)
         # sanity bounds once per chunk; the comparison is written so NaN fails it
         max_n = float(np.max(np.abs(n)))
@@ -526,11 +614,11 @@ def _wiener_paths(seed, lo, hi, scale, out):
     """
     c = 0
     for z in _normals(seed, lo, hi, out.shape[1]):
-        clen = z.shape[1]
-        incr = scale[c:c + clen] * z
+        clen = len(z)
+        incr = np.multiply(scale[c:c + clen, None], z, out=z)
         if c:
-            incr[:, 0] += out[:, c - 1]
-        np.cumsum(incr, axis=1, out=out[:, c:c + clen])
+            incr[0] += out[:, c - 1]
+        np.cumsum(incr, axis=0, out=out[:, c:c + clen].T)
         c += clen
 
 

@@ -98,8 +98,10 @@ def test_stream_moments():
 ])
 def test_block_noise_matches_streams(lo, hi, n_steps):
     want = np.array([stream_normals(21, i, n_steps) for i in range(lo, hi)])
-    got = np.concatenate(list(fs._normals(21, lo, hi, n_steps)), axis=1)
-    assert np.array_equal(got, want)
+    chunks = list(fs._normals(21, lo, hi, n_steps))
+    # one row per step, each read contiguously by the step kernel
+    assert all(c.flags.c_contiguous for chunk in chunks for c in chunk)
+    assert np.array_equal(np.concatenate(chunks).T, want)
 
 
 def test_block_noise_chunk_tail(monkeypatch):
@@ -111,10 +113,10 @@ def test_block_noise_chunk_tail(monkeypatch):
                                 (33, 2**64 - 1, 2**64 - 5, 2**64)]:
         monkeypatch.setattr(fs, "NOISE_CHUNK", chunk)
         chunks = list(fs._normals(seed, lo, hi, 150))
-        assert [c.shape for c in chunks] == [(5, min(chunk, 150 - c))
+        assert [c.shape for c in chunks] == [(min(chunk, 150 - c), 5)
                                              for c in range(0, 150, chunk)]
         want = np.array([stream_normals(seed, i, 150) for i in range(lo, hi)])
-        assert np.array_equal(np.concatenate(chunks, axis=1), want)
+        assert np.array_equal(np.concatenate(chunks).T, want)
 
 
 @pytest.mark.parametrize("width, n_steps", [(1000, 40), (50, 2500)])
@@ -154,9 +156,10 @@ def test_noiseless_resonant_step_is_rabi_flopping():
     u = np.array([0j])
     phi = np.array([0.7])
     z = np.zeros(1)
+    ws = fs._StepWorkspace(1, 0.0, 0.0, 0.0, omega0, dt)
     radius = []
     for k in range(n_steps):
-        n, u, phi = _midpoint_step(n, u, phi, z, 0.0, 0.0, 0.0, omega0, dt)
+        _midpoint_step(n, u, phi, z, ws)
         radius.append(n[0] ** 2 + 4.0 * abs(u[0]) ** 2)
     t_end = n_steps * dt
     assert phi[0] == 0.7
@@ -182,6 +185,95 @@ def lab_frame_step(n, sigma, phi, z, a, gamma_perp, delta, omega0, dt):
     return 2.0 * n_m - n, 2.0 * s_m - sigma, phi + dphi
 
 
+def cexp_step(n, u, phi, z, a, gamma_perp, delta, omega0, dt):
+    """Reference: the rotating-frame step as plain expressions.
+
+    One complex exp of dphi/2 and fresh arrays for every intermediate; the
+    package evaluates the same expressions in place, with cos and sin in
+    place of the exp, and must agree bit for bit.
+    """
+    dphi = math.sqrt(delta * dt) * z
+    r = np.exp(0.5j * dphi)
+    ur = u * r
+    k = 2.0 + dt * gamma_perp
+    w = omega0 * dt
+    n_m = ((2.0 * n - dt * a + (4.0 * w / k) * ur.imag)
+           / (2.0 + dt * a + w * w / k))
+    v = (2.0 * ur - (0.5j * w) * n_m) / k
+    return 2.0 * n_m - n, (2.0 * v - ur) * r, phi + dphi
+
+
+def assert_bits_equal(got, want, what):
+    assert np.array_equal(got, want), what
+    parts = (np.real, np.imag) if np.iscomplexobj(want) else (np.real,)
+    for part in parts:
+        assert np.array_equal(np.signbit(part(got)), np.signbit(part(want))), \
+            f"{what}: the sign of a zero differs"
+
+
+@pytest.mark.parametrize("width", [1, 3, 7])
+@pytest.mark.parametrize("p, n0, sigma0, phi0", [
+    (SystemParams(a=1.0, delta=5.0, omega0=math.sqrt(11.0), gamma_dc=0.25),
+     0.2, 0.1 - 0.3j, 1.3),
+    # coherent and undriven: every increment is a signed zero and u stays a
+    # zero whose signs follow the phase factor of a zero increment
+    (SystemParams(a=1.0, delta=0.0, omega0=0.0), 0.5, 0j, 2.0),
+])
+def test_step_matches_cexp_oracle(monkeypatch, width, p, n0, sigma0, phi0):
+    # 150 steps in chunks of 64 (two full chunks and a tail) and tiles of 3
+    # trajectories, so width 7 crosses two tile boundaries
+    monkeypatch.setattr(fs, "NOISE_CHUNK", 64)
+    monkeypatch.setattr(fs, "NOISE_TILE", 400)
+    seed, dt, n_steps = 9, 1e-3, 150
+    z = np.array([stream_normals(seed, i, n_steps) for i in range(width)])
+    n = np.full(width, n0)
+    u = np.full(width, complex(sigma0) * np.exp(1j * phi0))
+    phi = np.full(width, phi0)
+    want = {"n": [n], "u": [u], "phi": [phi]}
+    for j in range(n_steps):
+        n, u, phi = cexp_step(n, u, phi, z[:, j], p.a, p.gamma_perp, p.delta,
+                              p.omega0, dt)
+        want["n"].append(n)
+        want["u"].append(u)
+        want["phi"].append(phi)
+    (got,) = fs._run_blocks(p, seed, 0, width, n_steps, dt, n0, sigma0, phi0,
+                            snap_steps=range(n_steps + 1))
+    for key, rows in want.items():
+        assert_bits_equal(got[f"snap_{key}"], np.array(rows).T, key)
+
+
+def test_cexp_is_cos_and_sin():
+    # the assumption behind the step's phase factor: for every finite h,
+    # libm's exp(0 + ih) is (cos h, sin(h + 0.0)) bit for bit, evaluated as
+    # the step evaluates it, into the real and imaginary parts of one array
+    tiny = np.finfo(float).smallest_subnormal
+    edge = np.array([0.0, -0.0, tiny, -tiny, 1e3 * tiny, -7e-310,
+                     np.finfo(float).tiny, 1e-300, 1e-8, math.pi, 1e22,
+                     1e100, 1e300, -1e300, np.finfo(float).max])
+    rng = np.random.default_rng(5)
+    h = np.concatenate([edge, rng.standard_normal(200_000) * 4.0,
+                        rng.uniform(-1.0, 1.0, 50_000)
+                        * 10.0 ** rng.uniform(-300.0, 300.0, 50_000)])
+    half = h + 0.0
+    r = np.empty(len(h), dtype=complex)
+    np.cos(half, out=r.real)
+    np.sin(half, out=r.imag)
+    want = np.exp(1j * h)
+    same = want.view(np.uint64) == r.view(np.uint64)
+    assert same.all(), ("libm's cexp(0 + ih) is not (cos h, sin h) bit for bit "
+                        f"at h = {h[~same.reshape(-1, 2).all(axis=1)][:5]}; "
+                        "the step's phase factor no longer equals the complex exp")
+    # the + 0.0 is what keeps a -0 increment's sine at +0, as the exp has it,
+    # and the step's phase factor (left in its workspace) is that exp; with
+    # sqrt(delta*dt) = 1 the increment is z itself
+    assert np.signbit(np.sin(-0.0)) and not np.signbit(np.exp(1j * h[1:2]).imag[0])
+    z = edge[:-1]
+    ws = fs._StepWorkspace(len(z), 1.0, 0.5, 4.0, 0.0, 0.25)
+    n, u, phi = np.zeros(len(z)), np.zeros(len(z), dtype=complex), np.zeros(len(z))
+    _midpoint_step(n, u, phi, z, ws)
+    assert_bits_equal(ws.r, np.exp(0.5j * z), "the step's phase factor")
+
+
 @pytest.mark.parametrize("width", [1, 3])
 def test_rotating_frame_matches_lab_frame_oracle(width):
     # the same normals through the lab-frame step, over two noise chunks,
@@ -194,7 +286,7 @@ def test_rotating_frame_matches_lab_frame_oracle(width):
     phi = np.full(width, phi0)
     hist = {"n": [n], "sigma": [sigma], "phi": [phi]}
     for z in fs._normals(seed, 0, width, n_steps):
-        for z_step in z.T:
+        for z_step in z:
             n, sigma, phi = lab_frame_step(n, sigma, phi, z_step, p.a,
                                            p.gamma_perp, p.delta, p.omega0, dt)
             hist["n"].append(n)
@@ -307,19 +399,27 @@ def test_ensemble_coherence_channel():
     assert tr.coherence_mean[0] == 0.3 + 0j
 
 
-def test_step_takes_one_exp_and_coherence_none(monkeypatch):
-    # one complex exp of dphi/2 per step, plus one for the initial state;
-    # the coherence channel reads u and evaluates no transcendental
-    calls = []
-    exp = np.exp
+def test_step_loop_takes_no_exp_and_one_workspace_per_block(monkeypatch):
+    # the only exp is the initial state's, once per block; the steps take
+    # cos and sin into a workspace allocated once per block, and the
+    # coherence channel reads u and evaluates no transcendental
+    calls, widths = [], []
+    exp, workspace = np.exp, fs._StepWorkspace
 
-    def counting(x, *args, **kwargs):
+    def counting_exp(x, *args, **kwargs):
         calls.append(np.size(x))
         return exp(x, *args, **kwargs)
 
-    monkeypatch.setattr(np, "exp", counting)
-    run_ensemble(REF, n_traj=5, t_end=0.05, dt=1e-3, seed=2, with_coherence=True)
-    assert calls == [1] + [5] * 50
+    def counting_workspace(width, *rates):
+        widths.append(width)
+        return workspace(width, *rates)
+
+    monkeypatch.setattr(np, "exp", counting_exp)
+    monkeypatch.setattr(fs, "_StepWorkspace", counting_workspace)
+    monkeypatch.setattr(fs, "BLOCK_TRAJ", 4)
+    run_ensemble(REF, n_traj=10, t_end=0.05, dt=1e-3, seed=2, with_coherence=True)
+    assert calls == [1, 1, 1]
+    assert widths == [4, 4, 2]
 
 
 def test_ensemble_thread_count_invariance(monkeypatch):
