@@ -152,15 +152,20 @@ def _write_trace(path: Path, run, model: str, seed: int, q=None) -> Path:
     An ensemble passes its q column explicitly; a deterministic trace has
     zero spread and carries its own q. A missing q is written as NaN.
     """
-    m = len(run.t)
+    # one %-template per row: "%.17g" formats a float exactly as _fmt does,
+    # and a constant column is written into the template as _fmt writes it
+    # (_fmt(0.0) == "0", _fmt(nan) == "nan")
     if isinstance(run, EnsembleTrace):
-        n, std, se = run.n_mean, np.sqrt(run.n_var), run.n_stderr
+        columns = [run.t, run.n_mean, np.sqrt(run.n_var), run.n_stderr]
+        fields = ["%.17g"] * 4
     else:
-        n, std, se, q = run.n, np.zeros(m), np.zeros(m), run.q
-    q = np.full(m, math.nan) if q is None else q
-    # one %-template per row: "%.17g" formats a float exactly as _fmt does
-    row = "%.17g,%.17g,%.17g,%.17g,%.17g," + f"{model},{seed}".replace("%", "%%")
-    columns = (run.t, n, std, se, q)
+        columns, fields, q = [run.t, run.n], ["%.17g", "%.17g", "0", "0"], run.q
+    if q is None:
+        fields.append("nan")
+    else:
+        columns.append(q)
+        fields.append("%.17g")
+    row = ",".join(fields) + "," + f"{model},{seed}".replace("%", "%%")
     rows = [row % values
             for values in zip(*(np.asarray(c, dtype=float).tolist() for c in columns))]
     _write_csv(path, TRACE_HEADER, rows)

@@ -79,6 +79,7 @@ coherence sum as a separate run of m trajectories, so run_ensemble's
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
@@ -373,6 +374,18 @@ def _check_count(value, name: str = "n_traj") -> None:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
+def _check_initial_state(n0, sigma0, phi0) -> None:
+    # a start off the Bloch ball would run every step and then fail the
+    # chunk check, whose advice (reduce dt) would be wrong
+    n0, sigma0, phi0 = float(n0), complex(sigma0), float(phi0)
+    if not (math.isfinite(n0) and cmath.isfinite(sigma0) and math.isfinite(phi0)):
+        raise ValueError(f"initial state must be finite, got n0={n0!r}, "
+                         f"sigma0={sigma0!r}, phi0={phi0!r}")
+    if abs(n0) > 1.0 or abs(sigma0) > 0.5:
+        raise ValueError(f"initial state must have |n0| <= 1 and |sigma0| <= 1/2, "
+                         f"got n0={n0!r}, sigma0={sigma0!r}")
+
+
 def _buffer_rows(width: int) -> int:
     """Steps a block buffers between reductions: 2**16 values, 1 to 64 rows."""
     return min(64, max(1, (1 << 16) // width))
@@ -482,10 +495,12 @@ def _run_blocks(params, seed, lo, hi, n_steps, dt, n0=-1.0, sigma0=0j,
     read only snapshots and final values skip the buffer and its flushes.
     ``prefixes`` are ensemble sizes counted from ``lo``; each block also
     reduces the leading columns that one of them cuts it at. Every argument
-    is checked, and the step guard runs, before any block runs.
+    is checked (the initial state must be finite with |n0| <= 1 and
+    |sigma0| <= 1/2), and the step guard runs, before any block runs.
     """
     _check_count(hi - lo)
     _check_count(threads, "threads")
+    _check_initial_state(n0, sigma0, phi0)
     for size in prefixes:
         if not isinstance(size, numbers.Integral) or not 1 <= size < hi - lo:
             raise ValueError(f"prefix sizes must be integers in [1, n_traj), "
@@ -540,9 +555,10 @@ def run_ensemble(params: SystemParams, n_traj: int, t_end: float, dt: float,
                  prefixes: tuple[int, ...] = ()) -> EnsembleTrace:
     """Ensemble statistics of n(t) over ``n_traj`` independent trajectories.
 
-    Default initial condition is the cold ground state n=-1, sigma=0, phi=0.
-    Deterministic: the same (params, n_traj, t_end, dt, seed) give the same
-    trace bit for bit, for any ``threads``. ``prefixes`` (sizes in
+    Default initial condition is the cold ground state n=-1, sigma=0, phi=0;
+    a non-finite state, |n0| > 1 or |sigma0| > 1/2 is refused with
+    ValueError before any step. Deterministic: the same (params, n_traj,
+    t_end, dt, seed) give the same trace bit for bit, for any ``threads``. ``prefixes`` (sizes in
     [1, n_traj)) adds ``prefix_traces``: the traces of trajectories
     [0, m) for each size m, bit-identical to separate runs of m trajectories,
     from this one run.
@@ -581,6 +597,8 @@ def run_trajectory(params: SystemParams, t_end: float, dt: float, seed: int,
     an explicit array of standard normals (one per step) for the stream,
     which lets tests refine a noise path: the coarse path over dt is
     recovered from the fine path over dt/2 by summing adjacent increments.
+    The initial state is checked as in run_ensemble, and the increments must
+    be finite.
     """
     index = check_seed(index, "index")
     n_steps = grid_steps(t_end, dt)
@@ -588,6 +606,8 @@ def run_trajectory(params: SystemParams, t_end: float, dt: float, seed: int,
         increments = np.asarray(increments, dtype=float)
         if increments.shape != (n_steps,):
             raise ValueError(f"increments must have shape ({n_steps},)")
+        if not np.all(np.isfinite(increments)):
+            raise ValueError("increments must be finite")
     (r,) = _run_blocks(params, seed, index, index + 1, n_steps, dt, n0,
                        sigma0, phi0, snap_steps=range(n_steps + 1),
                        increments=increments)

@@ -24,6 +24,7 @@ phase trajectories.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -278,6 +279,15 @@ def _check_lags(tau: np.ndarray) -> None:
         raise ValueError("tau grid must be finite, non-negative and increasing")
 
 
+def _check_frequencies(omega: np.ndarray, **scalars) -> None:
+    # a non-finite frequency or scale turns every value of a transform into NaN
+    if not np.all(np.isfinite(omega)):
+        raise ValueError("omega grid must be finite")
+    for name, value in scalars.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def _trapezoid_transform(f, tau, x):
     """Trapezoid quadrature of Re(f(tau) e^{-i x tau}) over tau, for every x.
 
@@ -307,12 +317,14 @@ def spectrum_from_kernel(kernel, tau, omega, omega21: float = 0.0):
     """Inverse transform: W(omega) = Int_0^inf I(tau) cos((omega-omega21) tau) dtau.
 
     Trapezoid quadrature over the supplied tau grid, which must start at 0 and
-    extend far enough that the kernel has decayed.
+    extend far enough that the kernel has decayed. omega and omega21 must be
+    finite.
     """
     kernel = np.asarray(kernel, dtype=float)
     tau = np.asarray(tau, dtype=float)
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     _check_lags(tau)
+    _check_frequencies(omega, omega21=omega21)
     if tau[0] != 0.0:
         raise ValueError("tau grid must start at 0")
     if kernel.shape != tau.shape:
@@ -351,11 +363,13 @@ def spectrum_from_autocorrelation(g, tau, omega_grid, omega0: float,
     Hermitian symmetry g(-tau) = conj(g(tau)). omega_grid holds offsets from
     the transition. g may stack several autocorrelations along leading axes
     (tau along the last); the result then has omega in place of tau.
+    omega_grid, omega0 and b must be finite.
     """
     g = np.asarray(g)
     tau = np.asarray(tau, dtype=float)
     omega_grid = np.atleast_1d(np.asarray(omega_grid, dtype=float))
     _check_lags(tau)
+    _check_frequencies(omega_grid, omega0=omega0, b=b)
     if g.shape[-1:] != tau.shape:
         raise ValueError("g must have tau's length along its last axis")
     pref = omega0 ** 2 / (4.0 * b)
@@ -389,7 +403,9 @@ def wk_estimate(phi: np.ndarray, dt: float, omega0: float, omega_grid,
     of e^{i phi} is time-averaged over each trajectory (FFT, rectangular lag
     window of ``max_lag``, default the full trajectory) and transformed lag-
     to-frequency by trapezoid quadrature. Trajectories are split into
-    ``n_batches`` groups whose independent estimates give the standard error.
+    ``n_batches`` groups (an integer, clamped to [2, n_traj]) whose
+    independent estimates give the standard error. omega_grid, omega0 and b
+    must be finite; every input is checked before any transform runs.
 
     Each batch forms e^{i phi} only for its own rows, zero-padded to
     next_fast_len(n_steps+1 + lags), which is enough for the lags the window
@@ -413,6 +429,9 @@ def wk_estimate(phi: np.ndarray, dt: float, omega0: float, omega_grid,
     if not (math.isfinite(phi.min()) and math.isfinite(phi.max())):
         raise ValueError("phi must be finite")
     omega_grid = np.atleast_1d(np.asarray(omega_grid, dtype=float))
+    _check_frequencies(omega_grid, omega0=omega0, b=b)
+    if not isinstance(n_batches, numbers.Integral):
+        raise ValueError(f"n_batches must be an integer, got {n_batches!r}")
     n_traj, n_t = phi.shape
     n_batches = max(2, min(n_batches, n_traj))
     if max_lag is None:

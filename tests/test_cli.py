@@ -6,7 +6,9 @@ import pytest
 
 from blochrate import (KineticTrace, SystemParams, integrate_effective_bloch, integrate_ere,
                        run_ensemble)
+from blochrate import cli
 from blochrate.cli import (
+    MODELS,
     TRACE_HEADER,
     ConfigError,
     RunConfig,
@@ -106,6 +108,29 @@ def test_trace_rows_format_like_fmt(tmp_path):
     want = [",".join([_fmt(t[k]), _fmt(n[k]), "0", "0", _fmt(q[k]), "m%s", "7"])
             for k in range(len(t))]
     assert (tmp_path / "x.csv").read_text() == "\n".join([TRACE_HEADER, *want]) + "\n"
+
+
+@pytest.mark.parametrize("model", [m for m in MODELS if m != "sde"])
+def test_kinetic_csv_bytes_match_per_value_formatting(tmp_path, monkeypatch, model):
+    # the constant columns (zero spread, a missing q) sit in the row template;
+    # the bytes must be those of formatting every value with _fmt
+    runs = []
+    write = cli._write_trace
+
+    def capture(path, run, *args):
+        runs.append(run)
+        return write(path, run, *args)
+
+    monkeypatch.setattr(cli, "_write_trace", capture)
+    assert main(["simulate", "--set", f"model={model}", "--set", "delta=5",
+                 "--set", "omega0=2", "--set", "t_end=0.5",
+                 "--out", str(tmp_path)]) == 0
+    (run,) = runs
+    q = np.full(len(run.t), math.nan) if run.q is None else run.q
+    want = [",".join([_fmt(t), _fmt(n), _fmt(0.0), _fmt(0.0), _fmt(qk), model,
+                      "12345"]) for t, n, qk in zip(run.t, run.n, q)]
+    got = (tmp_path / f"{model}_trace.csv").read_bytes()
+    assert got == ("\n".join([TRACE_HEADER, *want]) + "\n").encode()
 
 
 def test_simulate_bloch_writes_q_column(tmp_path):

@@ -343,6 +343,39 @@ def test_increments_shape_checked():
         run_trajectory(REF, 1e-3, 0.0, seed=0)
 
 
+@pytest.mark.parametrize("state", [
+    dict(n0=2.0), dict(n0=-1.5), dict(n0=math.nan), dict(sigma0=math.nan),
+    dict(sigma0=0.6j), dict(sigma0=complex(0.1, math.inf)),
+    dict(phi0=math.inf), dict(phi0=math.nan),
+])
+def test_initial_state_refused_before_any_step(monkeypatch, state):
+    # each of these used to run every step and then raise IntegratorError
+    # ("reduce dt"); now no block runs
+    def ran(*args, **kwargs):
+        raise AssertionError("a block ran before the initial state was checked")
+
+    monkeypatch.setattr(fs, "_run_block", ran)
+    with pytest.raises(ValueError, match="initial state"):
+        run_ensemble(REF, 4, 0.01, 1e-3, seed=0, **state)
+    with pytest.raises(ValueError, match="initial state"):
+        run_trajectory(REF, 0.01, 1e-3, seed=0, **state)
+
+
+def test_initial_state_bounds_are_inclusive():
+    for state in (dict(n0=1.0), dict(n0=0.0, sigma0=0.5j), dict(n0=-1.0, phi0=-3.0)):
+        tr = run_trajectory(REF, 0.01, 1e-3, seed=0, **state)
+        assert np.all(np.isfinite(tr.n))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_increments_refused(monkeypatch, bad):
+    monkeypatch.setattr(fs, "_run_block", None)       # no block may run
+    z = np.zeros(10)
+    z[3] = bad
+    with pytest.raises(ValueError, match="increments"):
+        run_trajectory(REF, 0.01, 1e-3, seed=0, increments=z)
+
+
 def test_integrator_error_on_coarse_step():
     p = SystemParams(a=1.0, delta=1.0, omega0=6.0)
     with pytest.raises(IntegratorError):

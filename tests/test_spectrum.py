@@ -302,6 +302,19 @@ def test_transforms_refuse_bad_lag_grids(tau):
         spectrum_from_kernel(np.ones(3), tau, [0.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_transforms_refuse_non_finite_frequencies(bad):
+    # each of these returned NaN values without complaint
+    tau, g = np.array([0.0, 0.5, 1.0]), np.ones(3)
+    for call in (lambda: spectrum_from_autocorrelation(g, tau, [0.0, bad], 1.0),
+                 lambda: spectrum_from_autocorrelation(g, tau, [0.0], bad),
+                 lambda: spectrum_from_autocorrelation(g, tau, [0.0], 1.0, b=bad),
+                 lambda: spectrum_from_kernel(g, tau, [bad]),
+                 lambda: spectrum_from_kernel(g, tau, [0.0], omega21=bad)):
+        with pytest.raises(ValueError, match="finite"):
+            call()
+
+
 def _phases_with(value):
     phi = np.zeros((4, 50))
     phi[2, 30] = value
@@ -319,6 +332,10 @@ def _phases_with(value):
     dict(phi=np.zeros((4, 50)), dt=0.01, max_lag=math.nan),
     dict(phi=_phases_with(math.nan), dt=0.01),
     dict(phi=_phases_with(-math.inf), dt=0.01),
+    dict(phi=np.zeros((4, 50)), dt=0.01, omega_grid=np.array([0.0, math.nan])),
+    dict(phi=np.zeros((4, 50)), dt=0.01, omega0=math.inf),
+    dict(phi=np.zeros((4, 50)), dt=0.01, b=math.nan),
+    dict(phi=np.zeros((4, 50)), dt=0.01, n_batches=2.5),
 ])
 def test_wk_estimate_rejects_bad_input(monkeypatch, bad):
     def no_work(*args, **kwargs):
@@ -326,5 +343,4 @@ def test_wk_estimate_rejects_bad_input(monkeypatch, bad):
 
     monkeypatch.setattr(spectrum, "fft", no_work)
     with pytest.raises(ValueError):
-        wk_estimate(bad["phi"], bad["dt"], 1.0, np.array([0.0]),
-                    max_lag=bad.get("max_lag"))
+        wk_estimate(**{"omega0": 1.0, "omega_grid": np.array([0.0]), **bad})
