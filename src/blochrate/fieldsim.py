@@ -180,9 +180,9 @@ def _box_muller(u, out=None, work=None):
 def _normals(seed, lo, hi, n_steps, increments=None):
     """Standard normals for steps 0..n_steps-1 of trajectories [lo, hi).
 
-    Yields arrays of shape (<= NOISE_CHUNK, hi - lo) in step order, one
-    C-contiguous row per step, so the step kernel reads each step's normals
-    contiguously and no more than one chunk is ever held. One Philox
+    Yields arrays of shape (<= NOISE_CHUNK, hi - lo) in step order, a chunk
+    at a time, with one C-contiguous row per step, so the step kernel reads
+    each step's normals contiguously. One Philox
     generator serves every stream: for each row of a tile of at most
     NOISE_TILE uniforms it is pointed at stream (seed, i) where the chunk
     starts, two uniforms per step, and fills the row; each tile goes through
@@ -276,14 +276,12 @@ def _midpoint_step(n, u, phi, z, ws):
     elementwise, so each trajectory's arithmetic is independent of its
     neighbours in the block.
 
-    r = e^{i dphi/2} is evaluated as cos and sin of half = 0.5*dphi + 0.0
-    straight into r's real and imaginary parts. That is bit for bit the
-    complex exp of 0.5j*dphi: the complex product gives the exp the argument
-    (+-0) + i(0.0 + 0.5*dphi), and libm's cexp(+-0 + ih) is (cos h, sin h).
-    The ``+ 0.0`` is the product's addition, which turns a -0 increment into
-    +0; without it a zero increment would give sin(-0) = -0 where the exp
-    gives +0. Every other operation is the ufunc, operand order and dtype of
-    the plain expressions of the step, only with ``out=``.
+    r = e^{i dphi/2} is cos and sin of half = 0.5*dphi + 0.0, written into
+    r's real and imaginary parts: bit for bit the complex exp of 0.5j*dphi,
+    signed zeros included, because libm's cexp(+-0 + ih) is (cos h, sin h)
+    and the ``+ 0.0`` is the complex product's own addition (see the module
+    docstring). Every other operation is the ufunc, operand order and dtype
+    of the plain expressions of the step, only with ``out=``.
     """
     dphi, half, n_m, r, ur, v, pw = (ws.dphi, ws.half, ws.n_m, ws.r, ws.ur,
                                      ws.v, ws.pw)
@@ -558,10 +556,10 @@ def run_ensemble(params: SystemParams, n_traj: int, t_end: float, dt: float,
     Default initial condition is the cold ground state n=-1, sigma=0, phi=0;
     a non-finite state, |n0| > 1 or |sigma0| > 1/2 is refused with
     ValueError before any step. Deterministic: the same (params, n_traj,
-    t_end, dt, seed) give the same trace bit for bit, for any ``threads``. ``prefixes`` (sizes in
-    [1, n_traj)) adds ``prefix_traces``: the traces of trajectories
-    [0, m) for each size m, bit-identical to separate runs of m trajectories,
-    from this one run.
+    t_end, dt, seed) give the same trace bit for bit, for any ``threads``.
+    ``prefixes`` (sizes in [1, n_traj)) adds ``prefix_traces``: the traces
+    of trajectories [0, m) for each size m, bit-identical to separate runs
+    of m trajectories, from this one run.
     """
     n_steps = grid_steps(t_end, dt, positive=True)
     results = _run_blocks(params, seed, 0, n_traj, n_steps, dt, n0, sigma0, phi0,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -215,8 +216,8 @@ def assert_bits_equal(got, want, what):
 @pytest.mark.parametrize("p, n0, sigma0, phi0", [
     (SystemParams(a=1.0, delta=5.0, omega0=math.sqrt(11.0), gamma_dc=0.25),
      0.2, 0.1 - 0.3j, 1.3),
-    # coherent and undriven: every increment is a signed zero and u stays a
-    # zero whose signs follow the phase factor of a zero increment
+    # coherent and undriven: every increment is a signed zero and u stays
+    # zero, so what is compared is mostly the signs of zeros
     (SystemParams(a=1.0, delta=0.0, omega0=0.0), 0.5, 0j, 2.0),
 ])
 def test_step_matches_cexp_oracle(monkeypatch, width, p, n0, sigma0, phi0):
@@ -453,6 +454,19 @@ def test_step_loop_takes_no_exp_and_one_workspace_per_block(monkeypatch):
     run_ensemble(REF, n_traj=10, t_end=0.05, dt=1e-3, seed=2, with_coherence=True)
     assert calls == [1, 1, 1]
     assert widths == [4, 4, 2]
+    # and a step allocates no array of the block's width (numpy's casting
+    # buffers are bounded by its buffer size, 8192 elements, at any width)
+    width = 1 << 16
+    ws = workspace(width, REF.a, REF.gamma_perp, REF.delta, REF.omega0, 1e-3)
+    n, u, phi, z = np.full(width, -1.0), np.zeros(width, complex), np.zeros(width), np.ones(width)
+    tracemalloc.start()
+    try:
+        for _ in range(3):
+            fs._midpoint_step(n, u, phi, z, ws)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * width
 
 
 def test_ensemble_thread_count_invariance(monkeypatch):
