@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.integrate import quad
 
 from .params import CoherentLimitError, SystemParams
 from .spectrum import SpectrumModel, TabulatedSpectrum, spectral_density, width_hint
@@ -50,6 +49,8 @@ def zeta_numeric(s: SpectrumModel, gamma_perp: float, omega21: float = 0.0,
     tails onto (-pi/2, pi/2) and makes the atomic line a flat weight, so the
     integrand stays O(1) for any linewidth ratio.
     """
+    from scipy.integrate import quad    # here, not at the top: the CLI need not import it
+
     if gamma_perp <= 0:
         raise ValueError("gamma_perp must be positive")
     w21 = spectral_density(s, omega21)

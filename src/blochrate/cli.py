@@ -131,19 +131,49 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def atomic_write_text(path: Path, text: str) -> None:
+_BLOCK_ROWS = 4096   # rows formatted per block: bounds a CSV's text in memory
+
+
+def _atomic_write(path: Path, parts) -> None:
+    """Write the strings of ``parts`` in turn to a temp file, then move it onto ``path``."""
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
     try:
         with open(tmp, "w", newline="\n") as fh:
-            fh.write(text)
+            for part in parts:
+                fh.write(part)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)     # a failed write leaves neither file
         raise
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
-    atomic_write_text(path, "\n".join([header, *rows]) + "\n")
+def atomic_write_text(path: Path, text: str) -> None:
+    _atomic_write(path, (text,))
+
+
+def _csv_blocks(header: str, row: str, columns):
+    """The header line, then one %-formatted block of _BLOCK_ROWS rows at a time.
+
+    ``row`` is a %-template with one field per column; a block applies the
+    template repeated once per row to the block's values flattened row-major,
+    so only one block of text and values is ever held.
+    """
+    yield header + "\n"
+    row += "\n"
+    full = row * _BLOCK_ROWS
+    size = len(columns[0])
+    block = np.empty((min(_BLOCK_ROWS, size), len(columns)))
+    for lo in range(0, size, _BLOCK_ROWS):
+        m = min(_BLOCK_ROWS, size - lo)
+        for j, column in enumerate(columns):
+            block[:m, j] = column[lo:lo + m]
+        template = full if m == _BLOCK_ROWS else row * m
+        yield template % tuple(block[:m].ravel().tolist())
+
+
+def _write_csv(path: Path, header: str, row: str, columns) -> None:
+    """Stream a CSV with one ``row``-template line per index of ``columns``."""
+    _atomic_write(path, _csv_blocks(header, row, columns))
 
 
 def _write_trace(path: Path, run, model: str, seed: int, q=None) -> Path:
@@ -152,9 +182,9 @@ def _write_trace(path: Path, run, model: str, seed: int, q=None) -> Path:
     An ensemble passes its q column explicitly; a deterministic trace has
     zero spread and carries its own q. A missing q is written as NaN.
     """
-    # one %-template per row: "%.17g" formats a float exactly as _fmt does,
-    # and a constant column is written into the template as _fmt writes it
-    # (_fmt(0.0) == "0", _fmt(nan) == "nan")
+    # "%.17g" formats a float exactly as _fmt does, and a constant column is
+    # written into the template as _fmt writes it (_fmt(0.0) == "0",
+    # _fmt(nan) == "nan")
     if isinstance(run, EnsembleTrace):
         columns = [run.t, run.n_mean, np.sqrt(run.n_var), run.n_stderr]
         fields = ["%.17g"] * 4
@@ -166,9 +196,7 @@ def _write_trace(path: Path, run, model: str, seed: int, q=None) -> Path:
         columns.append(q)
         fields.append("%.17g")
     row = ",".join(fields) + "," + f"{model},{seed}".replace("%", "%%")
-    rows = [row % values
-            for values in zip(*(np.asarray(c, dtype=float).tolist() for c in columns))]
-    _write_csv(path, TRACE_HEADER, rows)
+    _write_csv(path, TRACE_HEADER, row, columns)
     return path
 
 
@@ -334,20 +362,16 @@ def _fig3(out_dir, cfg, threads, panel: str):
     params = SystemParams(a=1.0, delta=delta, omega0=omega0)
     trace = run_ensemble(params, n_traj, t_end, dt, seed, threads=threads,
                          keep_final=True)
-    rows = []
     subsets = _fig3_subsets(n_traj)
-    stds, stderrs = [], []
+    means, stds, stderrs = [], [], []
     for m in subsets:
         head = trace.final_n[:m]       # prefix = the exact m-trajectory ensemble
-        mean = float(np.mean(head))
-        std = float(np.std(head, ddof=1))
-        se = std / math.sqrt(m)
-        rows.append(",".join([str(m), _fmt(mean), _fmt(std), _fmt(se),
-                              "sde", str(seed)]))
-        stds.append(std)
-        stderrs.append(se)
+        means.append(float(np.mean(head)))
+        stds.append(float(np.std(head, ddof=1)))
+        stderrs.append(stds[-1] / math.sqrt(m))
     path = out_dir / f"fig3{panel}.csv"
-    _write_csv(path, FIG3_HEADER, rows)
+    _write_csv(path, FIG3_HEADER, f"%d,%.17g,%.17g,%.17g,sde,{seed}",
+               [subsets, means, stds, stderrs])
     ns = np.array(subsets, dtype=float)
     series = [figsvg.PlotSeries("stderr of mean", ns, np.array(stderrs)),
               figsvg.PlotSeries("sample std", ns, np.array(stds), dash="6,3")]
@@ -382,7 +406,7 @@ def cmd_analyze(cfg: RunConfig, out_dir: Path) -> Path:
         verdict = "PASS" if getattr(report, flag) else "FAIL"
         sys.stdout.write(f"regime {flag}: {verdict}\n")
     out = out_dir / (cfg.out or "analysis.csv")
-    _write_csv(out, report.csv_header(), [report.csv_row()])
+    _atomic_write(out, (report.csv_header() + "\n", report.csv_row() + "\n"))
     return out
 
 
@@ -408,10 +432,9 @@ def cmd_decorrelate(cfg: RunConfig, out_dir: Path, threads: int,
     # the header's inner names are the result's per-t' fields, in column order
     columns = [getattr(result, name) for name in DECORR_HEADER.split(",")[1:-1]]
     low = "1" if result.low_statistics else "0"
-    rows = [",".join([_fmt(result.t), *map(_fmt, values), low])
-            for values in zip(*columns)]
+    row = ",".join([_fmt(result.t), *["%.17g"] * len(columns), low])
     out = out_dir / (cfg.out or "decorrelation.csv")
-    _write_csv(out, DECORR_HEADER, rows)
+    _write_csv(out, DECORR_HEADER, row, columns)
     verdict = "HOLDS" if result.holds_3sigma else "VIOLATED"
     sys.stdout.write(f"DECORRELATION {verdict} at 3σ "
                      f"(n_traj={result.n_traj}, t={result.t:g})\n")

@@ -79,7 +79,6 @@ coherence sum as a separate run of m trajectories, so run_ensemble's
 
 from __future__ import annotations
 
-import cmath
 import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
@@ -87,7 +86,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import SystemParams, check_seed, grid_steps
+from .params import SystemParams, _check_initial_state, check_seed, grid_steps
 
 BLOCK_TRAJ = 8192      # trajectories integrated together; independent of --threads
 NOISE_CHUNK = 1024     # steps drawn per stream call; fixed so noise is batch independent
@@ -194,6 +193,10 @@ def _normals(seed, lo, hi, n_steps, increments=None):
     does not put every row of a tile's column strip in the same cache sets.
     ``increments`` (explicit normals, one per step, for a single trajectory)
     is sliced in the same chunks in place of the streams.
+
+    Every chunk is drawn into one buffer, so noise memory is one chunk
+    however many chunks a run takes: a yielded chunk is valid only until
+    the next one is drawn, and a caller that keeps chunks must copy them.
     """
     if increments is not None:
         for c in range(0, n_steps, NOISE_CHUNK):
@@ -201,12 +204,13 @@ def _normals(seed, lo, hi, n_steps, increments=None):
         return
     width = hi - lo
     cursor = _PhiloxCursor(seed)
+    buffer = np.empty((min(NOISE_CHUNK, n_steps), width + 8))[:, :width]
     for c in range(0, n_steps, NOISE_CHUNK):
         clen = min(NOISE_CHUNK, n_steps - c)
         rows = min(width, max(1, NOISE_TILE // (2 * clen)))
         u = np.empty((rows, 2 * clen))
         work = np.empty((2, rows, clen))
-        z = np.empty((clen, width + 8))[:, :width]
+        z = buffer[:clen]
         for r in range(0, width, rows):
             m = min(rows, width - r)
             for i, row in enumerate(u[:m], lo + r):
@@ -372,18 +376,6 @@ def _check_count(value, name: str = "n_traj") -> None:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
-def _check_initial_state(n0, sigma0, phi0) -> None:
-    # a start off the Bloch ball would run every step and then fail the
-    # chunk check, whose advice (reduce dt) would be wrong
-    n0, sigma0, phi0 = float(n0), complex(sigma0), float(phi0)
-    if not (math.isfinite(n0) and cmath.isfinite(sigma0) and math.isfinite(phi0)):
-        raise ValueError(f"initial state must be finite, got n0={n0!r}, "
-                         f"sigma0={sigma0!r}, phi0={phi0!r}")
-    if abs(n0) > 1.0 or abs(sigma0) > 0.5:
-        raise ValueError(f"initial state must have |n0| <= 1 and |sigma0| <= 1/2, "
-                         f"got n0={n0!r}, sigma0={sigma0!r}")
-
-
 def _buffer_rows(width: int) -> int:
     """Steps a block buffers between reductions: 2**16 values, 1 to 64 rows."""
     return min(64, max(1, (1 << 16) // width))
@@ -498,7 +490,7 @@ def _run_blocks(params, seed, lo, hi, n_steps, dt, n0=-1.0, sigma0=0j,
     """
     _check_count(hi - lo)
     _check_count(threads, "threads")
-    _check_initial_state(n0, sigma0, phi0)
+    _check_initial_state(n0=n0, sigma0=sigma0, phi0=phi0)
     for size in prefixes:
         if not isinstance(size, numbers.Integral) or not 1 <= size < hi - lo:
             raise ValueError(f"prefix sizes must be integers in [1, n_traj), "

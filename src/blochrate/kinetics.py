@@ -10,7 +10,9 @@ In order of increasing fidelity to the stochastic dynamics:
   integrate_effective_bloch  two-variable system with the effective coherence q
   integrate_memory_kernel    full integro-differential equation with history
 
-All solvers use the classical fixed-step 4th-order one-step method on a
+Every solver refuses a start off the Bloch ball (a non-finite n0 or q0, or
+|n0| > 1) with ValueError before any step, by the rule the stochastic engine
+uses. All solvers use the classical fixed-step 4th-order one-step method on a
 uniform grid (the memory-kernel model, whose right side depends on history,
 uses a 2nd-order predictor-corrector with trapezoid history quadrature).
 Affine models are advanced with the exact closed form of the RK4 map, which
@@ -18,7 +20,8 @@ is the same discrete solution without per-step rounding.
 
 The memory-kernel history sum costs O(1) per step for a Lorentzian line,
 whose damped kernel is one complex exponential and so obeys a recursion over
-the whole history, and O(window) per step for a tabulated spectrum, summed
+the whole history (a loop of its own on Python floats, so a step costs a few
+hundred ns), and O(window) per step for a tabulated spectrum, summed
 directly over the window where the damped kernel exceeds 1e-12 of its peak.
 A tabulated kernel is evaluated once per solve, on the solver's uniform lag
 grid, where spectrum.autocorrelation_kernel needs one complex product per
@@ -34,9 +37,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import trapezoid
 
-from .params import SystemParams, grid_steps
+from .params import SystemParams, _check_initial_state, grid_steps
 from .spectrum import (LorentzianSpectrum, SpectrumModel,
                        autocorrelation_kernel, from_phase_diffusion)
 
@@ -148,6 +150,7 @@ def integrate_generalized_ere(params: SystemParams, coll: CollisionParams,
 
 def _rate_equation(params, coll, t_end, dt, n0, model):
     """The generalized rate equation; ``model`` names it in a step refusal."""
+    _check_initial_state(n0=n0)
     t = np.arange(grid_steps(t_end, dt, positive=True) + 1) * dt
     g_par = coll.gamma_parallel(params.a)
     n_eq = coll.n_equilibrium(params.a)
@@ -166,6 +169,7 @@ def integrate_modified_ere(params: SystemParams, t_end: float, dt: float,
     dn/dt = -a(n+1) - 2*zeta*bw21*n*(1 - exp(-gamma_eff*t)). The transient
     factor removes the rate equation's spurious linear rise at t ~< 1/gamma_eff.
     """
+    _check_initial_state(n0=n0)
     t = np.arange(grid_steps(t_end, dt, positive=True) + 1) * dt
     a = params.a
     k2 = 2.0 * params.zeta_bw21
@@ -199,6 +203,7 @@ def integrate_effective_bloch(params: SystemParams, t_end: float, dt: float,
     dn/dt = -a(n+1) - 2*zeta*bw21*q
     dq/dt = gamma_eff*(n - q)
     """
+    _check_initial_state(n0=n0, q0=q0)
     t = np.arange(grid_steps(t_end, dt, positive=True) + 1) * dt
     a = params.a
     k2 = 2.0 * params.zeta_bw21
@@ -252,8 +257,15 @@ def integrate_memory_kernel(spectrum: SpectrumModel | None,
 
     Second-order predictor-corrector stepping (the history dependence makes
     classic one-step stage evaluation inapplicable); at dt=1e-4 the error
-    stays below 1e-6 for unit-scale rates.
+    stays below 1e-6 for unit-scale rates. A Lorentzian runs the recursion
+    in a loop of its own (_lorentzian_history): each step evaluates the
+    general loop's expressions in the same order, on Python floats with the
+    constants hoisted and the inversion appended to a list, and a divergence
+    is found by one finiteness scan after the loop instead of a check per
+    step. 1e5 steps take about 40 ms on a 2-core x86 host. A non-finite n0
+    or |n0| > 1 is refused with ValueError before any step.
     """
+    _check_initial_state(n0=n0)
     t = np.arange(grid_steps(t_end, dt, positive=True) + 1) * dt
     a = params.a
     gp = params.gamma_perp
@@ -283,7 +295,7 @@ def integrate_memory_kernel(spectrum: SpectrumModel | None,
     g0 = float(g[0])
     grev = g[::-1].copy()          # contiguous reversed copy for fast dots
 
-    markov_rate = a + 2.0 * float(trapezoid(g, dx=dt))
+    markov_rate = a + 2.0 * float(np.trapezoid(g, dx=dt))
     _check_step(dt, max(markov_rate, gp), "memory-kernel")
     if window > 0:
         # trapezoid history is only second order if dt resolves the kernel
@@ -298,16 +310,15 @@ def integrate_memory_kernel(spectrum: SpectrumModel | None,
     # obeys an exact recursion: hist[k] = sum_{j<k} n[j] rho**(k-j) with the
     # far-edge half weight folded into hist[0] = -n[0]/2, and
     # hist[k+1] = rho*(hist[k] + n[k]). No window is needed.
-    rho = None
+    steps = len(t) - 1
+    nk = float(n0)
     if window > 0 and isinstance(spectrum, LorentzianSpectrum):
         rho = cmath.exp(complex(-(0.5 * spectrum.fwhm + gp) * dt,
                                 spectrum.center * dt))
+        return KineticTrace(t=t, n=_lorentzian_history(rho, a, g0, dt, nk, steps))
 
-    steps = len(t) - 1
     n = np.empty(len(t))
-    n[0] = n0
-    nk = float(n0)
-    hist = -0.5 * nk + 0j
+    n[0] = nk
     j_curr = 0.0                   # trapezoid history integral at step k
 
     def tail_sum(k_next: int) -> float:
@@ -320,10 +331,7 @@ def integrate_memory_kernel(spectrum: SpectrumModel | None,
     for k in range(steps):
         f_k = -a * (nk + 1.0) - 2.0 * j_curr
         n_pred = nk + dt * f_k
-        if rho is not None:
-            hist = rho * (hist + nk)
-            j_pred = dt * (g0 * hist.real + 0.5 * g0 * n_pred)
-        elif window > 0:
+        if window > 0:
             j_pred = dt * (tail_sum(k + 1) + 0.5 * g0 * n_pred)
         else:
             j_pred = 0.0
@@ -335,3 +343,36 @@ def integrate_memory_kernel(spectrum: SpectrumModel | None,
         # finalize J with the corrected endpoint for the next step
         j_curr = j_pred + dt * 0.5 * g0 * (nk - n_pred) if window > 0 else 0.0
     return KineticTrace(t=t, n=n)
+
+
+def _lorentzian_history(rho: complex, a: float, g0: float, dt: float,
+                        n0: float, steps: int) -> np.ndarray:
+    """The predictor-corrector of integrate_memory_kernel on a Lorentzian line.
+
+    The same arithmetic as the general loop, operation for operation, with
+    the history sum replaced by the recursion hist <- rho*(hist + n): the
+    constants are hoisted (in the order the general loop evaluates them),
+    the state stays in Python floats and the inversion goes into a list. A
+    divergence is found by one scan after the loop; the initial state is
+    finite, so the first non-finite value is the step the general loop
+    would have stopped at.
+    """
+    neg_a, half_g0, half_dt, end_g0 = -a, 0.5 * g0, 0.5 * dt, dt * 0.5 * g0
+    nk = n0
+    hist = -0.5 * nk + 0j          # the far-edge half weight of the trapezoid
+    j_curr = 0.0
+    out = [nk]
+    append = out.append
+    for _ in range(steps):
+        f_k = neg_a * (nk + 1.0) - 2.0 * j_curr
+        n_pred = nk + dt * f_k
+        hist = rho * (hist + nk)
+        j_pred = dt * (g0 * hist.real + half_g0 * n_pred)
+        nk = nk + half_dt * (f_k + (neg_a * (n_pred + 1.0) - 2.0 * j_pred))
+        append(nk)
+        j_curr = j_pred + end_g0 * (nk - n_pred)
+    n = np.array(out)
+    bad = np.flatnonzero(~np.isfinite(n))
+    if bad.size:
+        raise StepSizeError(f"memory-kernel: diverged at step {bad[0]}")
+    return n

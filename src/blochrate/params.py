@@ -22,6 +22,7 @@ Symbols used throughout the package:
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 from dataclasses import dataclass
@@ -64,6 +65,23 @@ def check_seed(seed: int, name: str = "seed") -> int:
     if not 0 <= seed < 2 ** 64:
         raise ValueError(f"{name} must lie in [0, 2**64), got {seed}")
     return seed
+
+
+def _check_initial_state(**state) -> None:
+    """Refuse a start off the Bloch ball: every value finite, |n0| <= 1, |sigma0| <= 1/2.
+
+    One rule for the ensemble engine (n0, sigma0, phi0) and the kinetic
+    solvers (n0, and q0 for the effective Bloch equations), so the library
+    and the CLI refuse the same starts. Such a start would run every step
+    and then fail a later check, whose advice (reduce dt) would be wrong.
+    """
+    state = {k: complex(v) if k == "sigma0" else float(v) for k, v in state.items()}
+    got = ", ".join(f"{k}={v!r}" for k, v in state.items())
+    if not all(map(cmath.isfinite, state.values())):
+        raise ValueError(f"initial state must be finite, got {got}")
+    if abs(state["n0"]) > 1.0 or abs(state.get("sigma0", 0.0)) > 0.5:
+        bounds = "|n0| <= 1" + (" and |sigma0| <= 1/2" if "sigma0" in state else "")
+        raise ValueError(f"initial state must have {bounds}, got {got}")
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.fft import fft, ifft, next_fast_len
-from scipy.integrate import trapezoid
 
 __all__ = [
     "LorentzianSpectrum", "TabulatedSpectrum", "SpectrumModel",
@@ -250,7 +249,7 @@ def autocorrelation_kernel(s: SpectrumModel, tau, omega21: float = 0.0):
         keep = slice(None)
         if np.any(sm):
             ts = chunk[sm][:, None]
-            dest[sm] = trapezoid(w * np.cos(sgrid * ts), sgrid, axis=1) / math.pi
+            dest[sm] = np.trapezoid(w * np.cos(sgrid * ts), sgrid, axis=1) / math.pi
             keep = ~sm
         tb = chunk[keep]
         if len(tb) == 0:

@@ -1,11 +1,16 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from blochrate import (KineticTrace, SystemParams, integrate_effective_bloch, integrate_ere,
                        run_ensemble)
+import blochrate
 from blochrate import cli
 from blochrate.cli import (
     MODELS,
@@ -133,6 +138,18 @@ def test_kinetic_csv_bytes_match_per_value_formatting(tmp_path, monkeypatch, mod
     assert got == ("\n".join([TRACE_HEADER, *want]) + "\n").encode()
 
 
+@pytest.mark.parametrize("model", [m for m in MODELS if m != "sde"])
+def test_simulate_refuses_bad_initial_state(tmp_path, capsys, model):
+    # the kinetic models used to run: ere wrote an all-NaN CSV, memory-kernel
+    # failed its first step with exit 3; now both are configuration errors
+    for start in ("n0=nan", "n0=1.5", "n0=-inf"):
+        rc = main(["simulate", "--set", f"model={model}", "--set", start,
+                   "--set", "t_end=0.1", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "initial state" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_simulate_bloch_writes_q_column(tmp_path):
     rc = main(["simulate", "--set", "model=effective-bloch",
                "--set", "delta=10", "--set", "omega0=2",
@@ -228,6 +245,56 @@ def test_atomic_write_leaves_nothing_on_failure(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="replace refused"):
         atomic_write_text(target, "a,b\n")
     assert not list(tmp_path.iterdir())
+    monkeypatch.undo()
+
+    def parts():                        # a streamed write failing after its first block
+        yield "a,b\n"
+        raise RuntimeError("block failed")
+
+    with pytest.raises(RuntimeError, match="block failed"):
+        cli._atomic_write(target, parts())
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("rows", [1, 4095, 4096, 4097, 12289])
+def test_csv_blocks_match_per_row_formatting(tmp_path, monkeypatch, rows):
+    # at 4095 rows a block, these are one short block, one full block, and
+    # full blocks with tails of 1, 2 and 4 rows: each writes the rows that
+    # one % per row would
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 4095)
+    t = np.arange(rows) * 1e-3
+    n = np.sin(t) - 0.5
+    _write_trace(tmp_path / "x.csv", KineticTrace(t=t, n=n, q=n[::-1]), "m", 3)
+    want = [f"{_fmt(a)},{_fmt(b)},0,0,{_fmt(c)},m,3" for a, b, c in zip(t, n, n[::-1])]
+    assert (tmp_path / "x.csv").read_text() == "\n".join([TRACE_HEADER, *want]) + "\n"
+
+
+def test_trace_writer_memory_does_not_grow_with_rows(tmp_path):
+    # rows are formatted and written a block at a time, so the text held in
+    # memory is one block's; building the whole file took ~25 MB at 1e5 rows
+    peaks = {}
+    for rows in (10_000, 100_000):
+        t = np.arange(rows) * 1e-4
+        run = KineticTrace(t=t, n=np.cos(t))
+        tracemalloc.start()
+        try:
+            _write_trace(tmp_path / "x.csv", run, "memory-kernel", 1)
+            peaks[rows] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[100_000] - peaks[10_000] < 1e6, peaks
+
+
+def test_cli_import_leaves_scipy_integrate_out():
+    # the CLI's cold start skips scipy.integrate (about 0.5 s of import);
+    # only analysis.zeta_numeric needs it, and imports it when called
+    src = str(Path(blochrate.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, blochrate.cli; print('scipy.integrate' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 # ----------------------------------------------------------------------

@@ -99,9 +99,11 @@ def test_stream_moments():
 ])
 def test_block_noise_matches_streams(lo, hi, n_steps):
     want = np.array([stream_normals(21, i, n_steps) for i in range(lo, hi)])
-    chunks = list(fs._normals(21, lo, hi, n_steps))
-    # one row per step, each read contiguously by the step kernel
-    assert all(c.flags.c_contiguous for chunk in chunks for c in chunk)
+    chunks = []
+    for z in fs._normals(21, lo, hi, n_steps):
+        # one row per step, each read contiguously by the step kernel
+        assert all(row.flags.c_contiguous for row in z)
+        chunks.append(z.copy())     # a chunk is valid until the next is drawn
     assert np.array_equal(np.concatenate(chunks).T, want)
 
 
@@ -113,7 +115,7 @@ def test_block_noise_chunk_tail(monkeypatch):
     for chunk, seed, lo, hi in [(64, 8, 0, 5), (33, 8, 0, 5),
                                 (33, 2**64 - 1, 2**64 - 5, 2**64)]:
         monkeypatch.setattr(fs, "NOISE_CHUNK", chunk)
-        chunks = list(fs._normals(seed, lo, hi, 150))
+        chunks = [z.copy() for z in fs._normals(seed, lo, hi, 150)]
         assert [c.shape for c in chunks] == [(min(chunk, 150 - c), 5)
                                              for c in range(0, 150, chunk)]
         want = np.array([stream_normals(seed, i, 150) for i in range(lo, hi)])

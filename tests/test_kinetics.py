@@ -261,6 +261,53 @@ def test_memory_kernel_refuses_undecaying_history():
 # ----------------------------------------------------------------------
 # collisional pumping
 
+SOLVERS = {
+    "ere": lambda **s: integrate_ere(REF, 0.5, 1e-3, **s),
+    "generalized-ere": lambda **s: integrate_generalized_ere(
+        REF, CollisionParams(0.5, 0.2), 0.5, 1e-3, **s),
+    "modified-ere": lambda **s: integrate_modified_ere(REF, 0.5, 1e-3, **s),
+    "effective-bloch": lambda **s: integrate_effective_bloch(REF, 0.5, 1e-3, **s),
+    "memory-kernel": lambda **s: integrate_memory_kernel(None, REF, 0.5, 1e-3, **s),
+    "memory-kernel-table": lambda **s: integrate_memory_kernel(ref_table(), REF, 0.5,
+                                                               1e-3, **s),
+}
+BAD_STARTS = [dict(n0=math.nan), dict(n0=math.inf), dict(n0=-math.inf),
+              dict(n0=1.5), dict(n0=-1.0 - 1e-12)]
+
+
+@pytest.mark.parametrize("model", sorted(SOLVERS))
+def test_initial_state_refused_before_any_step(model, monkeypatch):
+    # the rule of the ensemble engine: finite, |n0| <= 1. ere used to return
+    # NaN everywhere, memory-kernel to fail its first step (StepSizeError)
+    def stepped(*args, **kwargs):
+        raise AssertionError("the solver ran before its start was checked")
+
+    monkeypatch.setattr(kinetics, "grid_steps", stepped)
+    for start in BAD_STARTS + ([dict(q0=math.nan), dict(q0=math.inf)]
+                               if model == "effective-bloch" else []):
+        with pytest.raises(ValueError, match="initial state") as refused:
+            SOLVERS[model](**start)
+        assert not isinstance(refused.value, StepSizeError)
+    monkeypatch.undo()
+    for n0 in (1.0, -1.0):                  # the bounds are inclusive
+        assert np.all(np.isfinite(SOLVERS[model](n0=n0).n))
+
+
+def test_memory_kernel_divergence_step_matches_direct_sum(monkeypatch):
+    # a kernel of the wrong sign passes the step guards and grows without
+    # bound; the Lorentzian loop finds the divergence after the loop, and
+    # must name the step at which the direct-sum loop stops
+    line = from_phase_diffusion(REF.omega0, REF.delta)
+    monkeypatch.setattr(kinetics, "autocorrelation_kernel",
+                        lambda _, tau: -1e6 * autocorrelation_kernel(line, tau))
+    with pytest.raises(StepSizeError, match="diverged") as direct, \
+            np.errstate(over="ignore", invalid="ignore"):   # the history sum overflows
+        integrate_memory_kernel(SimpleNamespace(), REF, 1.0, 1e-3)
+    with pytest.raises(StepSizeError, match="diverged") as lean:
+        integrate_memory_kernel(line, REF, 1.0, 1e-3)
+    assert str(lean.value) == str(direct.value)
+
+
 def test_generalized_reduces_to_plain_rate_equation():
     tr_g = integrate_generalized_ere(REF, CollisionParams(), 6.0, 1e-3)
     tr_e = integrate_ere(REF, 6.0, 1e-3)
