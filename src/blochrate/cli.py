@@ -156,7 +156,8 @@ def _csv_blocks(header: str, row: str, columns):
 
     ``row`` is a %-template with one field per column; a block applies the
     template repeated once per row to the block's values flattened row-major,
-    so only one block of text and values is ever held.
+    so only one block of text and values is ever held. A column is only
+    read by slices (the first also by length), so it may compute each slice.
     """
     yield header + "\n"
     row += "\n"
@@ -176,6 +177,16 @@ def _write_csv(path: Path, header: str, row: str, columns) -> None:
     _atomic_write(path, _csv_blocks(header, row, columns))
 
 
+class _Sqrt:
+    """The square root of an array, taken a slice at a time as _csv_blocks reads it."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def __getitem__(self, part):
+        return np.sqrt(self.values[part])
+
+
 def _write_trace(path: Path, run, model: str, seed: int, q=None) -> Path:
     """Write one TRACE_HEADER CSV from an EnsembleTrace or a KineticTrace.
 
@@ -186,7 +197,7 @@ def _write_trace(path: Path, run, model: str, seed: int, q=None) -> Path:
     # written into the template as _fmt writes it (_fmt(0.0) == "0",
     # _fmt(nan) == "nan")
     if isinstance(run, EnsembleTrace):
-        columns = [run.t, run.n_mean, np.sqrt(run.n_var), run.n_stderr]
+        columns = [run.t, run.n_mean, _Sqrt(run.n_var), run.n_stderr]
         fields = ["%.17g"] * 4
     else:
         columns, fields, q = [run.t, run.n], ["%.17g", "%.17g", "0", "0"], run.q
@@ -219,9 +230,9 @@ def _q_column(params, trace):
             * trace.coherence_mean.imag) if params.omega0 > 0 else None
 
 
-def _sde_trace(params, n_traj, t_end, dt, seed, threads):
+def _sde_trace(params, n_traj, t_end, dt, seed, threads, n0=-1.0):
     """Run the ensemble and map it onto the trace-CSV columns."""
-    trace = run_ensemble(params, n_traj, t_end, dt, seed,
+    trace = run_ensemble(params, n_traj, t_end, dt, seed, n0=n0,
                          threads=threads, with_coherence=True)
     return trace, _q_column(params, trace)
 
@@ -234,6 +245,10 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, threads: int,
                           + ", ".join(MODELS) + ")")
     if model not in MODELS:
         raise ConfigError(f"unknown model {model!r}; choose from: " + ", ".join(MODELS))
+    if cfg.q0 != 0.0 and model != "effective-bloch":
+        # the ensemble starts from sigma0 = 0, and the rate models carry no q
+        raise ConfigError(f"q0 sets the initial coherence of effective-bloch "
+                          f"only; {model} starts from q = 0, got q0={cfg.q0!r}")
     t_end = _require(cfg, "t_end", 6.0)
     dt = _require(cfg, "dt", 1e-3)
     seed = cfg.seed
@@ -241,7 +256,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, threads: int,
 
     if model == "sde":
         n_traj = _require(cfg, "n_traj", 1000)
-        run, q = _sde_trace(params, n_traj, t_end, dt, seed, threads)
+        run, q = _sde_trace(params, n_traj, t_end, dt, seed, threads, n0=cfg.n0)
         n = run.n_mean
     else:
         if model == "effective-bloch":

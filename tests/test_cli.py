@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blochrate import (KineticTrace, SystemParams, integrate_effective_bloch, integrate_ere,
-                       run_ensemble)
+from blochrate import (EnsembleTrace, KineticTrace, SystemParams, integrate_effective_bloch,
+                       integrate_ere, run_ensemble)
 import blochrate
 from blochrate import cli
 from blochrate.cli import (
@@ -138,15 +138,38 @@ def test_kinetic_csv_bytes_match_per_value_formatting(tmp_path, monkeypatch, mod
     assert got == ("\n".join([TRACE_HEADER, *want]) + "\n").encode()
 
 
-@pytest.mark.parametrize("model", [m for m in MODELS if m != "sde"])
+@pytest.mark.parametrize("model", MODELS)
 def test_simulate_refuses_bad_initial_state(tmp_path, capsys, model):
     # the kinetic models used to run: ere wrote an all-NaN CSV, memory-kernel
-    # failed its first step with exit 3; now both are configuration errors
+    # failed its first step with exit 3, and sde ran from n0 = -1 whatever
+    # n0 said; now all are configuration errors
     for start in ("n0=nan", "n0=1.5", "n0=-inf"):
         rc = main(["simulate", "--set", f"model={model}", "--set", start,
-                   "--set", "t_end=0.1", "--out", str(tmp_path)])
+                   "--set", "t_end=0.1", "--set", "n_traj=4", "--out", str(tmp_path)])
         assert rc == 2
         assert "initial state" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_simulate_sde_starts_from_n0(tmp_path):
+    assert main(["simulate", "--set", "model=sde", "--set", "n0=0.5",
+                 "--set", "n_traj=10", "--set", "t_end=0.01",
+                 "--out", str(tmp_path)]) == 0
+    cols = read_csv(tmp_path / "sde_trace.csv")
+    trace = run_ensemble(SystemParams(a=1.0, delta=0.0, omega0=0.0), 10, 0.01, 1e-3,
+                         12345, n0=0.5)
+    assert floats(cols, "n_mean")[0] == 0.5
+    assert np.array_equal(floats(cols, "n_mean"), trace.n_mean)
+
+
+@pytest.mark.parametrize("model", [m for m in MODELS if m != "effective-bloch"])
+def test_simulate_refuses_q0_where_it_is_not_the_start(tmp_path, capsys, model):
+    # only the effective Bloch equations start from q0; the ensemble starts
+    # from sigma0 = 0 and the rate models carry no q, so q0 was ignored
+    rc = main(["simulate", "--set", f"model={model}", "--set", "q0=0.1",
+               "--set", "t_end=0.1", "--set", "n_traj=4", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "q0" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
@@ -270,19 +293,28 @@ def test_csv_blocks_match_per_row_formatting(tmp_path, monkeypatch, rows):
 
 
 def test_trace_writer_memory_does_not_grow_with_rows(tmp_path):
-    # rows are formatted and written a block at a time, so the text held in
-    # memory is one block's; building the whole file took ~25 MB at 1e5 rows
-    peaks = {}
-    for rows in (10_000, 100_000):
-        t = np.arange(rows) * 1e-4
-        run = KineticTrace(t=t, n=np.cos(t))
-        tracemalloc.start()
-        try:
-            _write_trace(tmp_path / "x.csv", run, "memory-kernel", 1)
-            peaks[rows] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert peaks[100_000] - peaks[10_000] < 1e6, peaks
+    # rows are formatted and written a block at a time, and an ensemble's
+    # sqrt(n_var) is taken a block at a time, so memory is one block's;
+    # building the whole file took ~25 MB at 1e5 rows, and sqrt(n_var) over
+    # the whole trace 1.6 MB at 2e5
+    def kinetic(t):
+        return KineticTrace(t=t, n=np.cos(t))
+
+    def ensemble(t):
+        return EnsembleTrace(t=t, n_mean=np.cos(t), n_var=t, n_stderr=np.sqrt(t / 4),
+                             n_traj=4)
+
+    for make in (kinetic, ensemble):
+        peaks = {}
+        for rows in (10_000, 200_000):
+            run = make(np.arange(rows) * 1e-4)
+            tracemalloc.start()
+            try:
+                _write_trace(tmp_path / "x.csv", run, "m", 1)
+                peaks[rows] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[200_000] - peaks[10_000] < 1e6, (make.__name__, peaks)
 
 
 def test_cli_import_leaves_scipy_integrate_out():

@@ -293,6 +293,22 @@ def test_wk_estimate_memory_stays_below_the_input():
     assert peak < phi.nbytes
 
 
+def test_wk_estimate_memory_does_not_grow_with_paths():
+    # rows pass through one buffer of about _KERNEL_CHUNK complex elements,
+    # so four times the paths may at most fill that buffer; holding a whole
+    # batch's spectra grew the peak by 8.4 MB from 512 to 2048 paths
+    peaks = {}
+    for n_traj in (512, 2048):
+        _, phi = simulate_phases(2.0, n_traj, 30.0, 0.01, seed=6)
+        tracemalloc.start()
+        try:
+            wk_estimate(phi, 0.01, 2.0, np.linspace(-6.0, 6.0, 121), max_lag=12.0)
+            peaks[n_traj] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[2048] - peaks[512] < 16 * spectrum._KERNEL_CHUNK, peaks
+
+
 @pytest.mark.parametrize("tau", [[0.0, -1.0, 2.0], [0.0, 1.0, 1.0],
                                  [-1.0, 0.0, 1.0], [0.0, 1.0, math.nan]])
 def test_transforms_refuse_bad_lag_grids(tau):
