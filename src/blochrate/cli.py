@@ -18,7 +18,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -35,8 +35,19 @@ FIG3_HEADER = "n_traj,n_mean,n_std,n_stderr,model,seed"
 DECORR_HEADER = ("t,t_prime,k_mean,k_stderr,c_mean,c_stderr,"
                  "n_mean,n_stderr,residual,residual_stderr,low_statistics")
 
-MODELS = ("sde", "effective-bloch", "ere", "modified-ere",
-          "memory-kernel", "generalized-ere")
+# the config keys `simulate` reads for each model; any other key must keep
+# its default, so a key the chosen model would ignore is refused before the run
+_RUN_KEYS = frozenset({"model", "a", "delta", "omega0", "gamma_dc", "n0",
+                       "t_end", "dt", "seed", "out"})
+_MODEL_KEYS = {
+    "sde": _RUN_KEYS | {"n_traj"},
+    "effective-bloch": _RUN_KEYS | {"q0"},
+    "ere": _RUN_KEYS,
+    "modified-ere": _RUN_KEYS,
+    "memory-kernel": _RUN_KEYS | {"spectrum_path"},
+    "generalized-ere": _RUN_KEYS | {"gamma_21", "gamma_12"},
+}
+MODELS = tuple(_MODEL_KEYS)
 FIGURES = ("fig1a", "fig1b", "fig2a", "fig2b", "fig3a", "fig3b")
 
 
@@ -245,10 +256,12 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, threads: int,
                           + ", ".join(MODELS) + ")")
     if model not in MODELS:
         raise ConfigError(f"unknown model {model!r}; choose from: " + ", ".join(MODELS))
-    if cfg.q0 != 0.0 and model != "effective-bloch":
-        # the ensemble starts from sigma0 = 0, and the rate models carry no q
-        raise ConfigError(f"q0 sets the initial coherence of effective-bloch "
-                          f"only; {model} starts from q = 0, got q0={cfg.q0!r}")
+    unread = [f"{f.name}={getattr(cfg, f.name)!r}" for f in fields(cfg)
+              if f.name not in _MODEL_KEYS[model] and getattr(cfg, f.name) != f.default]
+    if unread:
+        # e.g. q0: the ensemble starts from sigma0 = 0, the rate models carry no q
+        raise ConfigError(f"model {model} does not read " + ", ".join(unread)
+                          + "; leave these keys unset")
     t_end = _require(cfg, "t_end", 6.0)
     dt = _require(cfg, "dt", 1e-3)
     seed = cfg.seed

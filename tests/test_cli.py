@@ -143,9 +143,10 @@ def test_simulate_refuses_bad_initial_state(tmp_path, capsys, model):
     # the kinetic models used to run: ere wrote an all-NaN CSV, memory-kernel
     # failed its first step with exit 3, and sde ran from n0 = -1 whatever
     # n0 said; now all are configuration errors
+    size = ["--set", "n_traj=4"] if model == "sde" else []
     for start in ("n0=nan", "n0=1.5", "n0=-inf"):
         rc = main(["simulate", "--set", f"model={model}", "--set", start,
-                   "--set", "t_end=0.1", "--set", "n_traj=4", "--out", str(tmp_path)])
+                   "--set", "t_end=0.1", *size, "--out", str(tmp_path)])
         assert rc == 2
         assert "initial state" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
@@ -171,6 +172,28 @@ def test_simulate_refuses_q0_where_it_is_not_the_start(tmp_path, capsys, model):
     assert rc == 2
     assert "q0" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("model,unread", [
+    ("sde", ["spectrum_path=/nonexistent.txt", "gamma_21=3"]),
+    ("effective-bloch", ["n_traj=7"]),
+    ("ere", ["n_traj=7"]),
+    ("modified-ere", ["spectrum_path=/nonexistent.txt"]),
+    ("memory-kernel", ["gamma_12=0.5"]),
+    ("generalized-ere", ["t_obs=3"]),
+])
+def test_simulate_refuses_keys_the_model_does_not_read(tmp_path, capsys, model,
+                                                       unread):
+    # each of these ran and ignored the key: sde never opened the table nor
+    # applied the collision rate, and ere ran no ensemble of 7
+    base = ["simulate", "--set", f"model={model}", "--set", "delta=5",
+            "--set", "omega0=2", "--set", "t_end=0.01", "--out", str(tmp_path)]
+    rc = main([*base, *[arg for item in unread for arg in ("--set", item)]])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert all(item.split("=")[0] in err for item in unread), err
+    assert not list(tmp_path.iterdir())
+    assert main(base) == 0
 
 
 def test_simulate_bloch_writes_q_column(tmp_path):
@@ -317,16 +340,18 @@ def test_trace_writer_memory_does_not_grow_with_rows(tmp_path):
         assert peaks[200_000] - peaks[10_000] < 1e6, (make.__name__, peaks)
 
 
-def test_cli_import_leaves_scipy_integrate_out():
-    # the CLI's cold start skips scipy.integrate (about 0.5 s of import);
-    # only analysis.zeta_numeric needs it, and imports it when called
+def test_cli_import_leaves_scipy_out():
+    # the CLI's cold start loads no scipy module: scipy.integrate was about
+    # 0.5 s of import and scipy.fft the rest; only analysis.zeta_numeric
+    # needs scipy, and imports it when called
     src = str(Path(blochrate.__file__).parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    probe = "import sys, blochrate.cli; print('scipy.integrate' in sys.modules)"
+    probe = ("import sys, blochrate.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"
 
 
 # ----------------------------------------------------------------------

@@ -233,6 +233,23 @@ def test_memory_kernel_tabulated_memory_is_bounded():
     assert peak_mb[40.0] - peak_mb[10.0] < 5.0, peak_mb
 
 
+def test_memory_kernel_lorentzian_memory_per_step():
+    # 1e4 and 1e5 steps, both inside the kernel horizon (about 5.7e5 steps),
+    # so every per-step array grows with the grid: t, the damped kernel and
+    # n hold 24 bytes a step; a list of boxed floats for n made it about 80
+    peak = {}
+    for t_end in (1.0, 10.0):
+        tracemalloc.start()
+        try:
+            integrate_memory_kernel(None, REF, t_end, 1e-4)
+            peak[t_end] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    per_step = (peak[10.0] - peak[1.0]) / 90_000
+    print(f"Lorentzian solve: {per_step:.1f} B a step")
+    assert per_step <= 32.0, peak
+
+
 def test_memory_kernel_horizon_lies_past_the_window(monkeypatch):
     # the solver evaluates the kernel only out to a horizon; every damped
     # value it skips must be below the window's 1e-12 threshold

@@ -171,6 +171,22 @@ def test_tabulated_kernel_grid_path_matches_lag_by_lag(dt):
     assert np.max(np.abs(autocorrelation_kernel(tab, tau) - lag_by_lag)) <= 1e-13
 
 
+def test_tabulated_kernel_grid_path_memory():
+    # one chunk of grid phasors (218 x 1201 complex, 4.2 MB) and two
+    # block-sized buffers; whole-chunk phasor and difference temporaries on
+    # top of that peaked at 14.9 MB
+    tab = ref_table()
+    tau = np.arange(10001) * 1e-3
+    tracemalloc.start()
+    try:
+        autocorrelation_kernel(tab, tau)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    print(f"grid kernel peak {peak / 1e6:.2f} MB")
+    assert peak <= 8e6
+
+
 @pytest.mark.parametrize("tau", [[math.nan], [math.inf], [0.5, math.nan]])
 @pytest.mark.parametrize("line", [
     LorentzianSpectrum(peak=1.0, fwhm=2.0),
@@ -269,6 +285,12 @@ def test_transforms_match_per_omega_quadrature(monkeypatch, chunk):
     ]:
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_next_fast_len_matches_scipy():
+    from scipy.fft import next_fast_len
+    assert [spectrum._next_fast_len(n) for n in range(1, 30001)] == [
+        next_fast_len(n) for n in range(1, 30001)]
 
 
 @pytest.mark.parametrize("max_lag", [None, 4])
