@@ -41,6 +41,8 @@ _RUN_KEYS = frozenset({"model", "a", "delta", "omega0", "gamma_dc", "n0",
                        "t_end", "dt", "seed", "out"})
 _MODEL_KEYS = {
     "sde": _RUN_KEYS | {"n_traj"},
+    # q0 starts effective-bloch only: the ensemble starts from sigma0 = 0,
+    # and the rate models carry no q
     "effective-bloch": _RUN_KEYS | {"q0"},
     "ere": _RUN_KEYS,
     "modified-ere": _RUN_KEYS,
@@ -259,7 +261,6 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, threads: int,
     unread = [f"{f.name}={getattr(cfg, f.name)!r}" for f in fields(cfg)
               if f.name not in _MODEL_KEYS[model] and getattr(cfg, f.name) != f.default]
     if unread:
-        # e.g. q0: the ensemble starts from sigma0 = 0, the rate models carry no q
         raise ConfigError(f"model {model} does not read " + ", ".join(unread)
                           + "; leave these keys unset")
     t_end = _require(cfg, "t_end", 6.0)

@@ -26,8 +26,8 @@ directly over the window where the damped kernel exceeds 1e-12 of its peak.
 A tabulated kernel is evaluated once per solve, on the solver's uniform lag
 grid, where spectrum.autocorrelation_kernel needs one complex product per
 (lag, table node) and no per-lag cos or sin. On a 1201-node table at
-dt=1e-4 (1e5 steps, 2-core x86 host) that is about 0.2 s of a 0.53 s solve;
-the history sum is the other 0.33 s.
+dt=1e-4 (1e5 steps, 2-core x86 host) that is about 0.6 s of a 1.5 s solve;
+the history sum is the rest.
 """
 
 from __future__ import annotations
