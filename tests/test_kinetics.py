@@ -236,7 +236,8 @@ def test_memory_kernel_tabulated_memory_is_bounded():
 def test_memory_kernel_lorentzian_memory_per_step():
     # 1e4 and 1e5 steps, both inside the kernel horizon (about 5.7e5 steps),
     # so every per-step array grows with the grid: t, the damped kernel and
-    # n hold 24 bytes a step; a list of boxed floats for n made it about 80
+    # n hold 24 bytes a step; n as a list of boxed floats, with whole-array
+    # temporaries, made it about 80
     peak = {}
     for t_end in (1.0, 10.0):
         tracemalloc.start()
