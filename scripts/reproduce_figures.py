@@ -2,12 +2,13 @@
 """Regenerate every canned figure bundle (CSV plus SVG) in one run.
 
 The full version reproduces the shipped defaults and takes a few minutes
-single threaded; --quick shrinks the ensembles to a smoke test.
+single threaded; --quick shrinks the ensembles of every figure that reads
+n_traj to a smoke test (fig2's ensemble sizes are fixed).
 """
 
 import argparse
 
-from blochrate.cli import FIGURES, main as blochrate
+from blochrate.cli import FIGURES, KEY_TABLE, main as blochrate
 
 
 def main(argv=None) -> int:
@@ -22,7 +23,7 @@ def main(argv=None) -> int:
     for name in FIGURES:
         cmd = ["figure", name, "--out", args.out, "--seed", str(args.seed),
                "--threads", str(args.threads), "--plot"]
-        if args.quick:
+        if args.quick and "n_traj" in KEY_TABLE[name]:
             cmd += ["--set", "n_traj=200"]
         print(f"[{name}] -> {args.out}/")
         rc = blochrate(cmd)

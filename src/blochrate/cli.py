@@ -7,8 +7,12 @@
 
 Configuration is a flat `key = value` file ('#' comments, lowercase snake
 case keys, unknown keys rejected); `--set key=value` overrides individual
-entries. Every command is deterministic given its configuration. Output files
-are written atomically. Exit codes: 0 success, 2 configuration error,
+entries. KEY_TABLE lists, for each run (a simulate model, a figure, analyze
+or decorrelate), the keys it reads and their defaults. A key set in the file,
+by `--set` or by `--seed` that the run does not read is refused before the
+run, whatever its value; the run's config is its defaults overlaid by the keys
+that were set. Every command is deterministic given its configuration. Output
+files are written atomically. Exit codes: 0 success, 2 configuration error,
 3 numerical failure.
 """
 
@@ -18,8 +22,8 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -35,78 +39,73 @@ FIG3_HEADER = "n_traj,n_mean,n_std,n_stderr,model,seed"
 DECORR_HEADER = ("t,t_prime,k_mean,k_stderr,c_mean,c_stderr,"
                  "n_mean,n_stderr,residual,residual_stderr,low_statistics")
 
-# the config keys `simulate` reads for each model; any other key must keep
-# its default, so a key the chosen model would ignore is refused before the run
-_RUN_KEYS = frozenset({"model", "a", "delta", "omega0", "gamma_dc", "n0",
-                       "t_end", "dt", "seed", "out"})
-_MODEL_KEYS = {
-    "sde": _RUN_KEYS | {"n_traj"},
-    # q0 starts effective-bloch only: the ensemble starts from sigma0 = 0,
-    # and the rate models carry no q
-    "effective-bloch": _RUN_KEYS | {"q0"},
-    "ere": _RUN_KEYS,
-    "modified-ere": _RUN_KEYS,
-    "memory-kernel": _RUN_KEYS | {"spectrum_path"},
-    "generalized-ere": _RUN_KEYS | {"gamma_21", "gamma_12"},
-}
-MODELS = tuple(_MODEL_KEYS)
-FIGURES = ("fig1a", "fig1b", "fig2a", "fig2b", "fig3a", "fig3b")
-
 
 class ConfigError(ValueError):
     """Bad configuration: unknown key, bad value, missing requirement."""
 
 
-@dataclass
-class RunConfig:
-    """Flat bag of every recognized key. None means "not set"."""
-
-    model: str | None = None
-    a: float = 1.0
-    delta: float = 0.0
-    omega0: float = 0.0
-    gamma_dc: float = 0.0
-    gamma_21: float = 0.0
-    gamma_12: float = 0.0
-    n0: float = -1.0
-    q0: float = 0.0
-    t_end: float | None = None
-    dt: float | None = None
-    n_traj: int | None = None
-    seed: int = 12345
-    t_obs: float = 2.0
-    n_tprime: int = 21
-    out: str | None = None
-    spectrum_path: str | None = None
+class RunConfig(SimpleNamespace):
+    """Config keys as attributes: those that were set, or a run's resolved config."""
 
 
-_FLOAT_KEYS = {"a", "delta", "omega0", "gamma_dc", "gamma_21", "gamma_12",
-               "n0", "q0", "t_end", "dt", "t_obs"}
-_INT_KEYS = {"n_traj", "seed", "n_tprime"}
-_STR_KEYS = {"model", "out", "spectrum_path"}
+_TYPES = {"model": str, "a": float, "delta": float, "omega0": float,
+          "gamma_dc": float, "gamma_21": float, "gamma_12": float, "n0": float,
+          "q0": float, "t_end": float, "dt": float, "n_traj": int, "seed": int,
+          "t_obs": float, "n_tprime": int, "out": str, "spectrum_path": str}
+
+# The key table: each run, named by its simulate model, figure or command,
+# maps the keys it reads to their defaults. A run refuses any other key that
+# is set (see _resolve).
+_RATES = {"a": 1.0, "delta": 0.0, "omega0": 0.0, "gamma_dc": 0.0}
+_SEED = {"seed": 12345}
+
+
+def _simulate(model: str, **keys) -> dict:
+    """The keys a simulate model reads: those of every model, then its own."""
+    return {"model": model, **_RATES, "n0": -1.0, "t_end": 6.0, "dt": 1e-3, **_SEED,
+            "out": f"{model}_trace.csv", **keys}
+
+
+_FIG1 = {"t_end": 6.0, "dt": 1e-3, "n_traj": 10000, **_SEED}
+_FIG2 = {"t_end": 6.0, "dt": 1e-3, **_SEED}
+KEY_TABLE = {
+    "sde": _simulate("sde", n_traj=1000),
+    # q0 starts effective-bloch only: the ensemble starts from sigma0 = 0,
+    # and the rate models carry no q
+    "effective-bloch": _simulate("effective-bloch", q0=0.0),
+    "ere": _simulate("ere"),
+    "modified-ere": _simulate("modified-ere"),
+    "memory-kernel": _simulate("memory-kernel", spectrum_path=""),   # "": the Lorentzian
+    "generalized-ere": _simulate("generalized-ere", gamma_21=0.0, gamma_12=0.0),
+    "fig1a": _FIG1,
+    "fig1b": _FIG1,
+    "fig2a": _FIG2,
+    "fig2b": _FIG2,
+    "fig3a": {"t_end": 10.0, "dt": 2e-3, "n_traj": 10000, **_SEED},
+    "fig3b": {"t_end": 15.0, "dt": 2e-3, "n_traj": 10000, **_SEED},
+    "analyze": {**_RATES, "out": "analysis.csv"},
+    "decorrelate": {**_RATES, "dt": 1e-3, "n_traj": 10000, **_SEED, "t_obs": 2.0,
+                    "n_tprime": 21, "out": "decorrelation.csv"},
+}
+MODELS = tuple(run for run, keys in KEY_TABLE.items() if "model" in keys)
+FIGURES = tuple(run for run in KEY_TABLE if run.startswith("fig"))
 
 
 def _apply_key(cfg: RunConfig, key: str, value: str, where: str) -> None:
-    if key in _FLOAT_KEYS:
-        try:
-            setattr(cfg, key, float(value))
-        except ValueError:
-            raise ConfigError(f"{where}: {key} needs a number, got {value!r}") from None
-    elif key in _INT_KEYS:
-        try:
-            parsed = int(value)
-        except ValueError:
-            raise ConfigError(f"{where}: {key} needs an integer, got {value!r}") from None
-        if key == "seed":
-            try:
-                parsed = check_seed(parsed)
-            except ValueError as exc:
-                raise ConfigError(f"{where}: {exc}") from None
-        setattr(cfg, key, parsed)
-    elif key in _STR_KEYS:
-        setattr(cfg, key, value)
-    else:
+    kind = _TYPES.get(key)
+    if kind is None:
         raise ConfigError(f"{where}: unknown key {key!r}")
+    try:
+        parsed = kind(value)
+    except ValueError:
+        need = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{where}: {key} needs {need}, got {value!r}") from None
+    if key == "seed":
+        try:
+            parsed = check_seed(parsed)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+    setattr(cfg, key, parsed)
 
 
 def parse_config_text(text: str, source: str, cfg: RunConfig | None = None) -> RunConfig:
@@ -135,6 +134,21 @@ def load_config(path: str | None, overrides) -> RunConfig:
         key, value = (part.strip() for part in item.split("=", 1))
         _apply_key(cfg, key, value, f"--set {key}")
     return cfg
+
+
+def _resolve(run: str, cfg: RunConfig) -> RunConfig:
+    """``run``'s config: its KEY_TABLE defaults overlaid by the keys set in ``cfg``.
+
+    A key set in ``cfg`` that ``run`` does not read is refused, whatever its
+    value, so that no output claims a value it was not run at.
+    """
+    defaults = KEY_TABLE[run]
+    unread = [f"{key}={value!r}" for key, value in vars(cfg).items()
+              if key not in defaults]
+    if unread:
+        raise ConfigError(f"{run} does not read " + ", ".join(unread)
+                          + "; leave these keys unset")
+    return RunConfig(**{**defaults, **vars(cfg)})
 
 
 # ----------------------------------------------------------------------
@@ -227,11 +241,6 @@ def _write_trace(path: Path, run, model: str, seed: int, q=None) -> Path:
 # ----------------------------------------------------------------------
 # simulate
 
-def _require(cfg: RunConfig, key: str, default):
-    value = getattr(cfg, key)
-    return default if value is None else value
-
-
 def _system_params(cfg: RunConfig) -> SystemParams:
     return SystemParams(a=cfg.a, delta=cfg.delta, omega0=cfg.omega0,
                         gamma_dc=cfg.gamma_dc)
@@ -252,25 +261,11 @@ def _sde_trace(params, n_traj, t_end, dt, seed, threads, n0=-1.0):
 
 def cmd_simulate(cfg: RunConfig, out_dir: Path, threads: int,
                  plot: bool) -> Path:
-    model = cfg.model
-    if model is None:
-        raise ConfigError("simulate needs a model (set model = one of: "
-                          + ", ".join(MODELS) + ")")
-    if model not in MODELS:
-        raise ConfigError(f"unknown model {model!r}; choose from: " + ", ".join(MODELS))
-    unread = [f"{f.name}={getattr(cfg, f.name)!r}" for f in fields(cfg)
-              if f.name not in _MODEL_KEYS[model] and getattr(cfg, f.name) != f.default]
-    if unread:
-        raise ConfigError(f"model {model} does not read " + ", ".join(unread)
-                          + "; leave these keys unset")
-    t_end = _require(cfg, "t_end", 6.0)
-    dt = _require(cfg, "dt", 1e-3)
-    seed = cfg.seed
+    model, t_end, dt, seed = cfg.model, cfg.t_end, cfg.dt, cfg.seed
     params = _system_params(cfg)
 
     if model == "sde":
-        n_traj = _require(cfg, "n_traj", 1000)
-        run, q = _sde_trace(params, n_traj, t_end, dt, seed, threads, n0=cfg.n0)
+        run, q = _sde_trace(params, cfg.n_traj, t_end, dt, seed, threads, n0=cfg.n0)
         n = run.n_mean
     else:
         if model == "effective-bloch":
@@ -291,8 +286,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, threads: int,
                                                    n0=cfg.n0)
         q, n = None, run.n
 
-    out = _write_trace(out_dir / (cfg.out or f"{model}_trace.csv"), run, model,
-                       seed, q)
+    out = _write_trace(out_dir / cfg.out, run, model, seed, q)
     if plot:
         svg = figsvg.render_line_plot(
             [figsvg.PlotSeries(model, run.t, n)],
@@ -306,10 +300,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, threads: int,
 
 def _fig1(out_dir, cfg, threads, panel: str):
     """Inversion vs time; panel a sweeps linewidth, panel b compares models."""
-    t_end = _require(cfg, "t_end", 6.0)
-    dt = _require(cfg, "dt", 1e-3)
-    n_traj = _require(cfg, "n_traj", 10000)
-    seed = cfg.seed
+    t_end, dt, n_traj, seed = cfg.t_end, cfg.dt, cfg.n_traj, cfg.seed
     written = []
     series = []
 
@@ -351,9 +342,7 @@ def _fig1(out_dir, cfg, threads, panel: str):
 
 def _fig2(out_dir, cfg, threads, panel: str):
     """Ensemble-size convergence of the SDE mean toward effective Bloch."""
-    t_end = _require(cfg, "t_end", 6.0)
-    dt = _require(cfg, "dt", 1e-3)
-    seed = cfg.seed
+    t_end, dt, seed = cfg.t_end, cfg.dt, cfg.seed
     delta, omega0 = (10.0, 2.0) if panel == "a" else (1.0, 6.0)
     params = SystemParams(a=1.0, delta=delta, omega0=omega0)
     written, series = [], []
@@ -380,16 +369,12 @@ def _fig3_subsets(n_max: int):
 
 def _fig3(out_dir, cfg, threads, panel: str):
     """Steady-state estimate and its spread vs ensemble size."""
-    delta, omega0, t_end_def = ((10.0, 2.0, 10.0) if panel == "a"
-                                else (1.0, 6.0, 15.0))
-    t_end = _require(cfg, "t_end", t_end_def)
-    dt = _require(cfg, "dt", 2e-3)
-    n_traj = _require(cfg, "n_traj", 10000)
+    delta, omega0 = (10.0, 2.0) if panel == "a" else (1.0, 6.0)
+    n_traj, seed = cfg.n_traj, cfg.seed
     if n_traj < 2:
         raise ConfigError(f"fig3 needs n_traj >= 2 for a sample std, got {n_traj}")
-    seed = cfg.seed
     params = SystemParams(a=1.0, delta=delta, omega0=omega0)
-    trace = run_ensemble(params, n_traj, t_end, dt, seed, threads=threads,
+    trace = run_ensemble(params, n_traj, cfg.t_end, cfg.dt, seed, threads=threads,
                          keep_final=True)
     subsets = _fig3_subsets(n_traj)
     means, stds, stderrs = [], [], []
@@ -434,7 +419,7 @@ def cmd_analyze(cfg: RunConfig, out_dir: Path) -> Path:
     for flag in ("oscillation", "rate_eq_valid", "ere_regime", "coherent_limit"):
         verdict = "PASS" if getattr(report, flag) else "FAIL"
         sys.stdout.write(f"regime {flag}: {verdict}\n")
-    out = out_dir / (cfg.out or "analysis.csv")
+    out = out_dir / cfg.out
     _atomic_write(out, (report.csv_header() + "\n", report.csv_row() + "\n"))
     return out
 
@@ -442,18 +427,19 @@ def cmd_analyze(cfg: RunConfig, out_dir: Path) -> Path:
 def cmd_decorrelate(cfg: RunConfig, out_dir: Path, threads: int,
                     plot: bool) -> Path:
     params = _system_params(cfg)
-    dt = _require(cfg, "dt", 1e-3)
-    n_traj = _require(cfg, "n_traj", 10000)
+    dt = cfg.dt
     if cfg.n_tprime < 2:
         raise ConfigError("n_tprime must be >= 2")
     total = grid_steps(cfg.t_obs, dt, "t_obs", positive=True)
     # past total + 1 points the spacing is below one step and rounding already
-    # hits every grid index, so the clamp bounds memory without changing idx
+    # hits every grid index, so the clamp caps the t' count at the grid's steps
+    # + 1 without changing idx; the snapshots still take 72 B per trajectory
+    # and t' point up to that cap
     idx = np.unique(np.round(np.linspace(0, total, min(cfg.n_tprime, total + 1)))
                     .astype(int))
     t_prime = idx * dt
 
-    result = decorrelation_residual(params, n_traj, cfg.t_obs, t_prime,
+    result = decorrelation_residual(params, cfg.n_traj, cfg.t_obs, t_prime,
                                     cfg.seed, dt=dt, threads=threads)
     if result.low_statistics:
         sys.stderr.write(f"warning: only {result.n_traj} trajectories; "
@@ -462,7 +448,7 @@ def cmd_decorrelate(cfg: RunConfig, out_dir: Path, threads: int,
     columns = [getattr(result, name) for name in DECORR_HEADER.split(",")[1:-1]]
     low = "1" if result.low_statistics else "0"
     row = ",".join([_fmt(result.t), *["%.17g"] * len(columns), low])
-    out = out_dir / (cfg.out or "decorrelation.csv")
+    out = out_dir / cfg.out
     _write_csv(out, DECORR_HEADER, row, columns)
     verdict = "HOLDS" if result.holds_3sigma else "VIOLATED"
     sys.stdout.write(f"DECORRELATION {verdict} at 3σ "
@@ -489,24 +475,24 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Two-level atoms in broadband light: simulation and analysis.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_threads=True):
+    def common(p, threads_and_plot=True):
         p.add_argument("--config", metavar="PATH", help="key = value config file")
         p.add_argument("--set", dest="overrides", action="append",
                        metavar="KEY=VALUE", help="override one config key")
         p.add_argument("--out", default=".", metavar="DIR",
                        help="output directory (created if missing)")
         p.add_argument("--seed", type=int, default=None, metavar="U64")
-        if with_threads:
+        if threads_and_plot:
             p.add_argument("--threads", type=int, default=None, metavar="N")
-        p.add_argument("--plot", action="store_true",
-                       help="also write an SVG line plot")
+            p.add_argument("--plot", action="store_true",
+                           help="also write an SVG line plot")
 
     common(sub.add_parser("simulate", help="integrate one model, write a CSV trace"))
     fig = sub.add_parser("figure", help="reproduce a canned figure data set")
     fig.add_argument("name", choices=FIGURES)
     common(fig)
     common(sub.add_parser("analyze", help="derived quantities and regime flags"),
-           with_threads=False)
+           threads_and_plot=False)
     common(sub.add_parser("decorrelate",
                           help="two-time factorization residual and verdict"))
     return parser
@@ -531,9 +517,17 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, args.overrides)
         if args.seed is not None:
             cfg.seed = check_seed(args.seed)
+        if args.command == "simulate":
+            run = getattr(cfg, "model", None)
+            if run not in MODELS:
+                raise ConfigError("simulate needs model = one of: " + ", ".join(MODELS)
+                                  + ("" if run is None else f"; got {run!r}"))
+        else:
+            run = getattr(args, "name", args.command)     # a figure's run is its name
+        cfg = _resolve(run, cfg)
+        threads = _resolve_threads(getattr(args, "threads", None))
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        threads = _resolve_threads(getattr(args, "threads", None))
 
         if args.command == "simulate":
             cmd_simulate(cfg, out_dir, threads, args.plot)

@@ -1,3 +1,4 @@
+import importlib.util
 import math
 import os
 import subprocess
@@ -86,6 +87,128 @@ def test_seed_must_fit_64_bits(tmp_path):
     assert main(["analyze", "--seed=-1", "--out", str(tmp_path)]) == 2
 
 
+# every run of the key table at smoke size: each key that is in the run's
+# entry is overridden so the run stays small and leaves the closed regimes
+SMOKE = {"delta": 5.0, "omega0": 2.0, "t_end": 0.02, "n_traj": 10, "t_obs": 0.01}
+
+
+def _run(run, cfg, out_dir):
+    """Call the command that runs ``run`` on an already resolved ``cfg``."""
+    if run in MODELS:
+        cli.cmd_simulate(cfg, out_dir, 1, False)
+    elif run in cli.FIGURES:
+        cmd_figure(run, cfg, out_dir, 1, False)
+    elif run == "analyze":
+        cli.cmd_analyze(cfg, out_dir)
+    else:
+        cli.cmd_decorrelate(cfg, out_dir, 1, False)
+
+
+@pytest.mark.parametrize("run", list(cli.KEY_TABLE))
+def test_key_table_lists_the_keys_each_run_reads(tmp_path, run):
+    # a table that drifts from the code fails here: a key the code reads but
+    # the table lacks would be refused, and one the table lists but the code
+    # never reads would be accepted and ignored
+    read = set()
+
+    class Recording(RunConfig):
+        def __getattribute__(self, name):
+            if not name.startswith("__"):
+                read.add(name)
+            return super().__getattribute__(name)
+
+    keys = cli.KEY_TABLE[run]
+    _run(run, Recording(**{**keys, **{k: v for k, v in SMOKE.items() if k in keys}}),
+         tmp_path)
+    assert read == set(keys)
+
+
+@pytest.mark.parametrize("argv,unread", [
+    pytest.param(["simulate", "--set", "model=sde"],
+                 ["spectrum_path=/nonexistent.txt", "gamma_21=3"], id="simulate-sde"),
+    pytest.param(["simulate", "--set", "model=effective-bloch"], ["n_traj=7"],
+                 id="simulate-effective-bloch"),
+    pytest.param(["simulate", "--set", "model=ere"], ["n_traj=7"], id="simulate-ere"),
+    pytest.param(["simulate", "--set", "model=modified-ere"],
+                 ["spectrum_path=/nonexistent.txt"], id="simulate-modified-ere"),
+    pytest.param(["simulate", "--set", "model=memory-kernel"], ["gamma_12=0.5"],
+                 id="simulate-memory-kernel"),
+    pytest.param(["simulate", "--set", "model=generalized-ere"], ["t_obs=3"],
+                 id="simulate-generalized-ere"),
+    # a key set to its default value is set all the same
+    pytest.param(["simulate", "--set", "model=ere"], ["q0=0"], id="simulate-ere-at-default"),
+    pytest.param(["figure", "fig1a"], ["delta=3", "out=x.csv"], id="figure-fig1a"),
+    pytest.param(["figure", "fig2a"],
+                 ["model=ere", "spectrum_path=/nonexistent.txt", "omega0=9"],
+                 id="figure-fig2a"),
+    pytest.param(["figure", "fig2b"], ["n_traj=200"], id="figure-fig2b"),
+    pytest.param(["figure", "fig3b"], ["n0=0"], id="figure-fig3b"),
+    pytest.param(["analyze"], ["n_traj=5", "model=sde"], id="analyze"),
+    pytest.param(["analyze"], ["seed=4", "dt=0.01"], id="analyze-seed"),
+    pytest.param(["decorrelate", "--set", "n_traj=10", "--set", "t_obs=0.01"],
+                 ["gamma_21=3", "model=ere"], id="decorrelate"),
+])
+def test_runs_refuse_keys_they_do_not_read(tmp_path, capsys, argv, unread):
+    # each of these ran and ignored the key: sde never opened the table nor
+    # applied the collision rate, ere ran no ensemble of 7, and fig2a wrote
+    # its canned omega0 = 2; the refusal comes before the output directory
+    out = tmp_path / "out"
+    small = ["--set", "t_end=0.01"] if argv[0] in ("simulate", "figure") else []
+    base = [*argv, *small, "--out", str(out)]
+    rc = main([*base, *[arg for item in unread for arg in ("--set", item)]])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert all(item.split("=")[0] in err for item in unread), err
+    assert not out.exists()
+    assert main(base) == 0
+
+
+def test_file_and_seed_flag_keys_count_as_set(tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("omega0 = 2\n")
+    out = tmp_path / "out"
+    assert main(["figure", "fig2a", "--config", str(cfg_file), "--out", str(out)]) == 2
+    assert "omega0" in capsys.readouterr().err
+    assert main(["analyze", "--seed", "4", "--out", str(out)]) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_analyze_parser_has_no_plot_or_threads(tmp_path):
+    # analyze writes no plot and runs no ensemble; --plot was accepted and
+    # did nothing
+    for flag in (["--plot"], ["--threads", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", *flag, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+    assert not list(tmp_path.iterdir())
+
+
+def test_reproduce_figures_commands_resolve(tmp_path, monkeypatch):
+    # the script's commands go through main up to the figure run, which is
+    # stubbed out after resolution; --quick passes n_traj only to figures
+    # that read it
+    spec = importlib.util.spec_from_file_location(
+        "reproduce_figures",
+        Path(__file__).parents[1] / "scripts" / "reproduce_figures.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    seen = {}
+
+    def figure(name, cfg, *rest):
+        seen[name] = cfg
+        return []
+
+    monkeypatch.setattr(cli, "cmd_figure", figure)
+    for quick in ([], ["--quick"]):
+        seen.clear()
+        assert script.main([*quick, "--out", str(tmp_path)]) == 0
+        assert tuple(seen) == cli.FIGURES
+        for name, cfg in seen.items():
+            want = cli.KEY_TABLE[name].get("n_traj")
+            assert getattr(cfg, "n_traj", None) == (200 if quick and want else want)
+
+
 # ----------------------------------------------------------------------
 # simulate
 
@@ -172,28 +295,6 @@ def test_simulate_refuses_q0_where_it_is_not_the_start(tmp_path, capsys, model):
     assert rc == 2
     assert "q0" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
-
-
-@pytest.mark.parametrize("model,unread", [
-    ("sde", ["spectrum_path=/nonexistent.txt", "gamma_21=3"]),
-    ("effective-bloch", ["n_traj=7"]),
-    ("ere", ["n_traj=7"]),
-    ("modified-ere", ["spectrum_path=/nonexistent.txt"]),
-    ("memory-kernel", ["gamma_12=0.5"]),
-    ("generalized-ere", ["t_obs=3"]),
-])
-def test_simulate_refuses_keys_the_model_does_not_read(tmp_path, capsys, model,
-                                                       unread):
-    # each of these ran and ignored the key: sde never opened the table nor
-    # applied the collision rate, and ere ran no ensemble of 7
-    base = ["simulate", "--set", f"model={model}", "--set", "delta=5",
-            "--set", "omega0=2", "--set", "t_end=0.01", "--out", str(tmp_path)]
-    rc = main([*base, *[arg for item in unread for arg in ("--set", item)]])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert all(item.split("=")[0] in err for item in unread), err
-    assert not list(tmp_path.iterdir())
-    assert main(base) == 0
 
 
 def test_simulate_bloch_writes_q_column(tmp_path):
