@@ -12,7 +12,10 @@ the same transcendental) must leave it passing.
 - ``run_trajectory`` n, sigma and phi, by ``np.array_equal`` and by equal
   sign bits (a signed zero is not a rounding difference), on a stream path,
   on explicit increments holding +0.0 and -0.0, and with the drive off;
-- every array of ``decorrelation_residual``.
+- every array of ``decorrelation_residual``;
+- by md5 of the array bytes, ``phase_autocorrelation`` with more lags than
+  ``NOISE_CHUNK`` over three blocks, and ``decorrelation_residual`` with 50
+  t' points, so that a lag- or snapshot-chunked reduction must keep the bits.
 
 Regenerate (only after a deliberate change of the numbers) with
 ``PYTHONPATH=src python tests/test_bitwise_engine.py``; then update SDE_CSV_MD5
@@ -96,6 +99,39 @@ def _signbits(x):
     if np.iscomplexobj(x):
         return np.signbit(x.real), np.signbit(x.imag)
     return (np.signbit(x),)
+
+
+# md5 of each output array's bytes, with _small()'s blocks and chunks
+LAGS_MD5 = {"mean": "0846ae55de6ebed6ff37c33b0a001cc5",
+            "stderr_re": "2b0378063768c7aa2f0ac0f5b70a80a5",
+            "stderr_im": "ccdac341c6b2948cf9ae608e3f770f66"}
+SNAPSHOTS_MD5 = {"k_mean": "afffac7294c48587e20af926a76ae73a",
+                 "k_stderr": "c62f5afafbb23000caeee06eb6610e72",
+                 "c_mean": "5d6f6a9ad64f8cc145ba82f67eabf40d",
+                 "c_stderr": "ede506e9e929eb60be0bd7cf84d39398",
+                 "n_mean": "40420073479e6e7352097247a1c74457",
+                 "n_stderr": "1e12053961f71559e78f094d3ea64175",
+                 "residual": "abc80727c2aaf261a2c3e20cb8bbf7f3",
+                 "residual_stderr": "c62f5afafbb23000caeee06eb6610e72"}
+
+
+def _md5s(result, names) -> dict:
+    return {name: hashlib.md5(np.ascontiguousarray(getattr(result, name)).tobytes())
+            .hexdigest() for name in names}
+
+
+def test_phase_autocorrelation_past_one_noise_chunk_is_pinned():
+    # 150 lags are three chunks of 64, and 40 trajectories three blocks of 16
+    with _small():
+        est = fs.phase_autocorrelation(2.0, 40, np.arange(150) * 0.01, seed=9)
+    assert _md5s(est, LAGS_MD5) == LAGS_MD5
+
+
+def test_decorrelation_with_many_snapshots_is_pinned():
+    with _small():
+        res = decorrelation_residual(REF, 40, 0.3, np.arange(50) * 6e-3,
+                                     seed=5, dt=1e-3, threads=2)
+    assert _md5s(res, SNAPSHOTS_MD5) == SNAPSHOTS_MD5
 
 
 @pytest.mark.parametrize("threads", [1, 2])

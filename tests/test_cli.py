@@ -229,8 +229,18 @@ def test_simulate_ere_round_trip(tmp_path):
 
 
 def test_trace_rows_format_like_fmt(tmp_path):
-    t = np.arange(6) * 0.1
-    n = np.array([math.nan, math.inf, -math.inf, -0.0, 1e-300, 1.0 / 3.0])
+    # one value or more of each formatting class, of both signs where it has
+    # them: fixed notation at decimal exponent e >= 0 and at -4 <= e <= -1,
+    # exponent notation below 1e-4 and from 1e17 up, the decades 1e-6, 1e-4,
+    # 1e16 and 1e17 with both neighbouring doubles, and the special values
+    edges = [x * s for x in (1e-6, 1e-4, 1e16, 1e17) for s in (1.0, -1.0)]
+    n = np.array([
+        math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-300,
+        2.2250738585072014e-308, 1.0 / 3.0, -2.0 / 3.0, 1.0, 7.0, 123.456,
+        -98765.4321, 12345678901234567.0, 9.999999999999998e16, 0.1, -0.05,
+        0.0123, 1.234e-4, 9.99e-5, -3e-7, 1.5e-200, 1.5e20, -1e300, 1.7e308,
+        *edges, *np.nextafter(edges, np.inf), *np.nextafter(edges, -np.inf)])
+    t = np.arange(len(n)) * 0.1
     q = n[::-1].copy()
     _write_trace(tmp_path / "x.csv", KineticTrace(t=t, n=n, q=q), "m%s", 7)
     want = [",".join([_fmt(t[k]), _fmt(n[k]), "0", "0", _fmt(q[k]), "m%s", "7"])
