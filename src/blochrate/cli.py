@@ -28,6 +28,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import analysis, figsvg, kinetics
+from ._csvrows import RowFormat
 from .fieldsim import (EnsembleTrace, IntegratorError, decorrelation_residual,
                        run_ensemble)
 from .params import CoherentLimitError, SystemParams, check_seed, grid_steps
@@ -151,6 +152,12 @@ def _resolve(run: str, cfg: RunConfig) -> RunConfig:
     return RunConfig(**{**defaults, **vars(cfg)})
 
 
+def _check_out_name(name: str) -> None:
+    """Refuse an ``out`` key that is not a bare file name inside ``--out``."""
+    if name in ("", ".", "..") or Path(name).name != name:
+        raise ConfigError(f"out must be a bare file name, written into --out; got {name!r}")
+
+
 # ----------------------------------------------------------------------
 # output plumbing
 
@@ -166,8 +173,7 @@ def _atomic_write(path: Path, parts) -> None:
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
     try:
         with open(tmp, "w", newline="\n") as fh:
-            for part in parts:
-                fh.write(part)
+            fh.writelines(parts)        # drops each part before the next is made
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)     # a failed write leaves neither file
@@ -179,24 +185,18 @@ def atomic_write_text(path: Path, text: str) -> None:
 
 
 def _csv_blocks(header: str, row: str, columns):
-    """The header line, then one %-formatted block of _BLOCK_ROWS rows at a time.
+    """The header line, then the rows of _BLOCK_ROWS indices of ``columns`` at a time.
 
-    ``row`` is a %-template with one field per column; a block applies the
-    template repeated once per row to the block's values flattened row-major,
-    so only one block of text and values is ever held. A column is only
-    read by slices (the first also by length), so it may compute each slice.
+    ``row`` is a %-template with one field per column (see ``_csvrows``), so
+    only one block of text and values is ever held. A column is only read by
+    slices (the first also by length), so it may compute each slice.
     """
     yield header + "\n"
-    row += "\n"
-    full = row * _BLOCK_ROWS
+    fmt = RowFormat(row + "\n")
     size = len(columns[0])
-    block = np.empty((min(_BLOCK_ROWS, size), len(columns)))
     for lo in range(0, size, _BLOCK_ROWS):
-        m = min(_BLOCK_ROWS, size - lo)
-        for j, column in enumerate(columns):
-            block[:m, j] = column[lo:lo + m]
-        template = full if m == _BLOCK_ROWS else row * m
-        yield template % tuple(block[:m].ravel().tolist())
+        hi = min(lo + _BLOCK_ROWS, size)
+        yield fmt.rows([np.asarray(column[lo:hi], dtype=float) for column in columns])
 
 
 def _write_csv(path: Path, header: str, row: str, columns) -> None:
@@ -525,6 +525,8 @@ def main(argv=None) -> int:
         else:
             run = getattr(args, "name", args.command)     # a figure's run is its name
         cfg = _resolve(run, cfg)
+        if hasattr(cfg, "out"):         # a figure names its own files
+            _check_out_name(cfg.out)
         threads = _resolve_threads(getattr(args, "threads", None))
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)

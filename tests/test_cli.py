@@ -163,6 +163,28 @@ def test_runs_refuse_keys_they_do_not_read(tmp_path, capsys, argv, unread):
     assert main(base) == 0
 
 
+@pytest.mark.parametrize("argv,solver", [
+    (["simulate", "--set", "model=sde"], "run_ensemble"),
+    (["simulate", "--set", "model=ere"], "kinetics.integrate_ere"),
+    (["analyze"], "analysis.build_report"),
+    (["decorrelate"], "decorrelation_residual"),
+])
+@pytest.mark.parametrize("name", ["missing/x.csv", "../x.csv", "/tmp/x.csv", "x/",
+                                  "..", ".", ""])
+def test_out_must_be_a_bare_file_name(tmp_path, capsys, monkeypatch, argv, solver, name):
+    # sde ran its whole ensemble before the write failed on the missing
+    # directory; now every such out is refused before any run
+    def refuse(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    owner, _, attr = solver.rpartition(".")
+    monkeypatch.setattr(getattr(cli, owner) if owner else cli, attr, refuse)
+    out = tmp_path / "out"
+    assert main([*argv, "--set", f"out={name}", "--out", str(out)]) == 2
+    assert "bare file name" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_file_and_seed_flag_keys_count_as_set(tmp_path, capsys):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("omega0 = 2\n")
