@@ -34,7 +34,7 @@ _NUL, _MINUS, _POINT, _ZERO, _E, _FIVE, _SIX = 0, 1, 2, 20, 21, 22, 23
 _DIGIT = 3                  # the source byte of the leading digit
 _QUADS = (np.arange(10_000)[:, None] // [1000, 100, 10, 1] % 10
           + ord("0")).astype(np.uint8).view(np.uint32).ravel()
-_GATHER_ROWS = 1024         # rows per gather: bounds its index array to 192 KB
+_GATHER_ROWS = 512          # rows per gather: bounds its index array to 96 KB
 _FIELD = re.compile(r"%(%|\.17g|d)")
 
 
@@ -86,31 +86,6 @@ def _python_field(spec: str, values) -> np.ndarray:
     return np.frombuffer(joined, dtype=np.uint8).reshape(len(texts), width)
 
 
-def _decimal(x):
-    """(n, e, fast): |x| = n·10^(e-16) to 17 digits, for the values ``fast`` marks.
-
-    ``fast`` marks the finite |x| in [1e-6, 1e17) whose exponent e lies in
-    [_E_MIN, _E_MAX]; n and e are meaningless elsewhere.
-    """
-    ax = np.abs(x)
-    fast = (ax >= 1e-6) & (ax < 1e17)          # False for NaN
-    ax[~fast] = 1.0
-    e = np.floor(np.log10(ax)).astype(np.int64)
-    np.clip(e, _E_MIN, _E_MAX, out=e)
-    hi, lo = _scaled(ax, e)
-    shift = _shift(hi, lo)
-    if shift.any():                             # log10 rounded across a power of ten
-        e += shift
-        fast &= (e >= _E_MIN) & (e <= _E_MAX)   # 1e-6 itself lies below 10^-6
-        np.clip(e, _E_MIN, _E_MAX, out=e)
-        hi, lo = _scaled(ax, e)
-    # hi is an even integer (at least 2^53), so rint's ties-to-even rounds
-    # hi + lo to even. No value here rounds up to 10^17: that takes a double
-    # within 5e-18 below a power of ten, and the doubles next below 10^-5 ...
-    # 10^16 are all further off (the powers-of-ten test holds each of them)
-    return hi.astype(np.int64) + np.rint(lo).astype(np.int64), e, fast
-
-
 def _source(n):
     """The (len(n), 24) source bytes of 17-digit integers n: _HEAD, the digits, _TAIL."""
     # n = lead·10^16 + q0·10^12 + q1·10^8 + q2·10^4 + q3
@@ -128,20 +103,43 @@ def _source(n):
     return src
 
 
+def _digits(x):
+    """(src, e, fast): |x| = n·10^(e-16) to 17 digits, n as the source bytes of _source.
+
+    ``fast`` marks the finite |x| in [1e-6, 1e17) whose exponent e lies in
+    [_E_MIN, _E_MAX]; src and e are meaningless elsewhere.
+    """
+    ax = np.abs(x)
+    fast = (ax >= 1e-6) & (ax < 1e17)          # False for NaN
+    ax[~fast] = 1.0
+    e = np.floor(np.log10(ax)).astype(np.int64)
+    np.clip(e, _E_MIN, _E_MAX, out=e)
+    hi, lo = _scaled(ax, e)
+    shift = _shift(hi, lo)
+    if shift.any():                             # log10 rounded across a power of ten
+        e += shift
+        fast &= (e >= _E_MIN) & (e <= _E_MAX)   # 1e-6 itself lies below 10^-6
+        np.clip(e, _E_MIN, _E_MAX, out=e)
+        hi, lo = _scaled(ax, e)
+    # hi is an even integer (at least 2^53), so rint's ties-to-even rounds
+    # hi + lo to even. No value here rounds up to 10^17: that takes a double
+    # within 5e-18 below a power of ten, and the doubles next below 10^-5 ...
+    # 10^16 are all further off (the powers-of-ten test holds each of them)
+    return _source(hi.astype(np.int64) + np.rint(lo).astype(np.int64)), e, fast
+
+
 def _format_g17(x, out) -> None:
     """Write '%.17g' of each value of ``x`` into a row of ``out`` (len(x), _WIDTH), NUL-padded."""
-    n, e, fast = _decimal(x)
-    src = _source(n)
-    trailing = np.argmax(src[:, _DIGIT + 16:_DIGIT - 1:-1] != ord("0"), axis=1)
-    key = ((x < 0) * (_E_MAX - _E_MIN + 1) + e - _E_MIN) * 17 + 16 - trailing
-    slow = np.flatnonzero(~fast)
-    key[slow] = 0
-    flat = src.ravel()
+    src, e, fast = _digits(x)
+    key = ((x < 0) * (_E_MAX - _E_MIN + 1) + e - _E_MIN) * 17 + 16
+    key -= np.argmax(src[:, _DIGIT + 16:_DIGIT - 1:-1] != ord("0"), axis=1)  # trailing 0s
+    starts = np.arange(min(len(x), _GATHER_ROWS))[:, None] * src.shape[1]
     for lo in range(0, len(x), _GATHER_ROWS):
         index = np.take(_LAYOUTS, key[lo:lo + _GATHER_ROWS], axis=0)
-        index += np.arange(lo, lo + len(index))[:, None] * src.shape[1]
-        out[lo:lo + _GATHER_ROWS] = np.take(flat, index)
+        index += starts[:len(index)]
+        out[lo:lo + _GATHER_ROWS] = np.take(src[lo:].ravel(), index)
 
+    slow = np.flatnonzero(~fast)             # their layouts are in range, but wrong
     if len(slow):
         out[slow] = 0
         text = _python_field("%.17g", x[slow])

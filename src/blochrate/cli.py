@@ -12,7 +12,8 @@ or decorrelate), the keys it reads and their defaults. A key set in the file,
 by `--set` or by `--seed` that the run does not read is refused before the
 run, whatever its value; the run's config is its defaults overlaid by the keys
 that were set. Every command is deterministic given its configuration. Output
-files are written atomically. Exit codes: 0 success, 2 configuration error,
+files are written atomically into --out; the ``out`` key is a bare file name,
+refused before the run otherwise. Exit codes: 0 success, 2 configuration error,
 3 numerical failure.
 """
 
