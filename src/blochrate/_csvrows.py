@@ -104,7 +104,7 @@ def _source(n):
 
 
 def _digits(x):
-    """(src, e, fast): |x| = n·10^(e-16) to 17 digits, n as the source bytes of _source.
+    """(src, e, fast): |x| = n·10^(e-16) to 17 digits, with n as _source's bytes.
 
     ``fast`` marks the finite |x| in [1e-6, 1e17) whose exponent e lies in
     [_E_MIN, _E_MAX]; src and e are meaningless elsewhere.
