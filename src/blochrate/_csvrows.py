@@ -27,13 +27,14 @@ _SPLIT = 134217729.0        # 2^27 + 1 splits a double into two 26-bit halves
 # A value's source bytes are 24: three constants, its 17 digits, four more
 # constants. The layout of a (sign, e, digit count) class lists, for each
 # output byte, its source byte; NUL pads every text to _WIDTH. The digits are
-# written as 4-byte words from _QUADS, byte strings viewed as uint32 whatever
-# the byte order, and only ever viewed back as bytes.
+# written as 4-byte words from _QUADS, the texts "0000" to "9999": byte
+# strings viewed as integers whatever the byte order, and only ever viewed
+# back as bytes.
 _HEAD, _TAIL = b"\0-.", b"0e56"
 _NUL, _MINUS, _POINT, _ZERO, _E, _FIVE, _SIX = 0, 1, 2, 20, 21, 22, 23
 _DIGIT = 3                  # the source byte of the leading digit
-_QUADS = (np.arange(10_000)[:, None] // [1000, 100, 10, 1] % 10
-          + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+_PAIRS = np.frombuffer(b"".join(b"%02d" % k for k in range(100)), dtype=np.uint16)
+_QUADS = np.column_stack([_PAIRS.repeat(100), np.tile(_PAIRS, 100)]).view(np.uint32).ravel()
 _GATHER_ROWS = 512          # rows per gather: bounds its index array to 96 KB
 _FIELD = re.compile(r"%(%|\.17g|d)")
 
@@ -55,7 +56,7 @@ def _layout(negative: bool, e: int, nd: int) -> list[int]:
 # class (negative, e, nd) is row (negative * 23 + e - _E_MIN) * 17 + nd - 1
 _LAYOUTS = np.array([_layout(negative, e, nd) for negative in (False, True)
                      for e in range(_E_MIN, _E_MAX + 1) for nd in range(1, 18)],
-                    dtype=np.intp)
+                    dtype=np.uint8)
 
 
 def _scaled(ax, e):
@@ -136,8 +137,7 @@ def _format_g17(x, out) -> None:
     starts = np.arange(min(len(x), _GATHER_ROWS))[:, None] * src.shape[1]
     for lo in range(0, len(x), _GATHER_ROWS):
         index = np.take(_LAYOUTS, key[lo:lo + _GATHER_ROWS], axis=0)
-        index += starts[:len(index)]
-        out[lo:lo + _GATHER_ROWS] = np.take(src[lo:].ravel(), index)
+        out[lo:lo + _GATHER_ROWS] = np.take(src[lo:].ravel(), index + starts[:len(index)])
 
     slow = np.flatnonzero(~fast)             # their layouts are in range, but wrong
     if len(slow):
