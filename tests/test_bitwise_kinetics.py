@@ -8,11 +8,13 @@ file passing:
   and by equal sign bits, against ``data/bitwise_kinetics.npz``;
 - the md5 of the ``simulate`` CSV for ``model=memory-kernel`` on the
   Lorentzian line (10 001 rows) and on a seed-jittered 241-node table of it,
-  and for ``model=effective-bloch`` (6001 rows).
+  and for ``model=effective-bloch`` (6001 rows);
+- the md5 of ``integrate_memory_kernel(None, DARK, 5.0, 1e-3, n0=n0).n``
+  with no drive (no kernel, so no history sum) for n0 = -1 and 0.
 
 Regenerate (only after a deliberate change of the numbers) with
 ``PYTHONPATH=src python tests/test_bitwise_kinetics.py``; then update
-CSV_MD5 from its printout.
+CSV_MD5 and DARK_MD5 from its printout.
 """
 
 import hashlib
@@ -42,6 +44,12 @@ CSV_MD5 = {
     "memory-kernel": "292c1e94f45bfb6fd29d4342dd194ec6",
     "memory-kernel-table": "31fab8f17905ff79a5a130e92ae07723",
     "effective-bloch": "17a6e24311249a1b27554111ee675495",
+}
+
+DARK = SystemParams(a=1.0, delta=5.0, omega0=0.0)
+DARK_MD5 = {
+    -1.0: "c149148abe441c9d0f12fb31e6703aaf",
+    0.0: "bccc37e9a593c986560a26d4162b4b20",
 }
 
 
@@ -81,6 +89,12 @@ def test_lorentzian_memory_kernel_is_bit_identical():
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+@pytest.mark.parametrize("n0", sorted(DARK_MD5))
+def test_undriven_memory_kernel_is_bit_identical(n0):
+    n = integrate_memory_kernel(None, DARK, 5.0, 1e-3, n0=n0).n
+    assert hashlib.md5(n.tobytes()).hexdigest() == DARK_MD5[n0]
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -93,3 +107,5 @@ if __name__ == "__main__":
         with tempfile.TemporaryDirectory() as tmp:
             digests[case] = csv_md5(Path(tmp), case)
     print("CSV_MD5 =", digests)
+    print("DARK_MD5 =", {n0: hashlib.md5(integrate_memory_kernel(
+        None, DARK, 5.0, 1e-3, n0=n0).n.tobytes()).hexdigest() for n0 in sorted(DARK_MD5)})
