@@ -1,21 +1,19 @@
-"""CSV rows from a %-template, formatted a block at a time.
+"""CSV lines from a list of fields, formatted a block of rows at a time.
 
-A row template holds literal text, ``%%``, and fields ``%.17g`` or ``%d``.
-``RowFormat(template).rows(columns)`` returns the text that ``template % row``
-gives for each row of a block of float columns, concatenated, byte for byte.
+``rows(fields)`` joins the fields of each row by commas, one line a row. A
+field is a ``str``, written as is on every line, or a float column, each value
+written as Python's ``'%.17g'`` writes it, byte for byte.
 
-A ``%.17g`` field is formatted in numpy for every finite |x| in [1e-6, 1e17):
-with e = floor(log10|x|), x times the exact double 10^(16-e) is carried as an
+A value is formatted in numpy for every finite |x| in [1e-6, 1e17): with
+e = floor(log10|x|), x times the exact double 10^(16-e) is carried as an
 error-free product hi + lo, so round(hi + lo) is the 17-digit integer that
 Python's correctly rounded ``'%.17g'`` prints. Its digits, trailing zeros cut,
 are put in place by a layout table keyed by (sign, e, digit count). Zeros,
 NaN, infinities, subnormals and the other magnitudes are formatted by
-``'%.17g'`` one value at a time, and so is every ``%d`` field.
+``'%.17g'`` one value at a time.
 """
 
 from __future__ import annotations
-
-import re
 
 import numpy as np
 
@@ -36,13 +34,12 @@ _DIGIT = 3                  # the source byte of the leading digit
 _PAIRS = np.frombuffer(b"".join(b"%02d" % k for k in range(100)), dtype=np.uint16)
 _QUADS = np.column_stack([_PAIRS.repeat(100), np.tile(_PAIRS, 100)]).view(np.uint32).ravel()
 _GATHER_ROWS = 512          # rows per gather: bounds its index array to 96 KB
-_FIELD = re.compile(r"%(%|\.17g|d)")
 
 
-def _layout(negative: bool, e: int, nd: int) -> list[int]:
+def _layout(e: int, nd: int) -> list[int]:
     """Source bytes of '%.17g' of a value in [1e-6, 1e17) with exponent e and nd digits."""
     digits = list(range(_DIGIT, _DIGIT + max(nd, e + 1)))   # with the zeros of 100 and such
-    out = [_MINUS] if negative else []
+    out = []
     if e >= 0:
         out += digits[:e + 1] + ([_POINT] + digits[e + 1:] if nd > e + 1 else [])
     elif e >= -4:
@@ -53,10 +50,12 @@ def _layout(negative: bool, e: int, nd: int) -> list[int]:
     return out + [_NUL] * (_WIDTH - len(out))
 
 
-# class (negative, e, nd) is row (negative * 23 + e - _E_MIN) * 17 + nd - 1
-_LAYOUTS = np.array([_layout(negative, e, nd) for negative in (False, True)
-                     for e in range(_E_MIN, _E_MAX + 1) for nd in range(1, 18)],
-                    dtype=np.uint8)
+# class (negative, e, nd) is row (negative * 23 + e - _E_MIN) * 17 + nd - 1; a
+# negative text is the positive one after a minus sign (none fills _WIDTH)
+_POSITIVE = np.array([_layout(e, nd) for e in range(_E_MIN, _E_MAX + 1)
+                      for nd in range(1, 18)], dtype=np.uint8)
+_LAYOUTS = np.concatenate([_POSITIVE, np.pad(_POSITIVE[:, :-1], ((0, 0), (1, 0)),
+                                             constant_values=_MINUS)])
 
 
 def _scaled(ax, e):
@@ -79,9 +78,9 @@ def _shift(hi, lo):
             - ((hi < 1e16) | ((hi == 1e16) & (lo < 0))).view(np.int8))
 
 
-def _python_field(spec: str, values) -> np.ndarray:
-    """``spec % v`` of each value, NUL-padded to the longest, as a uint8 (len, width) array."""
-    texts = [(spec % v).encode() for v in values.tolist()]
+def _python_field(values) -> np.ndarray:
+    """``'%.17g' % v`` of each value, NUL-padded to the longest, as a uint8 (len, width) array."""
+    texts = [b"%.17g" % v for v in values.tolist()]
     width = max(map(len, texts), default=0)
     joined = b"".join(text.ljust(width, b"\0") for text in texts)
     return np.frombuffer(joined, dtype=np.uint8).reshape(len(texts), width)
@@ -142,45 +141,31 @@ def _format_g17(x, out) -> None:
     slow = np.flatnonzero(~fast)             # their layouts are in range, but wrong
     if len(slow):
         out[slow] = 0
-        text = _python_field("%.17g", x[slow])
+        text = _python_field(x[slow])
         out[slow, :text.shape[1]] = text
 
 
-class RowFormat:
-    """A row %-template, compiled to format blocks of rows."""
+def rows(fields) -> str:
+    """The lines of a block of rows: each field's text, joined by commas.
 
-    def __init__(self, template: str):
-        parts = _FIELD.split(template)
-        if any("%" in text for text in parts[0::2]) or "\0" in template:
-            raise ValueError(f"row template {template!r} holds a NUL or a field "
-                             "other than %.17g, %d and %%")
-        literals, self._fields = [parts[0]], []
-        for kind, literal in zip(parts[1::2], parts[2::2]):
-            if kind == "%":
-                literals[-1] += "%" + literal
-            else:
-                self._fields.append(kind)
-                literals.append(literal)
-        self._literals = [np.frombuffer(lit.encode(), dtype=np.uint8) for lit in literals]
-
-    def rows(self, columns) -> str:
-        """The template applied to each row of ``columns``, one float array per field."""
-        fixed = {j: _python_field("%d", columns[j])
-                 for j, kind in enumerate(self._fields) if kind == "d"}
-        widths = [fixed[j].shape[1] if j in fixed else _WIDTH
-                  for j in range(len(self._fields))]
-        width = sum(map(len, self._literals)) + sum(widths)
-        text = bytearray(len(columns[0]) * width)     # NUL-padded rows, cut by translate
-        buf = np.frombuffer(text, dtype=np.uint8).reshape(-1, width)
-        at = 0
-        for j, literal in enumerate(self._literals):
-            buf[:, at:at + len(literal)] = literal
-            at += len(literal)
-            if j < len(self._fields):
-                field = buf[:, at:at + widths[j]]
-                if j in fixed:
-                    field[:] = fixed[j]
-                else:
-                    _format_g17(columns[j], field)
-                at += widths[j]
-        return text.translate(None, b"\0").decode()
+    A ``str`` field is the same text on every line; any other field is a float
+    array, one value a line, written as ``'%.17g'``.
+    """
+    size = next(len(field) for field in fields if not isinstance(field, str))
+    texts = [np.frombuffer(field.encode(), dtype=np.uint8) if isinstance(field, str)
+             else None for field in fields]
+    width = sum(_WIDTH if text is None else len(text) for text in texts) + len(fields)
+    out = bytearray(size * width)        # NUL-padded lines, cut by translate
+    buf = np.frombuffer(out, dtype=np.uint8).reshape(-1, width)
+    at = 0
+    for field, text in zip(fields, texts):
+        if text is None:
+            _format_g17(field, buf[:, at:at + _WIDTH])
+            at += _WIDTH
+        else:
+            buf[:, at:at + len(text)] = text
+            at += len(text)
+        buf[:, at] = ord(",")
+        at += 1
+    buf[:, -1] = ord("\n")               # in place of the last comma
+    return out.translate(None, b"\0").decode()

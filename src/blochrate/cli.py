@@ -29,7 +29,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import analysis, figsvg, kinetics
-from ._csvrows import RowFormat
+from . import _csvrows
 from .fieldsim import (EnsembleTrace, IntegratorError, decorrelation_residual,
                        run_ensemble)
 from .params import CoherentLimitError, SystemParams, check_seed, grid_steps
@@ -162,10 +162,6 @@ def _check_out_name(name: str) -> None:
 # ----------------------------------------------------------------------
 # output plumbing
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 _BLOCK_ROWS = 4096   # rows formatted per block: bounds a CSV's text in memory
 
 
@@ -185,24 +181,26 @@ def atomic_write_text(path: Path, text: str) -> None:
     _atomic_write(path, (text,))
 
 
-def _csv_blocks(header: str, row: str, columns):
-    """The header line, then the rows of _BLOCK_ROWS indices of ``columns`` at a time.
+def _csv_blocks(header: str, fields):
+    """The header line, then the lines of _BLOCK_ROWS rows of ``fields`` at a time.
 
-    ``row`` is a %-template with one field per column (see ``_csvrows``), so
-    only one block of text and values is ever held. A column is only read by
-    slices (the first also by length), so it may compute each slice.
+    A field is a ``str``, the same on every line, or a column of floats (see
+    ``_csvrows.rows``), so only one block of text and values is ever held. A
+    column is only read by slices (the first also by length), so it may
+    compute each slice.
     """
     yield header + "\n"
-    fmt = RowFormat(row + "\n")
-    size = len(columns[0])
+    size = next(len(field) for field in fields if not isinstance(field, str))
     for lo in range(0, size, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, size)
-        yield fmt.rows([np.asarray(column[lo:hi], dtype=float) for column in columns])
+        yield _csvrows.rows([field if isinstance(field, str)
+                             else np.asarray(field[lo:hi], dtype=float)
+                             for field in fields])
 
 
-def _write_csv(path: Path, header: str, row: str, columns) -> None:
-    """Stream a CSV with one ``row``-template line per index of ``columns``."""
-    _atomic_write(path, _csv_blocks(header, row, columns))
+def _write_csv(path: Path, header: str, fields) -> None:
+    """Stream a CSV with one line per row of the columns in ``fields``."""
+    _atomic_write(path, _csv_blocks(header, fields))
 
 
 class _Sqrt:
@@ -221,21 +219,11 @@ def _write_trace(path: Path, run, model: str, seed: int, q=None) -> Path:
     An ensemble passes its q column explicitly; a deterministic trace has
     zero spread and carries its own q. A missing q is written as NaN.
     """
-    # "%.17g" formats a float exactly as _fmt does, and a constant column is
-    # written into the template as _fmt writes it (_fmt(0.0) == "0",
-    # _fmt(nan) == "nan")
     if isinstance(run, EnsembleTrace):
-        columns = [run.t, run.n_mean, _Sqrt(run.n_var), run.n_stderr]
-        fields = ["%.17g"] * 4
+        fields = [run.t, run.n_mean, _Sqrt(run.n_var), run.n_stderr]
     else:
-        columns, fields, q = [run.t, run.n], ["%.17g", "%.17g", "0", "0"], run.q
-    if q is None:
-        fields.append("nan")
-    else:
-        columns.append(q)
-        fields.append("%.17g")
-    row = ",".join(fields) + "," + f"{model},{seed}".replace("%", "%%")
-    _write_csv(path, TRACE_HEADER, row, columns)
+        fields, q = [run.t, run.n, "0", "0"], run.q
+    _write_csv(path, TRACE_HEADER, [*fields, "nan" if q is None else q, model, str(seed)])
     return path
 
 
@@ -385,8 +373,7 @@ def _fig3(out_dir, cfg, threads, panel: str):
         stds.append(float(np.std(head, ddof=1)))
         stderrs.append(stds[-1] / math.sqrt(m))
     path = out_dir / f"fig3{panel}.csv"
-    _write_csv(path, FIG3_HEADER, f"%d,%.17g,%.17g,%.17g,sde,{seed}",
-               [subsets, means, stds, stderrs])
+    _write_csv(path, FIG3_HEADER, [subsets, means, stds, stderrs, "sde", str(seed)])
     ns = np.array(subsets, dtype=float)
     series = [figsvg.PlotSeries("stderr of mean", ns, np.array(stderrs)),
               figsvg.PlotSeries("sample std", ns, np.array(stds), dash="6,3")]
@@ -448,9 +435,8 @@ def cmd_decorrelate(cfg: RunConfig, out_dir: Path, threads: int,
     # the header's inner names are the result's per-t' fields, in column order
     columns = [getattr(result, name) for name in DECORR_HEADER.split(",")[1:-1]]
     low = "1" if result.low_statistics else "0"
-    row = ",".join([_fmt(result.t), *["%.17g"] * len(columns), low])
     out = out_dir / cfg.out
-    _write_csv(out, DECORR_HEADER, row, columns)
+    _write_csv(out, DECORR_HEADER, [f"{result.t:.17g}", *columns, low])
     verdict = "HOLDS" if result.holds_3sigma else "VIOLATED"
     sys.stdout.write(f"DECORRELATION {verdict} at 3σ "
                      f"(n_traj={result.n_traj}, t={result.t:g})\n")

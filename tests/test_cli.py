@@ -18,7 +18,6 @@ from blochrate.cli import (
     TRACE_HEADER,
     ConfigError,
     RunConfig,
-    _fmt,
     _write_trace,
     atomic_write_text,
     cmd_figure,
@@ -40,6 +39,11 @@ def read_csv(path):
 
 def floats(cols, key):
     return np.array([float(v) for v in cols[key]])
+
+
+def fmt(x):
+    """Python's own '%.17g' of one value, the reference for every CSV float."""
+    return "%.17g" % x
 
 
 # ----------------------------------------------------------------------
@@ -265,15 +269,15 @@ def test_trace_rows_format_like_fmt(tmp_path):
     t = np.arange(len(n)) * 0.1
     q = n[::-1].copy()
     _write_trace(tmp_path / "x.csv", KineticTrace(t=t, n=n, q=q), "m%s", 7)
-    want = [",".join([_fmt(t[k]), _fmt(n[k]), "0", "0", _fmt(q[k]), "m%s", "7"])
+    want = [",".join([fmt(t[k]), fmt(n[k]), "0", "0", fmt(q[k]), "m%s", "7"])
             for k in range(len(t))]
     assert (tmp_path / "x.csv").read_text() == "\n".join([TRACE_HEADER, *want]) + "\n"
 
 
 @pytest.mark.parametrize("model", [m for m in MODELS if m != "sde"])
 def test_kinetic_csv_bytes_match_per_value_formatting(tmp_path, monkeypatch, model):
-    # the constant columns (zero spread, a missing q) sit in the row template;
-    # the bytes must be those of formatting every value with _fmt
+    # the constant columns (zero spread, a missing q) are text fields; the
+    # bytes must be those of formatting every value with '%.17g'
     runs = []
     write = cli._write_trace
 
@@ -287,7 +291,7 @@ def test_kinetic_csv_bytes_match_per_value_formatting(tmp_path, monkeypatch, mod
                  "--out", str(tmp_path)]) == 0
     (run,) = runs
     q = np.full(len(run.t), math.nan) if run.q is None else run.q
-    want = [",".join([_fmt(t), _fmt(n), _fmt(0.0), _fmt(0.0), _fmt(qk), model,
+    want = [",".join([fmt(t), fmt(n), fmt(0.0), fmt(0.0), fmt(qk), model,
                       "12345"]) for t, n, qk in zip(run.t, run.n, q)]
     got = (tmp_path / f"{model}_trace.csv").read_bytes()
     assert got == ("\n".join([TRACE_HEADER, *want]) + "\n").encode()
@@ -444,7 +448,7 @@ def test_csv_blocks_match_per_row_formatting(tmp_path, monkeypatch, rows):
     t = np.arange(rows) * 1e-3
     n = np.sin(t) - 0.5
     _write_trace(tmp_path / "x.csv", KineticTrace(t=t, n=n, q=n[::-1]), "m", 3)
-    want = [f"{_fmt(a)},{_fmt(b)},0,0,{_fmt(c)},m,3" for a, b, c in zip(t, n, n[::-1])]
+    want = [f"{fmt(a)},{fmt(b)},0,0,{fmt(c)},m,3" for a, b, c in zip(t, n, n[::-1])]
     assert (tmp_path / "x.csv").read_text() == "\n".join([TRACE_HEADER, *want]) + "\n"
 
 
