@@ -258,7 +258,8 @@ def integrate_memory_kernel(spectrum: SpectrumModel | None,
     Second-order predictor-corrector stepping (the history dependence makes
     classic one-step stage evaluation inapplicable); at dt=1e-4 the error
     stays below 1e-6 for unit-scale rates. A Lorentzian runs the recursion
-    in a loop of its own (_lorentzian_history): each step evaluates the
+    in a loop of its own (_lorentzian_history), and so does a kernel with
+    no window (no drive), whose history sum is zero: each step evaluates the
     general loop's expressions in the same order, on Python floats with the
     constants hoisted and the inversion stored as raw doubles, and a
     divergence is found by one finiteness scan after the loop instead of a
@@ -320,10 +321,13 @@ def integrate_memory_kernel(spectrum: SpectrumModel | None,
     # A Lorentzian's g[m] is Re(g0 * rho**m), so its trapezoid history sum
     # obeys an exact recursion: hist[k] = sum_{j<k} n[j] rho**(k-j) with the
     # far-edge half weight folded into hist[0] = -n[0]/2, and
-    # hist[k+1] = rho*(hist[k] + n[k]). No window is needed.
+    # hist[k+1] = rho*(hist[k] + n[k]). No window is needed. With no window
+    # the history is zero: rho = g0 = 0 gives the same steps.
     steps = len(t) - 1
     nk = float(n0)
-    if window > 0 and isinstance(spectrum, LorentzianSpectrum):
+    if window == 0:
+        return KineticTrace(t=t, n=_lorentzian_history(0j, a, 0.0, dt, nk, steps))
+    if isinstance(spectrum, LorentzianSpectrum):
         rho = cmath.exp(complex(-(0.5 * spectrum.fwhm + gp) * dt,
                                 spectrum.center * dt))
         return KineticTrace(t=t, n=_lorentzian_history(rho, a, g0, dt, nk, steps))
@@ -343,17 +347,14 @@ def integrate_memory_kernel(spectrum: SpectrumModel | None,
     for k in range(steps):
         f_k = -a * (nk + 1.0) - 2.0 * j_curr
         n_pred = nk + dt * f_k
-        if window > 0:
-            j_pred = dt * (tail_sum(k + 1) + 0.5 * g0 * n_pred)
-        else:
-            j_pred = 0.0
+        j_pred = dt * (tail_sum(k + 1) + 0.5 * g0 * n_pred)
         f_pred = -a * (n_pred + 1.0) - 2.0 * j_pred
         nk = nk + 0.5 * dt * (f_k + f_pred)
         if not math.isfinite(nk):
             raise StepSizeError(f"memory-kernel: diverged at step {k + 1}")
         n[k + 1] = nk
         # finalize J with the corrected endpoint for the next step
-        j_curr = j_pred + dt * 0.5 * g0 * (nk - n_pred) if window > 0 else 0.0
+        j_curr = j_pred + dt * 0.5 * g0 * (nk - n_pred)
     return KineticTrace(t=t, n=n)
 
 
