@@ -86,7 +86,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import SystemParams, _check_initial_state, check_seed, grid_steps
+from .params import (SystemParams, _check_initial_state, check_seed, grid_steps,
+                     time_grid)
 
 BLOCK_TRAJ = 8192      # trajectories integrated together; independent of --threads
 NOISE_CHUNK = 1024     # steps drawn per stream call; fixed so noise is batch independent
@@ -553,11 +554,10 @@ def run_ensemble(params: SystemParams, n_traj: int, t_end: float, dt: float,
     of trajectories [0, m) for each size m, bit-identical to separate runs
     of m trajectories, from this one run.
     """
-    n_steps = grid_steps(t_end, dt, positive=True)
-    results = _run_blocks(params, seed, 0, n_traj, n_steps, dt, n0, sigma0, phi0,
+    t = time_grid(t_end, dt, positive=True)
+    results = _run_blocks(params, seed, 0, n_traj, len(t) - 1, dt, n0, sigma0, phi0,
                           want_moments=True, want_coherence=with_coherence,
                           threads=threads, prefixes=prefixes)
-    t = np.arange(n_steps + 1) * dt
     trace = _ensemble_trace(results, n_traj, t, with_coherence)
     if prefixes:
         trace.prefix_traces = tuple(_ensemble_trace(results, m, t, with_coherence)
@@ -591,7 +591,8 @@ def run_trajectory(params: SystemParams, t_end: float, dt: float, seed: int,
     be finite.
     """
     index = check_seed(index, "index")
-    n_steps = grid_steps(t_end, dt)
+    t = time_grid(t_end, dt)
+    n_steps = len(t) - 1
     if increments is not None:
         increments = np.asarray(increments, dtype=float)
         if increments.shape != (n_steps,):
@@ -601,7 +602,6 @@ def run_trajectory(params: SystemParams, t_end: float, dt: float, seed: int,
     (r,) = _run_blocks(params, seed, index, index + 1, n_steps, dt, n0,
                        sigma0, phi0, snap_steps=range(n_steps + 1),
                        increments=increments)
-    t = np.arange(n_steps + 1) * dt
     phi = r["snap_phi"][0]
     return TrajectoryTrace(t=t, n=r["snap_n"][0],
                            sigma=r["snap_u"][0] * np.exp(-1j * phi), phi=phi)
@@ -640,7 +640,8 @@ def simulate_phases(delta: float, n_traj: int, t_end: float, dt: float,
     simulation would see.
     """
     _check_phase_args(delta, n_traj)
-    n_steps = grid_steps(t_end, dt)
+    t = time_grid(t_end, dt)
+    n_steps = len(t) - 1
     scale = np.full(n_steps, math.sqrt(delta * dt))
     phi = np.empty((n_traj, n_steps + 1))
     phi[:, 0] = 0.0
@@ -649,7 +650,6 @@ def simulate_phases(delta: float, n_traj: int, t_end: float, dt: float,
     for lo in range(0, n_traj, rows):
         hi = min(lo + rows, n_traj)
         _wiener_paths(seed, lo, hi, scale, phi[lo:hi, 1:])
-    t = np.arange(n_steps + 1) * dt
     return t, phi
 
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import SystemParams, _check_initial_state, grid_steps
+from .params import SystemParams, _check_initial_state, time_grid
 from .spectrum import (LorentzianSpectrum, SpectrumModel,
                        autocorrelation_kernel, from_phase_diffusion)
 
@@ -151,7 +151,7 @@ def integrate_generalized_ere(params: SystemParams, coll: CollisionParams,
 def _rate_equation(params, coll, t_end, dt, n0, model):
     """The generalized rate equation; ``model`` names it in a step refusal."""
     _check_initial_state(n0=n0)
-    t = np.arange(grid_steps(t_end, dt, positive=True) + 1) * dt
+    t = time_grid(t_end, dt, positive=True)
     g_par = coll.gamma_parallel(params.a)
     n_eq = coll.n_equilibrium(params.a)
     gamma_perp = 0.5 * g_par + params.gamma_dc
@@ -170,7 +170,7 @@ def integrate_modified_ere(params: SystemParams, t_end: float, dt: float,
     factor removes the rate equation's spurious linear rise at t ~< 1/gamma_eff.
     """
     _check_initial_state(n0=n0)
-    t = np.arange(grid_steps(t_end, dt, positive=True) + 1) * dt
+    t = time_grid(t_end, dt, positive=True)
     a = params.a
     k2 = 2.0 * params.zeta_bw21
     g = params.gamma_eff
@@ -204,7 +204,7 @@ def integrate_effective_bloch(params: SystemParams, t_end: float, dt: float,
     dq/dt = gamma_eff*(n - q)
     """
     _check_initial_state(n0=n0, q0=q0)
-    t = np.arange(grid_steps(t_end, dt, positive=True) + 1) * dt
+    t = time_grid(t_end, dt, positive=True)
     a = params.a
     k2 = 2.0 * params.zeta_bw21
     g = params.gamma_eff
@@ -272,9 +272,7 @@ def integrate_memory_kernel(spectrum: SpectrumModel | None,
     step.
     """
     _check_initial_state(n0=n0)
-    # k*dt formed in place: the same float products as np.arange(...) * dt
-    t = np.arange(grid_steps(t_end, dt, positive=True) + 1, dtype=float)
-    t *= dt
+    t = time_grid(t_end, dt, positive=True)
     a = params.a
     gp = params.gamma_perp
     if gp <= 0:

@@ -27,6 +27,8 @@ import math
 import operator
 from dataclasses import dataclass
 
+import numpy as np
+
 
 class CoherentLimitError(ValueError):
     """Raised when a quantity undefined at delta=0 (coherent light) is requested."""
@@ -53,6 +55,18 @@ def grid_steps(t: float, dt: float, name: str = "t_end", *,
         kind = "a positive" if positive else "a"
         raise ValueError(f"{name}={t} is not {kind} multiple of dt={dt}")
     return steps
+
+
+def time_grid(t_end: float, dt: float, name: str = "t_end", *,
+              positive: bool = False) -> np.ndarray:
+    """The grid k*dt for k = 0 ... grid_steps(t_end, dt, name, positive=positive).
+
+    Formed in place, one float array with no integer temporary; the same
+    products as ``np.arange(steps + 1) * dt``.
+    """
+    grid = np.arange(grid_steps(t_end, dt, name, positive=positive) + 1, dtype=float)
+    grid *= dt
+    return grid
 
 
 def check_seed(seed: int, name: str = "seed") -> int:

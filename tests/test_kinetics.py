@@ -300,7 +300,7 @@ def test_initial_state_refused_before_any_step(model, monkeypatch):
     def stepped(*args, **kwargs):
         raise AssertionError("the solver ran before its start was checked")
 
-    monkeypatch.setattr(kinetics, "grid_steps", stepped)
+    monkeypatch.setattr(kinetics, "time_grid", stepped)
     for start in BAD_STARTS + ([dict(q0=math.nan), dict(q0=math.inf)]
                                if model == "effective-bloch" else []):
         with pytest.raises(ValueError, match="initial state") as refused:

@@ -1,13 +1,14 @@
 import math
 import types
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import blochrate
 from blochrate import CoherentLimitError, SystemParams
-from blochrate.params import grid_steps
+from blochrate.params import grid_steps, time_grid
 
 
 def test_derived_rates_reference_point():
@@ -114,6 +115,15 @@ def test_grid_steps():
                   (math.inf, 0.1), (math.nan, 0.1), (-0.1, 0.1), (0.35, 0.1)]:
         with pytest.raises(ValueError):
             grid_steps(t, dt)
+
+
+@pytest.mark.parametrize("t_end, dt", [(10.0, 1e-3), (10.0, 1e-4), (0.0, 0.1)])
+def test_time_grid_is_arange_times_dt(t_end, dt):
+    # every solver's t column: the products k*dt, bit for bit
+    want = np.arange(grid_steps(t_end, dt) + 1) * dt
+    assert time_grid(t_end, dt).tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="t_obs"):
+        time_grid(t_end + 0.5 * dt, dt, "t_obs")
 
 
 def test_public_surface_is_pinned():
