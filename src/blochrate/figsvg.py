@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
+from html import escape
 
 import numpy as np
 
@@ -111,7 +111,7 @@ def render_line_plot(series, title: str, xlabel: str, ylabel: str, *,
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{width / 2:.0f}" y="22" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{escape(title)}</text>',
+        f'font-family="sans-serif" font-size="15">{escape(title, quote=False)}</text>',
     ]
     for v in xticks:
         px = sx(v)
@@ -128,10 +128,10 @@ def render_line_plot(series, title: str, xlabel: str, ylabel: str, *,
     out.append(f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" '
                f'fill="none" stroke="black" stroke-width="1"/>')
     out.append(f'<text x="{ml + pw / 2:.0f}" y="{height - 10}" text-anchor="middle" '
-               f'font-family="sans-serif" font-size="13">{escape(xlabel)}</text>')
+               f'font-family="sans-serif" font-size="13">{escape(xlabel, quote=False)}</text>')
     out.append(f'<text x="16" y="{mt + ph / 2:.0f}" text-anchor="middle" '
                f'font-family="sans-serif" font-size="13" '
-               f'transform="rotate(-90 16 {mt + ph / 2:.0f})">{escape(ylabel)}</text>')
+               f'transform="rotate(-90 16 {mt + ph / 2:.0f})">{escape(ylabel, quote=False)}</text>')
 
     for idx, s in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
@@ -158,6 +158,6 @@ def render_line_plot(series, title: str, xlabel: str, ylabel: str, *,
         out.append(f'<line x1="{ml + pw - 150}" y1="{ly - 4}" x2="{ml + pw - 122}" '
                    f'y2="{ly - 4}" stroke="{color}" stroke-width="1.6"{dash}/>')
         out.append(f'<text x="{ml + pw - 116}" y="{ly}" font-family="sans-serif" '
-                   f'font-size="11">{escape(s.label)}</text>')
+                   f'font-size="11">{escape(s.label, quote=False)}</text>')
     out.append("</svg>")
     return "\n".join(out) + "\n"
