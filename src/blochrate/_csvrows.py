@@ -148,22 +148,21 @@ def _format_g17(x, out) -> None:
 def rows(fields) -> str:
     """The lines of a block of rows: each field's text, joined by commas.
 
-    A ``str`` field is the same text on every line; any other field is a float
-    array, one value a line, written as ``'%.17g'``.
+    A ``str`` field is the same text on every line; any other field is a column
+    of floats, one value a line, written as ``'%.17g'``.
     """
     size = next(len(field) for field in fields if not isinstance(field, str))
-    texts = [np.frombuffer(field.encode(), dtype=np.uint8) if isinstance(field, str)
-             else None for field in fields]
+    texts = [field.encode() if isinstance(field, str) else None for field in fields]
     width = sum(_WIDTH if text is None else len(text) for text in texts) + len(fields)
     out = bytearray(size * width)        # NUL-padded lines, cut by translate
     buf = np.frombuffer(out, dtype=np.uint8).reshape(-1, width)
     at = 0
     for field, text in zip(fields, texts):
         if text is None:
-            _format_g17(field, buf[:, at:at + _WIDTH])
+            _format_g17(np.asarray(field, dtype=float), buf[:, at:at + _WIDTH])
             at += _WIDTH
         else:
-            buf[:, at:at + len(text)] = text
+            buf[:, at:at + len(text)] = np.frombuffer(text, dtype=np.uint8)
             at += len(text)
         buf[:, at] = ord(",")
         at += 1

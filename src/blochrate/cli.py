@@ -28,8 +28,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import analysis, figsvg, kinetics
-from . import _csvrows
+from . import _csvrows, analysis, figsvg, kinetics
 from .fieldsim import (EnsembleTrace, IntegratorError, decorrelation_residual,
                        run_ensemble)
 from .params import CoherentLimitError, SystemParams, check_seed, grid_steps
@@ -192,9 +191,8 @@ def _csv_blocks(header: str, fields):
     yield header + "\n"
     size = next(len(field) for field in fields if not isinstance(field, str))
     for lo in range(0, size, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, size)
-        yield _csvrows.rows([field if isinstance(field, str)
-                             else np.asarray(field[lo:hi], dtype=float)
+        part = slice(lo, lo + _BLOCK_ROWS)
+        yield _csvrows.rows([field if isinstance(field, str) else field[part]
                              for field in fields])
 
 

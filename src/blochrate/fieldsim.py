@@ -641,9 +641,8 @@ def simulate_phases(delta: float, n_traj: int, t_end: float, dt: float,
     """
     _check_phase_args(delta, n_traj)
     t = time_grid(t_end, dt)
-    n_steps = len(t) - 1
-    scale = np.full(n_steps, math.sqrt(delta * dt))
-    phi = np.empty((n_traj, n_steps + 1))
+    scale = np.full(len(t) - 1, math.sqrt(delta * dt))
+    phi = np.empty((n_traj, len(t)))
     phi[:, 0] = 0.0
     # paths go in groups of one noise tile, so noise memory stays one tile
     rows = max(1, NOISE_TILE // (2 * NOISE_CHUNK))

@@ -59,11 +59,7 @@ def grid_steps(t: float, dt: float, name: str = "t_end", *,
 
 def time_grid(t_end: float, dt: float, name: str = "t_end", *,
               positive: bool = False) -> np.ndarray:
-    """The grid k*dt for k = 0 ... grid_steps(t_end, dt, name, positive=positive).
-
-    Formed in place, one float array with no integer temporary; the same
-    products as ``np.arange(steps + 1) * dt``.
-    """
+    """k*dt for k = 0 ... grid_steps(...): ``np.arange(steps + 1) * dt``, formed in place."""
     grid = np.arange(grid_steps(t_end, dt, name, positive=positive) + 1, dtype=float)
     grid *= dt
     return grid
