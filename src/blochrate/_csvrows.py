@@ -153,18 +153,13 @@ def rows(fields) -> str:
     """
     size = next(len(field) for field in fields if not isinstance(field, str))
     texts = [field.encode() if isinstance(field, str) else None for field in fields]
-    width = sum(_WIDTH if text is None else len(text) for text in texts) + len(fields)
-    out = bytearray(size * width)        # NUL-padded lines, cut by translate
-    buf = np.frombuffer(out, dtype=np.uint8).reshape(-1, width)
+    # every line at once: the text fields in place, NULs in each column's slot
+    line = b",".join(b"\0" * _WIDTH if text is None else text for text in texts) + b"\n"
+    out = bytearray(line) * size
+    buf = np.frombuffer(out, dtype=np.uint8).reshape(size, len(line))
     at = 0
     for field, text in zip(fields, texts):
         if text is None:
             _format_g17(np.asarray(field, dtype=float), buf[:, at:at + _WIDTH])
-            at += _WIDTH
-        else:
-            buf[:, at:at + len(text)] = np.frombuffer(text, dtype=np.uint8)
-            at += len(text)
-        buf[:, at] = ord(",")
-        at += 1
-    buf[:, -1] = ord("\n")               # in place of the last comma
+        at += (_WIDTH if text is None else len(text)) + 1
     return out.translate(None, b"\0").decode()
