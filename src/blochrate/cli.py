@@ -184,7 +184,7 @@ def _csv_blocks(header: str, fields):
     """The header line, then the lines of _BLOCK_ROWS rows of ``fields`` at a time.
 
     A field is a ``str``, the same on every line, or a column of floats (see
-    ``_csvrows.rows``), so only one block of text and values is ever held. A
+    ``_csvrows.rows``). Only one block of text and values is ever held: a
     column is only read by slices (the first also by length), so it may
     compute each slice.
     """
