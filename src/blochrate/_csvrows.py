@@ -1,6 +1,7 @@
 """CSV lines from a list of fields, formatted a block of rows at a time.
 
-``rows(fields)`` joins the fields of each row by commas, one line a row. A
+``blocks(fields, block_rows)`` joins the fields of each row by commas, one
+line a row, a block of rows at a time; ``rows(fields)`` makes all of them. A
 field is a ``str``, written as is on every line, or a float column, each value
 written as Python's ``'%.17g'`` writes it, byte for byte.
 
@@ -14,6 +15,8 @@ NaN, infinities, subnormals and the other magnitudes are formatted by
 """
 
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 
@@ -145,21 +148,36 @@ def _format_g17(x, out) -> None:
         out[slow, :text.shape[1]] = text
 
 
-def rows(fields) -> str:
-    """The lines of a block of rows: each field's text, joined by commas.
+def blocks(fields, block_rows: int):
+    """The lines of ``fields``, ``block_rows`` rows at a time: one str a block.
 
-    A ``str`` field is the same text on every line; any other field is a column
-    of floats, one value a line, written as ``'%.17g'``.
+    Each line joins its row's fields by commas. A ``str`` field is the same
+    text on every line; any other field is a column of floats, one value a
+    line, written as ``'%.17g'``. A column is only read by slices (the first
+    also by length), so it may compute each slice.
     """
-    size = next(len(field) for field in fields if not isinstance(field, str))
     texts = [field.encode() if isinstance(field, str) else None for field in fields]
+    size = next(len(field) for field, text in zip(fields, texts) if text is None)
     # every line at once: the text fields in place, NULs in each column's slot
     line = b",".join(b"\0" * _WIDTH if text is None else text for text in texts) + b"\n"
-    out = bytearray(line) * size
-    buf = np.frombuffer(out, dtype=np.uint8).reshape(size, len(line))
-    at = 0
+    slots, at = [], 0           # each column with the offset of its slot in line
     for field, text in zip(fields, texts):
         if text is None:
-            _format_g17(np.asarray(field, dtype=float), buf[:, at:at + _WIDTH])
+            slots.append((field, at))
         at += (_WIDTH if text is None else len(text)) + 1
+    for lo in range(0, size, block_rows):
+        yield _lines(line, [(field[lo:lo + block_rows], at) for field, at in slots])
+
+
+def _lines(line: bytes, columns) -> str:
+    """A copy of ``line`` per row, each (values, offset) column written into its slot."""
+    out = bytearray(line) * len(columns[0][0])
+    buf = np.frombuffer(out, dtype=np.uint8).reshape(-1, len(line))
+    for values, at in columns:
+        _format_g17(np.asarray(values, dtype=float), buf[:, at:at + _WIDTH])
     return out.translate(None, b"\0").decode()
+
+
+def rows(fields) -> str:
+    """Every line of ``fields`` (see ``blocks``) as one str."""
+    return "".join(blocks(fields, sys.maxsize))

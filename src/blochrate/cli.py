@@ -181,19 +181,12 @@ def atomic_write_text(path: Path, text: str) -> None:
 
 
 def _csv_blocks(header: str, fields):
-    """The header line, then the lines of _BLOCK_ROWS rows of ``fields`` at a time.
+    """The header line, then the lines of ``fields`` (see ``_csvrows.blocks``).
 
-    A field is a ``str``, the same on every line, or a column of floats (see
-    ``_csvrows.rows``). Only one block of text and values is ever held: a
-    column is only read by slices (the first also by length), so it may
-    compute each slice.
+    Only one block of _BLOCK_ROWS rows of text and values is ever held.
     """
     yield header + "\n"
-    size = next(len(field) for field in fields if not isinstance(field, str))
-    for lo in range(0, size, _BLOCK_ROWS):
-        part = slice(lo, lo + _BLOCK_ROWS)
-        yield _csvrows.rows([field if isinstance(field, str) else field[part]
-                             for field in fields])
+    yield from _csvrows.blocks(fields, _BLOCK_ROWS)
 
 
 def _write_csv(path: Path, header: str, fields) -> None:

@@ -57,10 +57,9 @@ def grid_steps(t: float, dt: float, name: str = "t_end", *,
     return steps
 
 
-def time_grid(t_end: float, dt: float, name: str = "t_end", *,
-              positive: bool = False) -> np.ndarray:
+def time_grid(t_end: float, dt: float, *, positive: bool = False) -> np.ndarray:
     """k*dt for k = 0 ... grid_steps(...): ``np.arange(steps + 1) * dt``, formed in place."""
-    grid = np.arange(grid_steps(t_end, dt, name, positive=positive) + 1, dtype=float)
+    grid = np.arange(grid_steps(t_end, dt, positive=positive) + 1, dtype=float)
     grid *= dt
     return grid
 
