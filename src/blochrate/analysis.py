@@ -24,50 +24,53 @@ __all__ = [
 ]
 
 
+_REL_TOL = 1e-8     # relative tolerance of the zeta quadrature
+
+
 class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 
 
-def _theta_breaks(s: SpectrumModel, gamma_perp: float, omega21: float):
+def _theta_breaks(s: SpectrumModel, gamma_perp: float):
     """Quadrature break points in the tangent-substituted variable."""
     w = width_hint(s)
     feats = [s.center + k * w for k in (-2.0, -1.0, 0.0, 1.0, 2.0)]
     if isinstance(s, TabulatedSpectrum):
         feats += [s.omega[0], s.omega[-1]]
-    feats.append(omega21)
-    thetas = np.arctan((np.array(feats) - omega21) / gamma_perp)
+    feats.append(0.0)                   # the atomic line
+    thetas = np.arctan(np.array(feats) / gamma_perp)
     thetas = np.unique(np.clip(thetas, -math.pi / 2 + 1e-9, math.pi / 2 - 1e-9))
     return thetas
 
 
-def zeta_numeric(s: SpectrumModel, gamma_perp: float, omega21: float = 0.0,
-                 rel_tol: float = 1e-8) -> float:
-    """Spectral overlap factor by adaptive quadrature.
+def zeta_numeric(s: SpectrumModel, gamma_perp: float) -> float:
+    """Spectral overlap factor by adaptive quadrature, to relative error 1e-8.
 
-    zeta = Int dw W(w)/W(omega21) * (gamma_perp/pi)/((w-omega21)^2+gamma_perp^2).
-    The substitution w = omega21 + gamma_perp*tan(theta) folds the infinite
-    tails onto (-pi/2, pi/2) and makes the atomic line a flat weight, so the
-    integrand stays O(1) for any linewidth ratio.
+    zeta = Int dw W(w)/W(0) * (gamma_perp/pi)/(w^2+gamma_perp^2), with the
+    atomic line at w = 0; a detuned light spectrum carries its own center.
+    The substitution w = gamma_perp*tan(theta) folds the infinite tails onto
+    (-pi/2, pi/2) and makes the atomic line a flat weight, so the integrand
+    stays O(1) for any linewidth ratio.
     """
     from scipy.integrate import quad    # here, not at the top: the CLI need not import it
 
     if gamma_perp <= 0:
         raise ValueError("gamma_perp must be positive")
-    w21 = spectral_density(s, omega21)
+    w21 = spectral_density(s, 0.0)
     if not w21 > 0:
-        raise ValueError("W(omega21) = 0: overlap normalization undefined")
+        raise ValueError("W(0) = 0 at the atomic line: overlap normalization undefined")
 
     def integrand(theta: float) -> float:
-        w = omega21 + gamma_perp * math.tan(theta)
+        w = gamma_perp * math.tan(theta)
         return spectral_density(s, w) / (w21 * math.pi)
 
     result = quad(integrand, -math.pi / 2, math.pi / 2,
-                  points=_theta_breaks(s, gamma_perp, omega21),
-                  limit=400, epsabs=0.0, epsrel=rel_tol, full_output=1)
+                  points=_theta_breaks(s, gamma_perp),
+                  limit=400, epsabs=0.0, epsrel=_REL_TOL, full_output=1)
     if len(result) > 3:
         raise QuadratureError(f"zeta quadrature: {result[3]}")
     value, abserr = result[0], result[1]
-    if abserr > 10.0 * rel_tol * max(abs(value), 1e-300):
+    if abserr > 10.0 * _REL_TOL * max(abs(value), 1e-300):
         raise QuadratureError(
             f"zeta quadrature reached only {abserr:.3e} absolute "
             f"(value {value:.6e}), worse than requested"

@@ -34,7 +34,6 @@ from .fieldsim import (EnsembleTrace, IntegratorError, decorrelation_residual,
 from .params import CoherentLimitError, SystemParams, check_seed, grid_steps
 from .spectrum import SpectrumSupportError, load_tabulated
 
-ENV_THREADS = "BLOCHRATE_THREADS"
 TRACE_HEADER = "t,n_mean,n_std,n_stderr,q_mean,model,seed"
 FIG3_HEADER = "n_traj,n_mean,n_std,n_stderr,model,seed"
 DECORR_HEADER = ("t,t_prime,k_mean,k_stderr,c_mean,c_stderr,"
@@ -461,7 +460,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="output directory (created if missing)")
         p.add_argument("--seed", type=int, default=None, metavar="U64")
         if threads_and_plot:
-            p.add_argument("--threads", type=int, default=None, metavar="N")
+            p.add_argument("--threads", type=int, default=1, metavar="N")
             p.add_argument("--plot", action="store_true",
                            help="also write an SVG line plot")
 
@@ -474,18 +473,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("decorrelate",
                           help="two-time factorization residual and verdict"))
     return parser
-
-
-def _resolve_threads(value) -> int:
-    if value is None:
-        value = os.environ.get(ENV_THREADS, "1")
-    try:
-        threads = int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"threads must be an integer, got {value!r}") from None
-    if threads < 1:
-        raise ConfigError("threads must be >= 1")
-    return threads
 
 
 def main(argv=None) -> int:
@@ -505,7 +492,9 @@ def main(argv=None) -> int:
         cfg = _resolve(run, cfg)
         if hasattr(cfg, "out"):         # a figure names its own files
             _check_out_name(cfg.out)
-        threads = _resolve_threads(getattr(args, "threads", None))
+        threads = getattr(args, "threads", 1)      # analyze takes no --threads
+        if threads < 1:
+            raise ConfigError("threads must be >= 1")
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -63,10 +63,9 @@ def _fmt_tick(v: float) -> str:
 
 
 def render_line_plot(series, title: str, xlabel: str, ylabel: str, *,
-                     logx: bool = False, logy: bool = False,
-                     size=(720, 480)) -> str:
-    """Render the series list into an SVG document string."""
-    width, height = size
+                     logx: bool = False, logy: bool = False) -> str:
+    """Render the series list into a 720 x 480 SVG document string."""
+    width, height = 720, 480
     ml, mr, mt, mb = 64, 16, 36, 48
     pw, ph = width - ml - mr, height - mt - mb
 

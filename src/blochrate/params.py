@@ -2,8 +2,8 @@
 
 Rates are expressed in units where time is measured in 1/A (the spontaneous
 decay rate), so A=1 in typical runs. The field is resonant with the atomic
-transition; detuned spectra are handled by the tabulated-spectrum path in the
-analysis module.
+transition, which sits at frequency 0; a detuned line is a spectrum whose
+``center`` is not 0 (see the spectrum module).
 
 Symbols used throughout the package:
 

@@ -3,19 +3,19 @@
 Atomic rates feel the light only through the product B*W(omega) (Einstein B
 coefficient times spectral energy density), which has units of 1/time. All
 functions here therefore work with that product: a model's ``peak`` value is
-B*W at the line center when the ``b`` arguments are left at 1.0, and callers
-holding a physical B in SI units can pass it to convert.
+B*W at the line center, and a caller holding a physical B divides by it.
 
-Simulation units put the atomic transition at omega21 = 0, so frequency
-arguments are offsets from the transition unless stated otherwise.
+Simulation units put the atomic transition at omega21 = 0, so frequencies are
+offsets from the transition, and a detuned line is a spectrum whose
+``center`` is not 0.
 
 Two model families are supported: an analytic Lorentzian (the spectrum of
 phase-diffused light) and a tabulated spectrum read from two-column text.
 The module also provides both directions of the autocorrelation transform
 pair
 
-    I(tau)  = (1/pi) * Int W(omega) cos((omega - omega21) tau) domega
-    W(omega) = Int_0^inf I(tau) cos((omega - omega21) tau) dtau
+    I(tau)  = (1/pi) * Int W(omega) cos(omega tau) domega
+    W(omega) = Int_0^inf I(tau) cos(omega tau) dtau
 
 and a Wiener-Khintchine estimator that recovers B*W from simulated field
 phase trajectories.
@@ -24,8 +24,7 @@ phase trajectories.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.fft import fft, rfft
@@ -66,15 +65,10 @@ class LorentzianSpectrum:
 
 @dataclass(frozen=True)
 class TabulatedSpectrum:
-    """Sampled spectrum, linearly interpolated, zero outside the table.
-
-    ``center`` marks the nominal line position; it defaults to the grid point
-    of maximum density.
-    """
+    """Sampled spectrum, linearly interpolated, zero outside the table."""
 
     omega: np.ndarray
     values: np.ndarray
-    center: float = field(default=math.nan)
 
     def __post_init__(self):
         omega = np.asarray(self.omega, dtype=float)
@@ -89,26 +83,28 @@ class TabulatedSpectrum:
             raise ValueError("spectral density must be non-negative")
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "values", values)
-        if math.isnan(self.center):
-            object.__setattr__(self, "center", float(omega[np.argmax(values)]))
+
+    @property
+    def center(self) -> float:
+        """The nominal line position: the node of maximum density."""
+        return float(self.omega[np.argmax(self.values)])
 
 
 SpectrumModel = LorentzianSpectrum | TabulatedSpectrum
 
 
-def from_phase_diffusion(omega0: float, delta: float, b: float = 1.0,
-                         center: float = 0.0) -> LorentzianSpectrum:
+def from_phase_diffusion(omega0: float, delta: float) -> LorentzianSpectrum:
     """Spectrum of a phase-diffusing field of Rabi frequency omega0.
 
-    Phase diffusion at rate delta gives a Lorentzian of FWHM delta whose peak
-    satisfies b * W(center) = omega0**2 / delta.
+    Phase diffusion at rate delta gives a Lorentzian of FWHM delta on the
+    atomic line with peak W(0) = omega0**2 / delta; a line detuned by D is
+    ``LorentzianSpectrum(omega0**2 / delta, delta, center=D)``.
     """
     if delta <= 0:
         raise ValueError("phase diffusion spectrum requires delta > 0")
     if omega0 <= 0:
         raise ValueError("omega0 must be positive")
-    return LorentzianSpectrum(peak=omega0 ** 2 / (delta * b), fwhm=delta,
-                              center=center)
+    return LorentzianSpectrum(peak=omega0 ** 2 / delta, fwhm=delta)
 
 
 def load_tabulated(path) -> TabulatedSpectrum:
@@ -166,15 +162,14 @@ def fwhm_of(x, y) -> float:
 # ----------------------------------------------------------------------
 # autocorrelation transform pair
 
-def autocorrelation_kernel(s: SpectrumModel, tau, omega21: float = 0.0):
-    """Field autocorrelation kernel I(tau) = (1/pi) Int W cos((w-omega21) tau) dw.
+def autocorrelation_kernel(s: SpectrumModel, tau):
+    """Field autocorrelation kernel I(tau) = (1/pi) Int W cos(w tau) dw.
 
     Lorentzians use the closed form
-    (fwhm*peak/2) * exp(-fwhm*|tau|/2) * cos((center-omega21) tau); tabulated
-    spectra integrate the linear interpolant exactly, which keeps the result
-    accurate for tau out to many coherence times. With nodes s_0..s_N
-    (offsets from omega21), values w_j and interval slopes slope_j, that
-    integral is
+    (fwhm*peak/2) * exp(-fwhm*|tau|/2) * cos(center tau); tabulated spectra
+    integrate the linear interpolant exactly, which keeps the result accurate
+    for tau out to many coherence times. With nodes s_0..s_N, values w_j and
+    interval slopes slope_j, that integral is
 
         pi*I(tau) = [w_N sin(s_N tau) - w_0 sin(s_0 tau)] / tau
                     + Sum_j slope_j [cos(s_{j+1} tau) - cos(s_j tau)] / tau**2
@@ -218,12 +213,12 @@ def autocorrelation_kernel(s: SpectrumModel, tau, omega21: float = 0.0):
 
     if isinstance(s, LorentzianSpectrum):
         # formed in place, with the factors of
-        # 0.5*fwhm*peak * exp(-0.5*fwhm*|tau|) * cos((center-omega21)*tau)
+        # 0.5*fwhm*peak * exp(-0.5*fwhm*|tau|) * cos(center*tau)
         out = np.abs(tau)
         out *= -0.5 * s.fwhm
         np.exp(out, out=out)
         out *= 0.5 * s.fwhm * s.peak
-        phase = np.multiply(s.center - omega21, tau)
+        phase = np.multiply(s.center, tau)
         out *= np.cos(phase, out=phase)
         return float(out[0]) if scalar else out
 
@@ -238,7 +233,7 @@ def autocorrelation_kernel(s: SpectrumModel, tau, omega21: float = 0.0):
             "transforming it"
         )
 
-    sgrid = s.omega - omega21
+    sgrid = s.omega
     w = s.values
     slope = np.diff(w) / np.diff(sgrid)
     flat = tau.reshape(-1)
@@ -349,23 +344,22 @@ def _trapezoid_transform(f, tau, x):
     return out
 
 
-def spectrum_from_kernel(kernel, tau, omega, omega21: float = 0.0):
-    """Inverse transform: W(omega) = Int_0^inf I(tau) cos((omega-omega21) tau) dtau.
+def spectrum_from_kernel(kernel, tau, omega):
+    """Inverse transform: W(omega) = Int_0^inf I(tau) cos(omega tau) dtau.
 
     Trapezoid quadrature over the supplied tau grid, which must start at 0 and
-    extend far enough that the kernel has decayed. omega and omega21 must be
-    finite.
+    extend far enough that the kernel has decayed. omega must be finite.
     """
     kernel = np.asarray(kernel, dtype=float)
     tau = np.asarray(tau, dtype=float)
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     _check_lags(tau)
-    _check_frequencies(omega, omega21=omega21)
+    _check_frequencies(omega)
     if tau[0] != 0.0:
         raise ValueError("tau grid must start at 0")
     if kernel.shape != tau.shape:
         raise ValueError("kernel and tau must have matching shapes")
-    return _trapezoid_transform(kernel, tau, omega - omega21)
+    return _trapezoid_transform(kernel, tau, omega)
 
 
 # ----------------------------------------------------------------------
@@ -373,7 +367,7 @@ def spectrum_from_kernel(kernel, tau, omega, omega21: float = 0.0):
 
 @dataclass
 class WkEstimate:
-    """B*W(omega) recovered from simulated phases (scaled by 1/b if b given).
+    """B*W(omega) recovered from simulated phases.
 
     ``values`` and ``stderr`` are batch means and batch standard errors over
     ``n_batches`` trajectory groups. ``truncation_estimate`` is the measured
@@ -390,25 +384,24 @@ class WkEstimate:
     bias_warning: bool
 
 
-def spectrum_from_autocorrelation(g, tau, omega_grid, omega0: float,
-                                  b: float = 1.0) -> np.ndarray:
-    """Transform a (possibly complex) field autocorrelation into B*W/b.
+def spectrum_from_autocorrelation(g, tau, omega_grid, omega0: float) -> np.ndarray:
+    """Transform a (possibly complex) field autocorrelation into B*W.
 
     g(tau) is the normalized autocorrelation <e^{i[phi(t+tau)-phi(t)]}> on a
     non-negative, increasing tau grid; negative lags enter through the
     Hermitian symmetry g(-tau) = conj(g(tau)). omega_grid holds offsets from
     the transition. g may stack several autocorrelations along leading axes
     (tau along the last); the result then has omega in place of tau.
-    omega_grid, omega0 and b must be finite.
+    omega_grid and omega0 must be finite.
     """
     g = np.asarray(g)
     tau = np.asarray(tau, dtype=float)
     omega_grid = np.atleast_1d(np.asarray(omega_grid, dtype=float))
     _check_lags(tau)
-    _check_frequencies(omega_grid, omega0=omega0, b=b)
+    _check_frequencies(omega_grid, omega0=omega0)
     if g.shape[-1:] != tau.shape:
         raise ValueError("g must have tau's length along its last axis")
-    pref = omega0 ** 2 / (4.0 * b)
+    pref = omega0 ** 2 / 4.0
     return 2.0 * pref * _trapezoid_transform(g, tau, omega_grid)
 
 
@@ -463,17 +456,16 @@ def _batch_autocorrelation(rows: np.ndarray, k_max: int) -> np.ndarray:
 
 
 def wk_estimate(phi: np.ndarray, dt: float, omega0: float, omega_grid,
-                b: float = 1.0, n_batches: int = 16,
                 max_lag: float | None = None) -> WkEstimate:
-    """Estimate B*W(omega)/b from an array of phase trajectories.
+    """Estimate B*W(omega) from an array of phase trajectories.
 
     phi has shape (n_traj, n_steps+1), sampled every dt. The autocorrelation
     of e^{i phi} is time-averaged over each trajectory (FFT, rectangular lag
     window of ``max_lag``, default the full trajectory) and transformed lag-
     to-frequency by trapezoid quadrature. Trajectories are split into
-    ``n_batches`` groups (an integer, clamped to [2, n_traj]) whose
-    independent estimates give the standard error. omega_grid, omega0 and b
-    must be finite; every input is checked before any transform runs.
+    min(16, n_traj) groups whose independent estimates give the standard
+    error. omega_grid and omega0 must be finite; every input is checked
+    before any transform runs.
 
     Each batch forms e^{i phi} only for its own rows, zero-padded to the
     next 11-smooth length >= n_steps+1 + lags, which is enough for the lags
@@ -482,7 +474,7 @@ def wk_estimate(phi: np.ndarray, dt: float, omega0: float, omega_grid,
     scipy off the package's import). Rows go through one reused buffer a
     few at a time, so beyond phi itself memory is fixed whatever n_traj:
     that buffer, about _KERNEL_CHUNK complex elements (4 MB) or two padded
-    rows if one row is longer, and the n_batches autocorrelations.
+    rows if one row is longer, and the batches' autocorrelations.
 
     The window must cover many coherence times or the transform is biased;
     ``truncation_estimate`` reports the batch-pooled autocorrelation
@@ -500,11 +492,9 @@ def wk_estimate(phi: np.ndarray, dt: float, omega0: float, omega_grid,
     if not (math.isfinite(phi.min()) and math.isfinite(phi.max())):
         raise ValueError("phi must be finite")
     omega_grid = np.atleast_1d(np.asarray(omega_grid, dtype=float))
-    _check_frequencies(omega_grid, omega0=omega0, b=b)
-    if not isinstance(n_batches, numbers.Integral):
-        raise ValueError(f"n_batches must be an integer, got {n_batches!r}")
+    _check_frequencies(omega_grid, omega0=omega0)
     n_traj, n_t = phi.shape
-    n_batches = max(2, min(n_batches, n_traj))
+    n_batches = min(16, n_traj)
     if max_lag is None:
         k_max = n_t - 1
     else:
@@ -519,7 +509,7 @@ def wk_estimate(phi: np.ndarray, dt: float, omega0: float, omega_grid,
     for j, rows in enumerate(np.array_split(phi, n_batches, axis=0)):
         g[j] = _batch_autocorrelation(rows, k_max)
 
-    batch_vals = spectrum_from_autocorrelation(g, tau, omega_grid, omega0, b=b)
+    batch_vals = spectrum_from_autocorrelation(g, tau, omega_grid, omega0)
     values = batch_vals.mean(axis=0)
     stderr = batch_vals.std(axis=0, ddof=1) / math.sqrt(n_batches)
     tail = g[:, -max(1, (k_max + 1) // 20):].mean(axis=1)

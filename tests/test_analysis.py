@@ -43,6 +43,17 @@ def test_zeta_quadrature_matches_closed_form():
     assert abs(zeta_numeric(s, 0.5) - 10.0 / 11.0) <= 1e-6
 
 
+@pytest.mark.parametrize("delta,gamma_perp,detuning", [
+    (5.0, 0.5, 3.0), (0.2, 1.0, 2.0), (50.0, 0.5, 30.0)])
+def test_zeta_quadrature_matches_detuned_closed_form(delta, gamma_perp, detuning):
+    # a light line at `detuning` from the atomic line at 0: the two Lorentzians
+    # convolve to (h+g)(D^2+h^2) / (h (D^2+(h+g)^2)), h = delta/2
+    s = LorentzianSpectrum(peak=1.0, fwhm=delta, center=detuning)
+    h, d2 = 0.5 * delta, detuning ** 2
+    closed = (h + gamma_perp) * (d2 + h * h) / (h * (d2 + (h + gamma_perp) ** 2))
+    assert abs(zeta_numeric(s, gamma_perp) - closed) <= 1e-8 * closed
+
+
 def test_zeta_flat_spectrum_saturates():
     gp = 0.5
     x = np.linspace(-1000.0 * gp, 1000.0 * gp, 4001)

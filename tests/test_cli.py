@@ -394,24 +394,21 @@ def test_simulate_monochromatic_rules(tmp_path):
     assert main(["simulate", "--set", "model=ere", *base]) == 0
 
 
-def test_simulate_byte_identity_and_env_threads(tmp_path, monkeypatch):
+def test_simulate_byte_identity_and_env_threads(tmp_path):
     args = ["simulate", "--set", "model=sde", "--set", "delta=5",
             "--set", "omega0=2", "--set", "t_end=0.1", "--set", "n_traj=16"]
     assert main([*args, "--out", str(tmp_path / "a")]) == 0
     assert main([*args, "--out", str(tmp_path / "b")]) == 0
-    monkeypatch.setenv("BLOCHRATE_THREADS", "2")
-    assert main([*args, "--out", str(tmp_path / "c")]) == 0
+    assert main([*args, "--threads", "2", "--out", str(tmp_path / "c")]) == 0
     blob = (tmp_path / "a" / "sde_trace.csv").read_bytes()
     assert (tmp_path / "b" / "sde_trace.csv").read_bytes() == blob
     assert (tmp_path / "c" / "sde_trace.csv").read_bytes() == blob
 
 
-def test_threads_validation(tmp_path, monkeypatch):
+def test_threads_validation(tmp_path):
     args = ["simulate", "--set", "model=ere", "--set", "delta=5",
             "--set", "omega0=1", "--set", "t_end=0.1", "--out", str(tmp_path)]
     assert main([*args, "--threads", "0"]) == 2
-    monkeypatch.setenv("BLOCHRATE_THREADS", "soon")
-    assert main(args) == 2
 
 
 def test_atomic_write_leaves_nothing_on_failure(tmp_path, monkeypatch):

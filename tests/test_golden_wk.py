@@ -36,9 +36,9 @@ def golden_outputs() -> dict:
     # a complex autocorrelation on an uneven grid: a shifted, damped line
     tau = np.concatenate([np.linspace(0.0, 2.0, 81), np.linspace(2.1, 9.0, 70)])
     g = np.exp((-0.7 + 1.3j) * tau) + 0.2 * np.exp(-2.0 * tau)
-    out["autocorr.values"] = spectrum_from_autocorrelation(g, tau, omega, 1.5,
-                                                           b=0.8)
-    out["kernel.values"] = spectrum_from_kernel(g.real, tau, omega, omega21=0.4)
+    # the golden values were made with a B of 0.8 and the atomic line at 0.4
+    out["autocorr.values"] = spectrum_from_autocorrelation(g, tau, omega, 1.5) / 0.8
+    out["kernel.values"] = spectrum_from_kernel(g.real, tau, omega - 0.4)
     return out
 
 

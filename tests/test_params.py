@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import math
 import types
 
@@ -149,3 +151,62 @@ def test_public_surface_is_pinned():
         "spectrum_from_kernel", "steady_state", "thresholds", "width_hint",
         "wk_estimate", "zeta_numeric",
     ]
+
+
+def test_public_signatures_are_pinned():
+    # adding or removing a public argument is a deliberate edit of this table
+    signatures = {
+        name: " ".join(inspect.signature(value).parameters)
+        for name, value in vars(blochrate).items()
+        if not name.startswith("_")
+        and (inspect.isfunction(value) or dataclasses.is_dataclass(value))
+    }
+    assert signatures == {
+        "AnalysisReport": "a delta omega0 gamma_dc gamma_perp gamma_eff zeta bw21 "
+                          "zeta_bw21 n_infinity lam_plus lam_minus discriminant "
+                          "frequency oscillation rate_eq_valid ere_regime "
+                          "coherent_limit oscillation_bound",
+        "CollisionParams": "gamma_21 gamma_12",
+        "DecorrelationResult": "t t_prime k_mean k_stderr c_mean c_stderr n_mean "
+                               "n_stderr residual residual_stderr n_traj "
+                               "holds_3sigma low_statistics",
+        "EnsembleTrace": "t n_mean n_var n_stderr n_traj coherence_mean final_n "
+                         "prefix_traces",
+        "KineticTrace": "t n q",
+        "LorentzianSpectrum": "peak fwhm center",
+        "ModeSpectrum": "lam_plus lam_minus discriminant frequency oscillatory",
+        "PhaseAutocorrelation": "tau mean stderr_re stderr_im n_traj",
+        "RegimeFlags": "oscillation rate_eq_valid ere_regime coherent_limit "
+                       "oscillation_bound",
+        "SystemParams": "a delta omega0 gamma_dc",
+        "TabulatedSpectrum": "omega values",
+        "TrajectoryTrace": "t n sigma phi",
+        "WkEstimate": "omega values stderr window n_batches truncation_estimate "
+                      "bias_warning",
+        "autocorrelation_kernel": "s tau",
+        "build_report": "params",
+        "decorrelation_residual": "params n_traj t t_prime_grid seed dt threads",
+        "eigenvalues": "params",
+        "from_phase_diffusion": "omega0 delta",
+        "fwhm_of": "x y",
+        "integrate_effective_bloch": "params t_end dt n0 q0",
+        "integrate_ere": "params t_end dt n0",
+        "integrate_generalized_ere": "params coll t_end dt n0",
+        "integrate_memory_kernel": "spectrum params t_end dt n0",
+        "integrate_modified_ere": "params t_end dt n0",
+        "load_tabulated": "path",
+        "measured_oscillation_frequency": "t x",
+        "phase_autocorrelation": "delta n_traj tau_grid seed",
+        "run_ensemble": "params n_traj t_end dt seed n0 sigma0 phi0 threads "
+                        "with_coherence keep_final prefixes",
+        "run_trajectory": "params t_end dt seed index n0 sigma0 phi0 increments",
+        "simulate_phases": "delta n_traj t_end dt seed",
+        "spectral_density": "s omega",
+        "spectrum_from_autocorrelation": "g tau omega_grid omega0",
+        "spectrum_from_kernel": "kernel tau omega",
+        "steady_state": "params",
+        "thresholds": "params",
+        "width_hint": "s",
+        "wk_estimate": "phi dt omega0 omega_grid max_lag",
+        "zeta_numeric": "s gamma_perp",
+    }
