@@ -48,11 +48,6 @@ class RunConfig(SimpleNamespace):
     """Config keys as attributes: those that were set, or a run's resolved config."""
 
 
-_TYPES = {"model": str, "a": float, "delta": float, "omega0": float,
-          "gamma_dc": float, "gamma_21": float, "gamma_12": float, "n0": float,
-          "q0": float, "t_end": float, "dt": float, "n_traj": int, "seed": int,
-          "t_obs": float, "n_tprime": int, "out": str, "spectrum_path": str}
-
 # The key table: each run, named by its simulate model, figure or command,
 # maps the keys it reads to their defaults. A run refuses any other key that
 # is set (see _resolve).
@@ -87,6 +82,9 @@ KEY_TABLE = {
     "decorrelate": {**_RATES, "dt": 1e-3, "n_traj": 10000, **_SEED, "t_obs": 2.0,
                     "n_tprime": 21, "out": "decorrelation.csv"},
 }
+# a key's type is its default's, the same in every run that reads it
+_TYPES = {key: type(default) for keys in KEY_TABLE.values()
+          for key, default in keys.items()}
 MODELS = tuple(run for run, keys in KEY_TABLE.items() if "model" in keys)
 FIGURES = tuple(run for run in KEY_TABLE if run.startswith("fig"))
 
@@ -233,8 +231,7 @@ def _q_column(params, trace):
 
 def _sde_trace(params, n_traj, t_end, dt, seed, threads, n0=-1.0):
     """Run the ensemble and map it onto the trace-CSV columns."""
-    trace = run_ensemble(params, n_traj, t_end, dt, seed, n0=n0,
-                         threads=threads, with_coherence=True)
+    trace = run_ensemble(params, n_traj, t_end, dt, seed, n0=n0, threads=threads)
     return trace, _q_column(params, trace)
 
 
@@ -327,7 +324,7 @@ def _fig2(out_dir, cfg, threads, panel: str):
     written, series = [], []
     # the smaller ensembles are prefixes of the 1000-trajectory run
     full = run_ensemble(params, 1000, t_end, dt, seed, threads=threads,
-                        with_coherence=True, prefixes=(1, 10, 100))
+                        prefixes=(1, 10, 100))
     for trace in (*full.prefix_traces, full):
         written.append(_write_trace(out_dir / f"fig2{panel}_n{trace.n_traj}.csv",
                                     trace, "sde", seed, _q_column(params, trace)))
@@ -353,8 +350,7 @@ def _fig3(out_dir, cfg, threads, panel: str):
     if n_traj < 2:
         raise ConfigError(f"fig3 needs n_traj >= 2 for a sample std, got {n_traj}")
     params = SystemParams(a=1.0, delta=delta, omega0=omega0)
-    trace = run_ensemble(params, n_traj, cfg.t_end, cfg.dt, seed, threads=threads,
-                         keep_final=True)
+    trace = run_ensemble(params, n_traj, cfg.t_end, cfg.dt, seed, threads=threads)
     subsets = _fig3_subsets(n_traj)
     means, stds, stderrs = [], [], []
     for m in subsets:

@@ -16,8 +16,8 @@ implicit step has a closed form (a Cayley map, which keeps the undamped
 Bloch radius n**2 + 4|sigma|**2 to rounding).
 
 The phase enters only through e^{i phi}, so the engine carries the coherence
-in the frame that turns with the field phase, u = sigma*e^{i phi} (the
-quantity the coherence channel reports, with |u| = |sigma|), and the step
+in the frame that turns with the field phase, u = sigma*e^{i phi} (whose
+ensemble mean <u> every ensemble reports, with |u| = |sigma|), and the step
 needs e^{i phi} only over the step itself. With r = e^{i dphi/2},
 k = 2 + dt*gamma_perp and w = Omega0*dt, one step of (n, u) is
 
@@ -58,10 +58,10 @@ index order, so results are bit-identical for any worker count. Every entry
 point integrates through the same block engine, so trajectory i is the same
 trajectory everywhere.
 
-Buffered reduction: in the blocks of run_ensemble (the only caller that
-reads per-step moments), each step writes n (and u, with the coherence
-channel on) into its row of a C-contiguous (rows, width) buffer, and every
-``rows`` steps the buffer is reduced along its contiguous axis. Numpy's
+Buffered reduction: every ensemble reports <u> and the final n. In the
+blocks of run_ensemble (the only caller that reads per-step moments), each
+step writes n and u into its row of a C-contiguous (rows, width) buffer, and
+every ``rows`` steps the buffer is reduced along its contiguous axis. Numpy's
 pairwise sum over one contiguous row rounds exactly as over a 1-d array of
 that row, so the per-step moments do not depend on ``rows``; ``rows`` comes
 from the width alone (_buffer_rows), which bounds a block's buffers at
@@ -86,8 +86,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import (SystemParams, _check_initial_state, check_seed, grid_steps,
-                     time_grid)
+from .params import (SystemParams, _check_initial_state, _check_lags, check_seed,
+                     grid_steps, time_grid)
 
 BLOCK_TRAJ = 8192      # trajectories integrated together; independent of --threads
 NOISE_CHUNK = 1024     # steps drawn per stream call; fixed so noise is batch independent
@@ -225,11 +225,12 @@ class EnsembleTrace:
     """Per-time statistics of n over an ensemble.
 
     n_var is the unbiased sample variance across trajectories and
-    n_stderr = sqrt(n_var / n_traj). coherence_mean, when requested, is the
-    ensemble mean of sigma*e^{i phi} at each grid time. final_n, when
-    requested, holds every trajectory's n(t_end) in trajectory-index order.
-    prefix_traces, when prefix sizes are requested, holds one trace per size,
-    in the order asked, each equal to a separate run of that many trajectories.
+    n_stderr = sqrt(n_var / n_traj). Every ensemble also reports
+    coherence_mean, the ensemble mean <u> of u = sigma*e^{i phi} at each grid
+    time, and final_n, every trajectory's n(t_end) in trajectory-index
+    order. prefix_traces holds one trace per requested prefix size, in the
+    order asked, each equal in every field to a separate run of that many
+    trajectories.
     """
 
     t: np.ndarray
@@ -237,9 +238,9 @@ class EnsembleTrace:
     n_var: np.ndarray
     n_stderr: np.ndarray
     n_traj: int
-    coherence_mean: np.ndarray | None = None
-    final_n: np.ndarray | None = None
-    prefix_traces: tuple[EnsembleTrace, ...] | None = None
+    coherence_mean: np.ndarray
+    final_n: np.ndarray
+    prefix_traces: tuple[EnsembleTrace, ...] = ()
 
 
 # ----------------------------------------------------------------------
@@ -383,71 +384,68 @@ def _buffer_rows(width: int) -> int:
 
 
 def _run_block(params, seed, idx_lo, idx_hi, n_steps, dt, n0, sigma0, phi0,
-               want_moments, want_coherence, snap_steps, increments,
-               prefix_widths=()):
+               snap_steps, increments, prefix_widths=()):
     """Integrate trajectories [idx_lo, idx_hi) and reduce them on the fly.
 
-    With ``want_moments``, steps are buffered and reduced
-    ``_buffer_rows(width)`` at a time (see the module docstring), and the
-    block's leading ``prefix_widths`` columns are reduced alongside the whole
-    block. Returns the block's span; moment triples for n(t) and, with the
-    coherence on, coherence sums, both keyed by the reduced width (None
-    without ``want_moments``); snapshot arrays of (n, u, phi) at the
-    requested step indices (one column per index, none when none are
-    requested; u = sigma*e^{i phi}); and the final (n, phi) of every
-    trajectory.
+    With ``snap_steps`` (step indices in non-decreasing order), the block
+    keeps snapshot arrays of (n, u, phi) at those steps, one column per
+    index (u = sigma*e^{i phi}). Without them it reduces every step: steps are
+    buffered and reduced ``_buffer_rows(width)`` at a time (see the module
+    docstring), and the block's leading ``prefix_widths`` columns are reduced
+    alongside the whole block into moment triples for n(t) and coherence
+    sums, both keyed by the reduced width. Returns the block's span, the
+    moments and coherence sums (empty with snapshots), the snapshot arrays
+    and the final (n, phi) of every trajectory.
     """
     a, gperp = params.a, params.gamma_perp
     delta, omega0 = params.delta, params.omega0
     width = idx_hi - idx_lo
-    widths = sorted({*prefix_widths, width})
 
     n = np.full(width, float(n0))
     u = np.full(width, complex(sigma0) * np.exp(1j * float(phi0)))
     phi = np.full(width, float(phi0))
 
-    rows = _buffer_rows(width)
-    moments = coh = u_buf = None
-    if want_moments:
-        n_buf = np.empty((rows, width))
-        moments = {m: (m, np.empty(n_steps + 1), np.empty(n_steps + 1))
-                   for m in widths}
-        if want_coherence:
-            u_buf = np.empty((rows, width), dtype=complex)
-            coh = {m: np.empty(n_steps + 1, dtype=complex) for m in widths}
-    snap_lookup = {s: j for j, s in enumerate(snap_steps)}
     snap_n = np.empty((width, len(snap_steps)))
     snap_u = np.empty((width, len(snap_steps)), dtype=complex)
     snap_phi = np.empty((width, len(snap_steps)))
+    moments, coh = {}, {}
+    if snap_steps:
+        # a cursor over the ascending steps: column j is due at step `due`
+        pending = enumerate(snap_steps)
+        j, due = next(pending)
+
+        def store(k):
+            nonlocal j, due
+            while k == due:
+                snap_n[:, j] = n
+                snap_u[:, j] = u
+                snap_phi[:, j] = phi
+                j, due = next(pending, (None, None))
+    else:
+        rows, filled = _buffer_rows(width), 0
+        n_buf = np.empty((rows, width))
+        u_buf = np.empty((rows, width), dtype=complex)
+        for m in sorted({*prefix_widths, width}):
+            moments[m] = (m, np.empty(n_steps + 1), np.empty(n_steps + 1))
+            coh[m] = np.empty(n_steps + 1, dtype=complex)
+
+        def store(k):
+            nonlocal filled
+            # buffer row `filled` holds step k; a full buffer (or the last
+            # step) is reduced row-wise into steps k - filled .. k
+            n_buf[filled] = n
+            u_buf[filled] = u
+            filled += 1
+            if filled == rows or k == n_steps:
+                span = slice(k + 1 - filled, k + 1)
+                for m, (_, mean, m2) in moments.items():
+                    _, mean[span], m2[span] = _block_moments(n_buf[:filled, :m],
+                                                             axis=1)
+                    coh[m][span] = u_buf[:filled, :m].sum(axis=1)
+                filled = 0
 
     bound_n = 1.0 + 10.0 * dt
     bound_s = 0.5 + 10.0 * dt
-    filled = 0
-
-    def store(k):
-        nonlocal filled
-        j = snap_lookup.get(k)
-        if j is not None:
-            snap_n[:, j] = n
-            snap_u[:, j] = u
-            snap_phi[:, j] = phi
-        if moments is None:
-            return
-        # buffer row `filled` holds step k; a full buffer (or the last step)
-        # is reduced row-wise into steps k - filled .. k
-        n_buf[filled] = n
-        if u_buf is not None:
-            u_buf[filled] = u
-        filled += 1
-        if filled == rows or k == n_steps:
-            span = slice(k + 1 - filled, k + 1)
-            for m, (_, mean, m2) in moments.items():
-                _, mean[span], m2[span] = _block_moments(n_buf[:filled, :m],
-                                                         axis=1)
-                if coh is not None:
-                    coh[m][span] = u_buf[:filled, :m].sum(axis=1)
-            filled = 0
-
     ws = _StepWorkspace(width, a, gperp, delta, omega0, dt)
     store(0)
     step = 0
@@ -478,16 +476,16 @@ def _run_block(params, seed, idx_lo, idx_hi, n_steps, dt, n0, sigma0, phi0,
 
 
 def _run_blocks(params, seed, lo, hi, n_steps, dt, n0=-1.0, sigma0=0j,
-                phi0=0.0, want_moments=False, want_coherence=False,
-                snap_steps=(), increments=None, threads=1, prefixes=()):
+                phi0=0.0, snap_steps=(), increments=None, threads=1, prefixes=()):
     """Run trajectories [lo, hi) in blocks (possibly on a thread pool), in fixed order.
 
-    Blocks reduce per-step moments only with ``want_moments``; callers that
-    read only snapshots and final values skip the buffer and its flushes.
-    ``prefixes`` are ensemble sizes counted from ``lo``; each block also
-    reduces the leading columns that one of them cuts it at. Every argument
-    is checked (the initial state must be finite with |n0| <= 1 and
-    |sigma0| <= 1/2), and the step guard runs, before any block runs.
+    Blocks reduce per-step moments only when no ``snap_steps`` are asked
+    for: run_ensemble reads moments, and the callers that read snapshots
+    skip the buffer and its flushes. ``prefixes`` are ensemble sizes counted
+    from ``lo``; each block also reduces the leading columns that one of
+    them cuts it at. Every argument is checked (the initial state must be
+    finite with |n0| <= 1 and |sigma0| <= 1/2), and the step guard runs,
+    before any block runs.
     """
     _check_count(hi - lo)
     _check_count(threads, "threads")
@@ -503,8 +501,7 @@ def _run_blocks(params, seed, lo, hi, n_steps, dt, n0=-1.0, sigma0=0j,
         cuts = [lo + size - span[0] for size in prefixes
                 if span[0] < lo + size < span[1]]
         return _run_block(params, seed, *span, n_steps, dt, n0, sigma0, phi0,
-                          want_moments, want_coherence, tuple(snap_steps),
-                          increments, cuts)
+                          snap_steps, increments, cuts)
 
     if threads > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -514,12 +511,13 @@ def _run_blocks(params, seed, lo, hi, n_steps, dt, n0=-1.0, sigma0=0j,
     return results
 
 
-def _ensemble_trace(results, size, t, with_coherence) -> EnsembleTrace:
+def _ensemble_trace(results, size, t, final_n) -> EnsembleTrace:
     """Statistics of trajectories [0, size) from run_ensemble's block results.
 
     Each block before ``size`` gives its full reduction and the block that
     ``size`` cuts gives its prefix, merged in the order a separate run of
-    ``size`` trajectories merges its blocks.
+    ``size`` trajectories merges its blocks; ``final_n`` is every
+    trajectory's n(t_end), of which the trace keeps the first ``size``.
     """
     parts = [(r, min(size, r["span"][1]) - r["span"][0])
              for r in results if r["span"][0] < size]
@@ -527,22 +525,17 @@ def _ensemble_trace(results, size, t, with_coherence) -> EnsembleTrace:
     if not np.all(np.isfinite(mean)):
         raise IntegratorError("ensemble mean is not finite")
     var, stderr = _var_stderr(count, m2)
-
-    coherence = None
-    if with_coherence:
-        total = np.zeros(len(t), dtype=complex)
-        for r, m in parts:           # fixed block order
-            total += r["coh_sum"][m]
-        coherence = total / count
+    coherence = np.zeros(len(t), dtype=complex)
+    for r, m in parts:           # fixed block order
+        coherence += r["coh_sum"][m]
     return EnsembleTrace(t=t, n_mean=mean, n_var=var, n_stderr=stderr,
-                         n_traj=count, coherence_mean=coherence)
+                         n_traj=count, coherence_mean=coherence / count,
+                         final_n=final_n[:size])
 
 
 def run_ensemble(params: SystemParams, n_traj: int, t_end: float, dt: float,
                  seed: int, *, n0: float = -1.0, sigma0: complex = 0j,
                  phi0: float = 0.0, threads: int = 1,
-                 with_coherence: bool = False,
-                 keep_final: bool = False,
                  prefixes: tuple[int, ...] = ()) -> EnsembleTrace:
     """Ensemble statistics of n(t) over ``n_traj`` independent trajectories.
 
@@ -556,14 +549,11 @@ def run_ensemble(params: SystemParams, n_traj: int, t_end: float, dt: float,
     """
     t = time_grid(t_end, dt, positive=True)
     results = _run_blocks(params, seed, 0, n_traj, len(t) - 1, dt, n0, sigma0, phi0,
-                          want_moments=True, want_coherence=with_coherence,
                           threads=threads, prefixes=prefixes)
-    trace = _ensemble_trace(results, n_traj, t, with_coherence)
-    if prefixes:
-        trace.prefix_traces = tuple(_ensemble_trace(results, m, t, with_coherence)
-                                    for m in prefixes)
-    if keep_final:
-        trace.final_n = np.concatenate([r["final_n"] for r in results])
+    final_n = np.concatenate([r["final_n"] for r in results])
+    trace = _ensemble_trace(results, n_traj, t, final_n)
+    trace.prefix_traces = tuple(_ensemble_trace(results, m, t, final_n)
+                                for m in prefixes)
     return trace
 
 
@@ -671,12 +661,7 @@ def phase_autocorrelation(delta: float, n_traj: int, tau_grid,
     """
     _check_phase_args(delta, n_traj)
     tau = np.asarray(tau_grid, dtype=float)
-    if tau.ndim != 1 or len(tau) == 0:
-        raise ValueError("tau_grid must be a non-empty 1-d array")
-    if not np.all(np.isfinite(tau)):
-        raise ValueError("tau_grid must be finite")
-    if np.any(tau < 0) or np.any(np.diff(tau) <= 0):
-        raise ValueError("tau_grid must be non-negative and strictly increasing")
+    _check_lags(tau, "tau_grid")
 
     scale = np.sqrt(delta * np.diff(np.concatenate([[0.0], tau])))
     parts = []
@@ -734,10 +719,7 @@ def decorrelation_residual(params: SystemParams, n_traj: int, t: float,
     holds_3sigma is max|residual| <= 3*residual_stderr over the grid.
     """
     t_prime = np.asarray(t_prime_grid, dtype=float)
-    if t_prime.ndim != 1 or len(t_prime) == 0:
-        raise ValueError("t_prime_grid must be a non-empty 1-d array")
-    if np.any(np.diff(t_prime) <= 0):
-        raise ValueError("t_prime_grid must be strictly increasing")
+    _check_lags(t_prime, "t_prime_grid")
     if t < t_prime[-1]:
         raise ValueError("observation time t must be >= max(t_prime_grid)")
 

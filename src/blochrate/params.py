@@ -76,6 +76,18 @@ def check_seed(seed: int, name: str = "seed") -> int:
     return seed
 
 
+def _check_lags(tau: np.ndarray, name: str = "tau grid") -> None:
+    """Refuse a time grid that is not 1-d, non-empty, finite, >= 0 and increasing.
+
+    The rule for the spectrum transforms' lags (where disorder gives trapezoid
+    weights of any sign), phase_autocorrelation's tau and decorrelation's t'.
+    """
+    if tau.ndim != 1 or len(tau) == 0:
+        raise ValueError(f"{name} must be a non-empty 1-d array")
+    if not (np.all(np.isfinite(tau)) and tau[0] >= 0.0 and np.all(np.diff(tau) > 0)):
+        raise ValueError(f"{name} must be finite, non-negative and increasing")
+
+
 def _check_initial_state(**state) -> None:
     """Refuse a start off the Bloch ball: every value finite, |n0| <= 1, |sigma0| <= 1/2.
 

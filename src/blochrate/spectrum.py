@@ -29,6 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.fft import fft, rfft
 
+from .params import _check_lags
+
 __all__ = [
     "LorentzianSpectrum", "TabulatedSpectrum", "SpectrumModel",
     "SpectrumSupportError", "from_phase_diffusion", "load_tabulated",
@@ -296,14 +298,6 @@ def autocorrelation_kernel(s: SpectrumModel, tau):
                       + sums / tb ** 2) / math.pi
     out = out.reshape(tau.shape)
     return float(out[0]) if scalar else out
-
-
-def _check_lags(tau: np.ndarray) -> None:
-    # an unordered or non-finite grid would give trapezoid weights of any sign
-    if tau.ndim != 1 or len(tau) == 0:
-        raise ValueError("tau grid must be a non-empty 1-d array")
-    if not (np.all(np.isfinite(tau)) and tau[0] >= 0.0 and np.all(np.diff(tau) > 0)):
-        raise ValueError("tau grid must be finite, non-negative and increasing")
 
 
 def _check_frequencies(omega: np.ndarray, **scalars) -> None:

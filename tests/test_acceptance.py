@@ -166,7 +166,7 @@ def test_criterion_08_short_time_exponents():
 def test_criterion_09_monte_carlo_error_scaling():
     t0 = time.perf_counter()
     p = SystemParams(a=1.0, delta=10.0, omega0=2.0)
-    trace = run_ensemble(p, 10_000, 10.0, 2e-3, seed=11, keep_final=True)
+    trace = run_ensemble(p, 10_000, 10.0, 2e-3, seed=11)
     sizes = np.array([100, 1_000, 10_000])
     stderr = np.array([np.std(trace.final_n[:m], ddof=1) / math.sqrt(m)
                        for m in sizes])

@@ -127,6 +127,15 @@ def test_key_table_lists_the_keys_each_run_reads(tmp_path, run):
     assert read == set(keys)
 
 
+def test_key_types_agree_across_runs():
+    # _TYPES takes each key's type from its defaults, so every run that
+    # reads a key must default it to the same type
+    for run, keys in cli.KEY_TABLE.items():
+        for key, default in keys.items():
+            assert type(default) is cli._TYPES[key], (run, key)
+    assert len(cli._TYPES) == 17
+
+
 @pytest.mark.parametrize("argv,unread", [
     pytest.param(["simulate", "--set", "model=sde"],
                  ["spectrum_path=/nonexistent.txt", "gamma_21=3"], id="simulate-sde"),
@@ -352,7 +361,7 @@ def test_simulate_sde_q_is_scaled_coherence(tmp_path):
     assert main(["simulate", *args]) == 0
     cols = read_csv(tmp_path / "sde_trace.csv")
     p = SystemParams(a=1.0, delta=5.0, omega0=2.0)
-    trace = run_ensemble(p, 32, 0.2, 1e-3, 11, with_coherence=True)
+    trace = run_ensemble(p, 32, 0.2, 1e-3, 11)
     q = -(p.delta + 2.0 * p.gamma_perp) / p.omega0 * trace.coherence_mean.imag
     assert np.array_equal(floats(cols, "n_mean"), trace.n_mean)
     assert np.array_equal(floats(cols, "q_mean"), q)
@@ -459,7 +468,8 @@ def test_trace_writer_memory_does_not_grow_with_rows(tmp_path):
 
     def ensemble(t):
         return EnsembleTrace(t=t, n_mean=np.cos(t), n_var=t, n_stderr=np.sqrt(t / 4),
-                             n_traj=4)
+                             n_traj=4, coherence_mean=np.zeros(len(t), complex),
+                             final_n=np.zeros(4))
 
     for make in (kinetic, ensemble):
         peaks = {}

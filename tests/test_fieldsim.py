@@ -299,7 +299,7 @@ def test_rotating_frame_matches_lab_frame_oracle(width):
 
     t_end = n_steps * dt
     tr = run_ensemble(p, width, t_end, dt, seed, n0=n0, sigma0=sigma0,
-                      phi0=phi0, with_coherence=True)
+                      phi0=phi0)
     coherence = (want["sigma"] * np.exp(1j * want["phi"])).mean(axis=1)
     assert np.max(np.abs(tr.n_mean - want["n"].mean(axis=1))) <= 1e-13
     assert np.max(np.abs(tr.coherence_mean - coherence)) <= 1e-13
@@ -321,6 +321,25 @@ def test_trajectory_stays_near_bloch_sphere(delta, omega0, seed):
     tr = run_trajectory(p, 1.0, dt, seed=seed)
     assert np.max(np.abs(tr.n)) <= 1.0 + 10.0 * dt
     assert np.max(np.abs(tr.sigma)) <= 0.5 + 10.0 * dt
+
+
+def test_trajectory_memory_beyond_outputs_per_step():
+    # snapshots are filled by a cursor over the ascending steps, so beyond
+    # its outputs a trajectory holds only u and the phase factor of sigma
+    # (32 B a step); a {step: column} dict and a tuple copy of the steps
+    # made it 97 B a step
+    run_trajectory(REF, 0.01, 1e-3, seed=1)
+    beyond = {}
+    for steps in (5_000, 20_000):
+        tracemalloc.start()
+        try:
+            tr = run_trajectory(REF, steps * 1e-3, 1e-3, seed=1)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(tr.t) == steps + 1
+        beyond[steps] = peak - held
+    assert (beyond[20_000] - beyond[5_000]) / 15_000 < 40, beyond
 
 
 def test_strong_convergence_under_noise_refinement():
@@ -402,8 +421,8 @@ def test_step_guard_bound():
 
 def test_ensemble_deterministic_and_matches_single_runs():
     kw = dict(n_traj=8, t_end=0.3, dt=1e-3, seed=31)
-    tr1 = run_ensemble(REF, **kw, keep_final=True)
-    tr2 = run_ensemble(REF, **kw, keep_final=True)
+    tr1 = run_ensemble(REF, **kw)
+    tr2 = run_ensemble(REF, **kw)
     assert np.array_equal(tr1.n_mean, tr2.n_mean)
     assert np.array_equal(tr1.n_var, tr2.n_var)
     solo = run_trajectory(REF, 0.3, 1e-3, seed=31, index=5)
@@ -420,16 +439,14 @@ def test_ensemble_zero_drive_has_zero_spread():
 
 
 def test_ensemble_stderr_definition():
-    tr = run_ensemble(REF, n_traj=64, t_end=0.5, dt=1e-3, seed=8,
-                      keep_final=True)
+    tr = run_ensemble(REF, n_traj=64, t_end=0.5, dt=1e-3, seed=8)
     var = np.var(tr.final_n, ddof=1)
     assert math.isclose(tr.n_var[-1], var, rel_tol=1e-12)
     assert math.isclose(tr.n_stderr[-1], math.sqrt(var / 64), rel_tol=1e-12)
 
 
 def test_ensemble_coherence_channel():
-    tr = run_ensemble(REF, n_traj=16, t_end=0.2, dt=1e-3, seed=2,
-                      sigma0=0.3, with_coherence=True)
+    tr = run_ensemble(REF, n_traj=16, t_end=0.2, dt=1e-3, seed=2, sigma0=0.3)
     assert tr.coherence_mean.shape == tr.t.shape
     assert tr.coherence_mean.dtype.kind == "c"
     assert tr.coherence_mean[0] == 0.3 + 0j
@@ -453,7 +470,7 @@ def test_step_loop_takes_no_exp_and_one_workspace_per_block(monkeypatch):
     monkeypatch.setattr(np, "exp", counting_exp)
     monkeypatch.setattr(fs, "_StepWorkspace", counting_workspace)
     monkeypatch.setattr(fs, "BLOCK_TRAJ", 4)
-    run_ensemble(REF, n_traj=10, t_end=0.05, dt=1e-3, seed=2, with_coherence=True)
+    run_ensemble(REF, n_traj=10, t_end=0.05, dt=1e-3, seed=2)
     assert calls == [1, 1, 1]
     assert widths == [4, 4, 2]
     # and a step allocates no array of the block's width (numpy's casting
@@ -476,8 +493,8 @@ def test_ensemble_thread_count_invariance(monkeypatch):
     import blochrate.fieldsim as fs
     monkeypatch.setattr(fs, "BLOCK_TRAJ", 16)
     kw = dict(n_traj=40, t_end=0.2, dt=1e-3, seed=17)
-    t1 = run_ensemble(REF, **kw, with_coherence=True)
-    t3 = run_ensemble(REF, **kw, with_coherence=True, threads=3)
+    t1 = run_ensemble(REF, **kw)
+    t3 = run_ensemble(REF, **kw, threads=3)
     assert np.array_equal(t1.n_mean, t3.n_mean)
     assert np.array_equal(t1.n_var, t3.n_var)
     assert np.array_equal(t1.coherence_mean, t3.coherence_mean)
@@ -489,17 +506,17 @@ def test_prefix_traces_match_separate_runs(monkeypatch, threads):
     # on its edge, inside the second block and inside the third, and 200
     # steps end on a partly filled buffer
     monkeypatch.setattr(fs, "BLOCK_TRAJ", 8)
-    kw = dict(t_end=0.2, dt=1e-3, seed=19, with_coherence=True, threads=threads)
+    kw = dict(t_end=0.2, dt=1e-3, seed=19, threads=threads)
     sizes = (1, 5, 8, 13, 17)
     full = run_ensemble(REF, 20, **kw, prefixes=sizes)
     assert [tr.n_traj for tr in full.prefix_traces] == list(sizes)
     for size, got in zip(sizes, full.prefix_traces):
         want = run_ensemble(REF, size, **kw)
-        for field in ("n_mean", "n_var", "n_stderr", "coherence_mean"):
+        for field in ("n_mean", "n_var", "n_stderr", "coherence_mean", "final_n"):
             assert np.array_equal(getattr(got, field), getattr(want, field)), \
                 (size, field)
     alone = run_ensemble(REF, 20, **kw)
-    assert alone.prefix_traces is None
+    assert alone.prefix_traces == ()
     assert np.array_equal(full.n_var, alone.n_var)
     assert np.array_equal(full.coherence_mean, alone.coherence_mean)
     for bad in (0, 20, 21, -1, 2.5):
@@ -511,8 +528,7 @@ def test_prefix_traces_match_separate_runs(monkeypatch, threads):
 def test_buffer_rows_do_not_change_statistics(monkeypatch, rows):
     # moments are reduced row by row, so how many steps the buffer holds
     # between reductions cannot change a bit
-    kw = dict(n_traj=12, t_end=0.15, dt=1e-3, seed=6, with_coherence=True,
-              prefixes=(5,))
+    kw = dict(n_traj=12, t_end=0.15, dt=1e-3, seed=6, prefixes=(5,))
     want = run_ensemble(REF, **kw)
     monkeypatch.setattr(fs, "_buffer_rows", lambda width: rows)
     got = run_ensemble(REF, **kw)
@@ -613,6 +629,16 @@ def test_decorrelation_exact_zero_at_equal_times():
                                  seed=5, dt=1e-2)
     assert res.residual[-1] == 0.0
     assert not res.low_statistics
+
+
+def test_decorrelation_t_primes_on_one_step_share_its_snapshot():
+    # t' points closer than the grid tolerance fall on the same step, and
+    # each of them reads that step's snapshot
+    res = decorrelation_residual(REF, 16, 1.0, np.array([0.25, 0.5, 0.5 + 1e-12]),
+                                 seed=0, dt=1e-2)
+    for field in ("k_mean", "c_mean", "n_mean", "residual"):
+        values = getattr(res, field)
+        assert values[1] == values[2], field
 
 
 def test_decorrelation_grid_validation():

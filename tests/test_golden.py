@@ -48,16 +48,14 @@ def golden_outputs() -> dict:
     """Every golden array, keyed ``<call>.<field>``."""
     out = {}
 
-    tr = run_ensemble(REF, 8, 0.3, 1e-3, seed=31, with_coherence=True,
-                      keep_final=True)
+    tr = run_ensemble(REF, 8, 0.3, 1e-3, seed=31)
     out.update({"ens_one.n_mean": tr.n_mean, "ens_one.n_var": tr.n_var,
                 "ens_one.n_stderr": tr.n_stderr,
                 "ens_one.coherence": tr.coherence_mean,
                 "ens_one.final_n": tr.final_n})
 
     with _small_blocks(16, 64):
-        tr = run_ensemble(RINGING, 40, 0.2, 1e-3, seed=17, threads=2,
-                          with_coherence=True, keep_final=True)
+        tr = run_ensemble(RINGING, 40, 0.2, 1e-3, seed=17, threads=2)
     out.update({"ens_blocks.n_mean": tr.n_mean, "ens_blocks.n_var": tr.n_var,
                 "ens_blocks.n_stderr": tr.n_stderr,
                 "ens_blocks.coherence": tr.coherence_mean,

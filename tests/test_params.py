@@ -198,7 +198,7 @@ def test_public_signatures_are_pinned():
         "measured_oscillation_frequency": "t x",
         "phase_autocorrelation": "delta n_traj tau_grid seed",
         "run_ensemble": "params n_traj t_end dt seed n0 sigma0 phi0 threads "
-                        "with_coherence keep_final prefixes",
+                        "prefixes",
         "run_trajectory": "params t_end dt seed index n0 sigma0 phi0 increments",
         "simulate_phases": "delta n_traj t_end dt seed",
         "spectral_density": "s omega",
