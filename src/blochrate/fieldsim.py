@@ -54,27 +54,28 @@ on how its draws are split into chunks. A chunk is handed to the step as a
 (steps, width) array, one contiguous row of normals per step; each tile of
 streams is transposed into it as it is transformed. Ensemble statistics are
 reduced per fixed-size trajectory block and the blocks are merged pairwise in
-index order, so results are bit-identical for any worker count. Every entry
-point integrates through the same block engine, so trajectory i is the same
-trajectory everywhere.
+index order, so results are bit-identical for any worker count. One
+generator, _states, steps the blocks of every entry point, so trajectory i is
+the same trajectory everywhere.
 
-Buffered reduction: every ensemble reports <u> and the final n. In the
-blocks of run_ensemble (the only caller that reads per-step moments), each
-step writes n and u into its row of a C-contiguous (rows, width) buffer, and
-every ``rows`` steps the buffer is reduced along its contiguous axis. Numpy's
-pairwise sum over one contiguous row rounds exactly as over a 1-d array of
-that row, so the per-step moments do not depend on ``rows``; ``rows`` comes
-from the width alone (_buffer_rows), which bounds a block's buffers at
-1.5 MB.
+Buffered reduction: every ensemble reports <u> and the final n. In
+_moment_block, run_ensemble's block job (the only one that reads per-step
+moments), step k writes n and u into row k % rows of a C-contiguous
+(rows, width) buffer, and every ``rows`` steps the buffer is reduced along
+its contiguous axis. Numpy's pairwise sum over one contiguous row rounds
+exactly as over a 1-d array of that row, so the per-step moments do not
+depend on ``rows``; ``rows`` comes from the width alone (_buffer_rows), which
+bounds a block's buffers at 1.5 MB.
 
 Prefix ensembles: trajectory i is keyed by (seed, i), so the m-trajectory
-ensemble is the first m columns of any larger one. One flush also reduces
-the leading columns x[:, :m] of the block that a requested size m cuts (a
-column slice of the same rows, so again bit for bit the reduction a block of
-width m would make); the blocks before it contribute their full reductions.
-Those pieces go through the same pairwise merge and the same block-order
-coherence sum as a separate run of m trajectories, so run_ensemble's
-``prefixes`` give traces bit-identical to separate runs of those sizes.
+ensemble is the first m columns of any larger one. Each flush of
+_moment_block also reduces the leading columns x[:, :m] of the block that a
+requested size m cuts (a column slice of the same rows, so again bit for bit
+the reduction a block of width m would make); the blocks before it
+contribute their full reductions. Those pieces go through the same pairwise
+merge and the same block-order coherence sum as a separate run of m
+trajectories, so run_ensemble's ``prefixes`` give traces bit-identical to
+separate runs of those sizes.
 """
 
 from __future__ import annotations
@@ -371,7 +372,7 @@ def _var_stderr(count, m2):
 
 
 # ----------------------------------------------------------------------
-# block integration
+# block integration: one stepping generator, one block job per caller
 
 def _check_count(value, name: str = "n_traj") -> None:
     if not isinstance(value, numbers.Integral) or value < 1:
@@ -383,151 +384,116 @@ def _buffer_rows(width: int) -> int:
     return min(64, max(1, (1 << 16) // width))
 
 
-def _run_block(params, seed, idx_lo, idx_hi, n_steps, dt, n0, sigma0, phi0,
-               snap_steps, increments, prefix_widths=()):
-    """Integrate trajectories [idx_lo, idx_hi) and reduce them on the fly.
+def _states(params, seed, lo, hi, n_steps, dt, n0=-1.0, sigma0=0j, phi0=0.0,
+            increments=None):
+    """Yield (k, n, u, phi) of trajectories [lo, hi) after each step k = 0 .. n_steps.
 
-    With ``snap_steps`` (step indices in non-decreasing order), the block
-    keeps snapshot arrays of (n, u, phi) at those steps, one column per
-    index (u = sigma*e^{i phi}). Without them it reduces every step: steps are
-    buffered and reduced ``_buffer_rows(width)`` at a time (see the module
-    docstring), and the block's leading ``prefix_widths`` columns are reduced
-    alongside the whole block into moment triples for n(t) and coherence
-    sums, both keyed by the reduced width. Returns the block's span, the
-    moments and coherence sums (empty with snapshots), the snapshot arrays
-    and the final (n, phi) of every trajectory.
+    The arrays are updated in place. The Bloch-sphere check runs once per
+    noise chunk, when the step after the chunk's last is asked for, so a
+    consumer must run the generator to its end.
     """
-    a, gperp = params.a, params.gamma_perp
-    delta, omega0 = params.delta, params.omega0
-    width = idx_hi - idx_lo
-
+    width = hi - lo
     n = np.full(width, float(n0))
     u = np.full(width, complex(sigma0) * np.exp(1j * float(phi0)))
     phi = np.full(width, float(phi0))
-
-    snap_n = np.empty((width, len(snap_steps)))
-    snap_u = np.empty((width, len(snap_steps)), dtype=complex)
-    snap_phi = np.empty((width, len(snap_steps)))
-    moments, coh = {}, {}
-    if snap_steps:
-        # a cursor over the ascending steps: column j is due at step `due`
-        pending = enumerate(snap_steps)
-        j, due = next(pending)
-
-        def store(k):
-            nonlocal j, due
-            while k == due:
-                snap_n[:, j] = n
-                snap_u[:, j] = u
-                snap_phi[:, j] = phi
-                j, due = next(pending, (None, None))
-    else:
-        rows, filled = _buffer_rows(width), 0
-        n_buf = np.empty((rows, width))
-        u_buf = np.empty((rows, width), dtype=complex)
-        for m in sorted({*prefix_widths, width}):
-            moments[m] = (m, np.empty(n_steps + 1), np.empty(n_steps + 1))
-            coh[m] = np.empty(n_steps + 1, dtype=complex)
-
-        def store(k):
-            nonlocal filled
-            # buffer row `filled` holds step k; a full buffer (or the last
-            # step) is reduced row-wise into steps k - filled .. k
-            n_buf[filled] = n
-            u_buf[filled] = u
-            filled += 1
-            if filled == rows or k == n_steps:
-                span = slice(k + 1 - filled, k + 1)
-                for m, (_, mean, m2) in moments.items():
-                    _, mean[span], m2[span] = _block_moments(n_buf[:filled, :m],
-                                                             axis=1)
-                    coh[m][span] = u_buf[:filled, :m].sum(axis=1)
-                filled = 0
-
-    bound_n = 1.0 + 10.0 * dt
-    bound_s = 0.5 + 10.0 * dt
-    ws = _StepWorkspace(width, a, gperp, delta, omega0, dt)
-    store(0)
+    ws = _StepWorkspace(width, params.a, params.gamma_perp, params.delta,
+                        params.omega0, dt)
+    yield 0, n, u, phi
     step = 0
-    for z in _normals(seed, idx_lo, idx_hi, n_steps, increments):
+    for z in _normals(seed, lo, hi, n_steps, increments):
         for z_step in z:
             step += 1
             _midpoint_step(n, u, phi, z_step, ws)
-            store(step)
+            yield step, n, u, phi
         # sanity bounds once per chunk; the comparison is written so NaN fails it
         max_n = float(np.max(np.abs(n)))
         max_s = float(np.max(np.abs(u)))      # |u| = |sigma|
-        if not (max_n <= bound_n and max_s <= bound_s):
+        if not (max_n <= 1.0 + 10.0 * dt and max_s <= 0.5 + 10.0 * dt):
             raise IntegratorError(
                 f"trajectory left the Bloch sphere by step {step} "
                 f"(max|n|={max_n:.6g}, max|sigma|={max_s:.6g}); reduce dt"
             )
 
-    return {
-        "span": (idx_lo, idx_hi),
-        "moments": moments,
-        "coh_sum": coh,
-        "snap_n": snap_n,
-        "snap_u": snap_u,
-        "snap_phi": snap_phi,
-        "final_n": n,
-        "final_phi": phi,
-    }
+
+def _moment_block(states, width, n_steps, cuts):
+    """run_ensemble's block job: per-step sums over ``width`` trajectories, final n.
+
+    Returns {m: ((m, mean, m2) of n, sum of u)} over the leading m columns,
+    for m = ``width`` and each of ``cuts`` (see the module docstring).
+    """
+    rows = _buffer_rows(width)
+    n_buf = np.empty((rows, width))
+    u_buf = np.empty((rows, width), dtype=complex)
+    sums = {m: ((m, np.empty(n_steps + 1), np.empty(n_steps + 1)),
+                np.empty(n_steps + 1, dtype=complex)) for m in {*cuts, width}}
+    for k, n, u, _ in states:
+        # buffer row k % rows holds step k; a full buffer (or the last step)
+        # is reduced row-wise into the steps it holds
+        row = k % rows
+        n_buf[row] = n
+        u_buf[row] = u
+        if row == rows - 1 or k == n_steps:
+            span = slice(k - row, k + 1)
+            for m, ((_, mean, m2), coh) in sums.items():
+                _, mean[span], m2[span] = _block_moments(n_buf[:row + 1, :m],
+                                                         axis=1)
+                coh[span] = u_buf[:row + 1, :m].sum(axis=1)
+    return sums, n
 
 
-def _run_blocks(params, seed, lo, hi, n_steps, dt, n0=-1.0, sigma0=0j,
-                phi0=0.0, snap_steps=(), increments=None, threads=1, prefixes=()):
-    """Run trajectories [lo, hi) in blocks (possibly on a thread pool), in fixed order.
+def _snapshot_block(states, width, snap_steps):
+    """(n, u, phi) at each of the non-decreasing ``snap_steps``, a column each."""
+    snap_n = np.empty((width, len(snap_steps)))
+    snap_u = np.empty((width, len(snap_steps)), dtype=complex)
+    snap_phi = np.empty((width, len(snap_steps)))
+    # a cursor over the ascending steps: column j is due at step `due`
+    pending = enumerate(snap_steps)
+    j, due = next(pending)
+    for k, n, u, phi in states:
+        while k == due:
+            snap_n[:, j] = n
+            snap_u[:, j] = u
+            snap_phi[:, j] = phi
+            j, due = next(pending, (None, None))
+    return snap_n, snap_u, snap_phi
 
-    Blocks reduce per-step moments only when no ``snap_steps`` are asked
-    for: run_ensemble reads moments, and the callers that read snapshots
-    skip the buffer and its flushes. ``prefixes`` are ensemble sizes counted
-    from ``lo``; each block also reduces the leading columns that one of
-    them cuts it at. Every argument is checked (the initial state must be
-    finite with |n0| <= 1 and |sigma0| <= 1/2), and the step guard runs,
-    before any block runs.
+
+def _run_blocks(params, lo, hi, dt, job, *, n0=-1.0, sigma0=0j, phi0=0.0,
+                threads=1):
+    """``job(s, e)`` of each block [s, e) of [lo, hi), in order, on ``threads`` threads.
+
+    Every argument is checked (the initial state must be finite with
+    |n0| <= 1 and |sigma0| <= 1/2), and the step guard runs, before any job.
     """
     _check_count(hi - lo)
     _check_count(threads, "threads")
     _check_initial_state(n0=n0, sigma0=sigma0, phi0=phi0)
-    for size in prefixes:
-        if not isinstance(size, numbers.Integral) or not 1 <= size < hi - lo:
-            raise ValueError(f"prefix sizes must be integers in [1, n_traj), "
-                             f"got {size!r}")
     _check_step(params, dt)
-    spans = [(s, min(s + BLOCK_TRAJ, hi)) for s in range(lo, hi, BLOCK_TRAJ)]
-
-    def job(span):
-        cuts = [lo + size - span[0] for size in prefixes
-                if span[0] < lo + size < span[1]]
-        return _run_block(params, seed, *span, n_steps, dt, n0, sigma0, phi0,
-                          snap_steps, increments, cuts)
-
-    if threads > 1 and len(spans) > 1:
+    starts = range(lo, hi, BLOCK_TRAJ)
+    ends = [min(s + BLOCK_TRAJ, hi) for s in starts]
+    if threads > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(job, spans))   # collected in block order
-    else:
-        results = [job(s) for s in spans]
-    return results
+            return list(pool.map(job, starts, ends))   # collected in block order
+    return list(map(job, starts, ends))
 
 
-def _ensemble_trace(results, size, t, final_n) -> EnsembleTrace:
-    """Statistics of trajectories [0, size) from run_ensemble's block results.
+def _ensemble_trace(blocks, size, t, final_n) -> EnsembleTrace:
+    """Statistics of trajectories [0, size) from run_ensemble's block sums.
 
     Each block before ``size`` gives its full reduction and the block that
     ``size`` cuts gives its prefix, merged in the order a separate run of
-    ``size`` trajectories merges its blocks; ``final_n`` is every
-    trajectory's n(t_end), of which the trace keeps the first ``size``.
+    ``size`` trajectories merges its blocks; the trace keeps the first
+    ``size`` of every trajectory's final n.
     """
-    parts = [(r, min(size, r["span"][1]) - r["span"][0])
-             for r in results if r["span"][0] < size]
-    count, mean, m2 = _tree_merge([r["moments"][m] for r, m in parts])
+    parts = [sums[min(size - lo, BLOCK_TRAJ)]
+             for lo, sums in zip(range(0, size, BLOCK_TRAJ), blocks)]
+    count, mean, m2 = _tree_merge([moments for moments, _ in parts])
     if not np.all(np.isfinite(mean)):
         raise IntegratorError("ensemble mean is not finite")
     var, stderr = _var_stderr(count, m2)
     coherence = np.zeros(len(t), dtype=complex)
-    for r, m in parts:           # fixed block order
-        coherence += r["coh_sum"][m]
+    for _, coh in parts:           # fixed block order
+        coherence += coh
     return EnsembleTrace(t=t, n_mean=mean, n_var=var, n_stderr=stderr,
                          n_traj=count, coherence_mean=coherence / count,
                          final_n=final_n[:size])
@@ -548,11 +514,24 @@ def run_ensemble(params: SystemParams, n_traj: int, t_end: float, dt: float,
     of m trajectories, from this one run.
     """
     t = time_grid(t_end, dt, positive=True)
-    results = _run_blocks(params, seed, 0, n_traj, len(t) - 1, dt, n0, sigma0, phi0,
-                          threads=threads, prefixes=prefixes)
-    final_n = np.concatenate([r["final_n"] for r in results])
-    trace = _ensemble_trace(results, n_traj, t, final_n)
-    trace.prefix_traces = tuple(_ensemble_trace(results, m, t, final_n)
+    n_steps = len(t) - 1
+    _check_count(n_traj)          # before the prefixes a bad count puts out of range
+    for size in prefixes:
+        if not isinstance(size, numbers.Integral) or not 1 <= size < n_traj:
+            raise ValueError(f"prefix sizes must be integers in [1, n_traj), "
+                             f"got {size!r}")
+
+    def job(lo, hi):
+        # a block also reduces the leading columns that a prefix cuts it at
+        cuts = [m - lo for m in prefixes if lo < m < hi]
+        return _moment_block(_states(params, seed, lo, hi, n_steps, dt, n0,
+                                     sigma0, phi0), hi - lo, n_steps, cuts)
+
+    sums, finals = zip(*_run_blocks(params, 0, n_traj, dt, job, n0=n0,
+                                    sigma0=sigma0, phi0=phi0, threads=threads))
+    final_n = np.concatenate(finals)
+    trace = _ensemble_trace(sums, n_traj, t, final_n)
+    trace.prefix_traces = tuple(_ensemble_trace(sums, m, t, final_n)
                                 for m in prefixes)
     return trace
 
@@ -589,12 +568,16 @@ def run_trajectory(params: SystemParams, t_end: float, dt: float, seed: int,
             raise ValueError(f"increments must have shape ({n_steps},)")
         if not np.all(np.isfinite(increments)):
             raise ValueError("increments must be finite")
-    (r,) = _run_blocks(params, seed, index, index + 1, n_steps, dt, n0,
-                       sigma0, phi0, snap_steps=range(n_steps + 1),
-                       increments=increments)
-    phi = r["snap_phi"][0]
-    return TrajectoryTrace(t=t, n=r["snap_n"][0],
-                           sigma=r["snap_u"][0] * np.exp(-1j * phi), phi=phi)
+
+    def job(lo, hi):
+        return _snapshot_block(_states(params, seed, lo, hi, n_steps, dt, n0,
+                                       sigma0, phi0, increments),
+                               hi - lo, range(n_steps + 1))
+
+    ((n, u, phi),) = _run_blocks(params, index, index + 1, dt, job, n0=n0,
+                                 sigma0=sigma0, phi0=phi0)
+    return TrajectoryTrace(t=t, n=n[0], sigma=u[0] * np.exp(-1j * phi[0]),
+                           phi=phi[0])
 
 
 # ----------------------------------------------------------------------
@@ -724,17 +707,20 @@ def decorrelation_residual(params: SystemParams, n_traj: int, t: float,
         raise ValueError("observation time t must be >= max(t_prime_grid)")
 
     n_steps = grid_steps(t, dt, "t")
-    snap_steps = [grid_steps(tp, dt, "t_prime") for tp in t_prime]
-    results = _run_blocks(params, seed, 0, n_traj, n_steps, dt,
-                          snap_steps=snap_steps, threads=threads)
+    # the t' steps, then step t itself, whose phase column is the final phase
+    snap_steps = [grid_steps(tp, dt, "t_prime") for tp in t_prime] + [n_steps]
 
-    k_parts, c_parts, n_parts = [], [], []
-    for r in results:
-        u = np.exp(-1j * (r["final_phi"][:, None] - r["snap_phi"]))
-        k_parts.append(_block_moments((u * r["snap_n"]).real))
-        c_parts.append(_block_moments(u.real))
-        n_parts.append(_block_moments(r["snap_n"]))
+    def job(lo, hi):
+        # a block is reduced as it ends: only running blocks hold snapshots
+        snap_n, _, snap_phi = _snapshot_block(
+            _states(params, seed, lo, hi, n_steps, dt), hi - lo, snap_steps)
+        n = snap_n[:, :-1]
+        u = np.exp(-1j * (snap_phi[:, -1:] - snap_phi[:, :-1]))
+        return (_block_moments((u * n).real), _block_moments(u.real),
+                _block_moments(n))
 
+    k_parts, c_parts, n_parts = zip(*_run_blocks(params, 0, n_traj, dt, job,
+                                                 threads=threads))
     count, k_mean, k_m2 = _tree_merge(k_parts)
     _, c_mean, c_m2 = _tree_merge(c_parts)
     _, n_mean, n_m2 = _tree_merge(n_parts)

@@ -239,10 +239,11 @@ def test_step_matches_cexp_oracle(monkeypatch, width, p, n0, sigma0, phi0):
         want["n"].append(n)
         want["u"].append(u)
         want["phi"].append(phi)
-    (got,) = fs._run_blocks(p, seed, 0, width, n_steps, dt, n0, sigma0, phi0,
-                            snap_steps=range(n_steps + 1))
-    for key, rows in want.items():
-        assert_bits_equal(got[f"snap_{key}"], np.array(rows).T, key)
+    got = fs._snapshot_block(fs._states(p, seed, 0, width, n_steps, dt, n0,
+                                        sigma0, phi0),
+                             width, range(n_steps + 1))
+    for array, (key, rows) in zip(got, want.items(), strict=True):
+        assert_bits_equal(array, np.array(rows).T, key)
 
 
 def test_cexp_is_cos_and_sin():
@@ -376,7 +377,7 @@ def test_initial_state_refused_before_any_step(monkeypatch, state):
     def ran(*args, **kwargs):
         raise AssertionError("a block ran before the initial state was checked")
 
-    monkeypatch.setattr(fs, "_run_block", ran)
+    monkeypatch.setattr(fs, "_states", ran)
     with pytest.raises(ValueError, match="initial state"):
         run_ensemble(REF, 4, 0.01, 1e-3, seed=0, **state)
     with pytest.raises(ValueError, match="initial state"):
@@ -391,7 +392,7 @@ def test_initial_state_bounds_are_inclusive():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_increments_refused(monkeypatch, bad):
-    monkeypatch.setattr(fs, "_run_block", None)       # no block may run
+    monkeypatch.setattr(fs, "_states", None)          # no block may run
     z = np.zeros(10)
     z[3] = bad
     with pytest.raises(ValueError, match="increments"):
@@ -402,6 +403,60 @@ def test_integrator_error_on_coarse_step():
     p = SystemParams(a=1.0, delta=1.0, omega0=6.0)
     with pytest.raises(IntegratorError):
         run_trajectory(p, 1.0, 0.5, seed=0)
+
+
+COARSE = SystemParams(a=1.0, delta=1.0, omega0=6.0)    # dt=0.01 fails the step guard
+
+
+@pytest.mark.parametrize("entry, args, kwargs, match", [
+    (run_ensemble, (REF, 0, 0.01, 1e-3), {}, "n_traj must be"),
+    # the count is reported before the prefix it makes out of range
+    (run_ensemble, (REF, 0, 0.01, 1e-3), dict(prefixes=(1,)), "n_traj must be"),
+    (run_ensemble, (REF, 4, 0.01, 1e-3), dict(threads=0), "threads"),
+    (run_ensemble, (REF, 4, 0.01, 1e-3), dict(prefixes=(0,)), "prefix"),
+    (run_ensemble, (REF, 4, 0.01, 1e-3), dict(prefixes=(4,)), "prefix"),
+    (run_ensemble, (COARSE, 4, 1.0, 0.01), {}, "too coarse"),
+    (decorrelation_residual, (REF, 4, 0.01, np.array([0.005])),
+     dict(dt=1e-3, threads=0), "threads"),
+    (decorrelation_residual, (COARSE, 4, 1.0, np.array([0.5])), dict(dt=0.01),
+     "too coarse"),
+], ids=["n_traj", "n_traj-before-prefix", "threads", "prefix-0", "prefix-n_traj",
+        "coarse-dt", "decorrelation-threads", "decorrelation-coarse-dt"])
+def test_bad_input_refused_before_any_step(monkeypatch, entry, args, kwargs, match):
+    def ran(*args, **kwargs):
+        raise AssertionError("a block stepped before its inputs were checked")
+
+    monkeypatch.setattr(fs, "_states", ran)
+    with pytest.raises((ValueError, IntegratorError), match=match):
+        entry(*args, seed=0, **kwargs)
+
+
+@pytest.mark.parametrize("entry", ["run_ensemble", "run_trajectory",
+                                   "decorrelation_residual"])
+def test_bloch_sphere_check_covers_the_last_short_chunk(monkeypatch, entry):
+    # 150 steps in chunks of 64 end on a 22-step chunk, and only the last
+    # step leaves the sphere: the check after the last chunk runs only when
+    # the block job asks _states for the step after the last one
+    n_steps, calls = 150, []
+    step = fs._midpoint_step
+
+    def last_step_leaves(n, u, phi, z, ws):
+        step(n, u, phi, z, ws)
+        calls.append(None)
+        if len(calls) == n_steps:
+            n[0] = math.nan
+
+    monkeypatch.setattr(fs, "NOISE_CHUNK", 64)
+    monkeypatch.setattr(fs, "_midpoint_step", last_step_leaves)
+    runs = {
+        "run_ensemble": lambda: run_ensemble(REF, 3, 0.15, 1e-3, seed=0),
+        "run_trajectory": lambda: run_trajectory(REF, 0.15, 1e-3, seed=0),
+        "decorrelation_residual": lambda: decorrelation_residual(
+            REF, 3, 0.15, np.array([0.05, 0.1]), seed=0, dt=1e-3),
+    }
+    with pytest.raises(IntegratorError, match="left the Bloch sphere by step 150"):
+        runs[entry]()
+    assert len(calls) == n_steps
 
 
 def test_step_guard_bound():
@@ -639,6 +694,25 @@ def test_decorrelation_t_primes_on_one_step_share_its_snapshot():
     for field in ("k_mean", "c_mean", "n_mean", "residual"):
         values = getattr(res, field)
         assert values[1] == values[2], field
+
+
+def test_decorrelation_memory_does_not_grow_with_blocks(monkeypatch):
+    # each block is reduced when it ends, so on one thread a run holds one
+    # block's snapshots however many blocks it has; holding every block's
+    # n and phi until the last one ends would add 16 B per snapshot of each
+    # of the 768 extra trajectories (1.2 MB)
+    monkeypatch.setattr(fs, "BLOCK_TRAJ", 256)
+    t_prime = np.arange(101) * 2e-3
+    decorrelation_residual(REF, 8, 0.2, t_prime, seed=1, dt=1e-3)
+    peaks = []
+    for n_traj in (256, 1024):
+        tracemalloc.start()
+        try:
+            decorrelation_residual(REF, n_traj, 0.2, t_prime, seed=1, dt=1e-3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 0.1 * 768 * 101 * 16, peaks
 
 
 def test_decorrelation_grid_validation():
