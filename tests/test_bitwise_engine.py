@@ -15,7 +15,10 @@ the same transcendental) must leave it passing.
 - every array of ``decorrelation_residual``;
 - by md5 of the array bytes, ``phase_autocorrelation`` with more lags than
   ``NOISE_CHUNK`` over three blocks, and ``decorrelation_residual`` with 50
-  t' points, so that a lag- or snapshot-chunked reduction must keep the bits.
+  t' points, so that a lag- or snapshot-chunked reduction must keep the bits;
+- by md5, ``run_ensemble`` at its own block and chunk sizes over one full
+  block and a short one, so that how a wide block's noise is cut into
+  chunks must keep the bits.
 
 Regenerate (only after a deliberate change of the numbers) with
 ``PYTHONPATH=src python tests/test_bitwise_engine.py``; then update SDE_CSV_MD5
@@ -132,6 +135,20 @@ def test_decorrelation_with_many_snapshots_is_pinned():
         res = decorrelation_residual(REF, 40, 0.3, np.arange(50) * 6e-3,
                                      seed=5, dt=1e-3, threads=2)
     assert _md5s(res, SNAPSHOTS_MD5) == SNAPSHOTS_MD5
+
+
+# md5 of each run_ensemble array over 8200 trajectories and 600 steps, at the
+# module's own sizes: one 8192-wide block and a block of 8
+WIDE_MD5 = {"n_mean": "da3a7aa519296091501da87675d632ce",
+            "n_var": "f4cf19e62dcb56df09f1ff145173ff16",
+            "coherence_mean": "95be27fcb7ab9dc0862d409058181922",
+            "final_n": "c1082fe848aa08722a361829e4ef5d7e"}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_wide_block_ensemble_is_pinned(threads):
+    trace = fs.run_ensemble(REF, 8200, 0.6, 1e-3, seed=61, threads=threads)
+    assert _md5s(trace, WIDE_MD5) == WIDE_MD5
 
 
 @pytest.mark.parametrize("threads", [1, 2])
