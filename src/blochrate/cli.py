@@ -407,8 +407,8 @@ def cmd_decorrelate(cfg: RunConfig, out_dir: Path, threads: int,
     total = grid_steps(cfg.t_obs, dt, "t_obs", positive=True)
     # past total + 1 points the spacing is below one step and rounding already
     # hits every grid index, so the clamp caps the t' count at the grid's steps
-    # + 1 without changing idx; the snapshots still take 72 B per trajectory
-    # and t' point up to that cap
+    # + 1 without changing idx; a running block still keeps 16 B per
+    # trajectory and t' point (n and phi) up to that cap
     idx = np.unique(np.round(np.linspace(0, total, min(cfg.n_tprime, total + 1)))
                     .astype(int))
     t_prime = idx * dt

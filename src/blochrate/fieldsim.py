@@ -44,13 +44,16 @@ step runs, and every noise chunk ends with a Bloch-sphere bound check.
 
 Reproducibility contract: trajectory i draws from a Philox stream keyed by
 (seed, i); normals are produced by the Box-Muller cosine branch, one uniform
-pair per normal, in fixed chunks of NOISE_CHUNK steps. Philox is counter
-based, so a stream is nothing but its key and a counter position: one
-generator is re-pointed from stream to stream by setting both, never rebuilt
-per trajectory. Within a chunk each stream fills its own row of a block of
-uniforms, and the whole block is then transformed at once; the transform is
-elementwise, so a stream's normals do not depend on the block around it or
-on how its draws are split into chunks. A chunk is handed to the step as a
+pair per normal. Philox is counter based, so a stream is nothing but its key
+and a counter position: one generator is re-pointed from stream to stream by
+setting both, never rebuilt per trajectory, and a chunk of draws starts by
+seeking each stream to its position. A block draws its noise in chunks of
+_chunk_steps(width) steps: NOISE_CHUNK steps, or fewer where the block is so
+wide that a chunk would pass NOISE_VALUES normals. Within a chunk each stream
+fills its own row of a block of uniforms, and the whole block is then
+transformed at once; the transform is elementwise, so a stream's normals do
+not depend on the block around it, and since every chunk seeks, not on how
+its draws are split into chunks either. A chunk is handed to the step as a
 (steps, width) array, one contiguous row of normals per step; each tile of
 streams is transposed into it as it is transformed. Ensemble statistics are
 reduced per fixed-size trajectory block and the blocks are merged pairwise in
@@ -76,6 +79,14 @@ contribute their full reductions. Those pieces go through the same pairwise
 merge and the same block-order coherence sum as a separate run of m
 trajectories, so run_ensemble's ``prefixes`` give traces bit-identical to
 separate runs of those sizes.
+
+Column reductions: phase_autocorrelation and decorrelation_residual reduce
+(trajectories, points) arrays along the trajectory axis, and do so
+_reduce_columns(width) points at a time, so their temporaries do not grow
+with the number of lags or t' points. Numpy sums each column of a 2-d array
+row by row, whatever the columns beside it, so a column block reduces as
+the whole array does; a lone column it sums pairwise instead, so a lone
+last column is reduced beside a copy of itself (_column_moments).
 """
 
 from __future__ import annotations
@@ -91,7 +102,8 @@ from .params import (SystemParams, _check_initial_state, _check_lags, check_seed
                      grid_steps, time_grid)
 
 BLOCK_TRAJ = 8192      # trajectories integrated together; independent of --threads
-NOISE_CHUNK = 1024     # steps drawn per stream call; fixed so noise is batch independent
+NOISE_CHUNK = 1024     # most steps drawn per stream call (any cut draws the same normals)
+NOISE_VALUES = 1 << 22 # most normals in one chunk; bounds a wide block's noise
 NOISE_TILE = 1 << 16   # uniforms transformed together; bounds the noise temporaries
 MAX_STEP_RATE = 0.05   # largest dt*max(a, gamma_perp, omega0) the step guard allows
 
@@ -181,9 +193,9 @@ def _box_muller(u, out=None, work=None):
 def _normals(seed, lo, hi, n_steps, increments=None):
     """Standard normals for steps 0..n_steps-1 of trajectories [lo, hi).
 
-    Yields arrays of shape (<= NOISE_CHUNK, hi - lo) in step order, a chunk
-    at a time, with one C-contiguous row per step, so the step kernel reads
-    each step's normals contiguously. One Philox
+    Yields arrays of shape (<= _chunk_steps(hi - lo), hi - lo) in step
+    order, a chunk at a time, with one C-contiguous row per step, so the
+    step kernel reads each step's normals contiguously. One Philox
     generator serves every stream: for each row of a tile of at most
     NOISE_TILE uniforms it is pointed at stream (seed, i) where the chunk
     starts, two uniforms per step, and fills the row; each tile goes through
@@ -199,16 +211,19 @@ def _normals(seed, lo, hi, n_steps, increments=None):
     Every chunk is drawn into one buffer, so noise memory is one chunk
     however many chunks a run takes: a yielded chunk is valid only until
     the next one is drawn, and a caller that keeps chunks must copy them.
+    A chunk holds at most NOISE_VALUES normals (32 MB) plus one cache line a
+    row, at any width; each stream costs one seek per chunk.
     """
-    if increments is not None:
-        for c in range(0, n_steps, NOISE_CHUNK):
-            yield increments[c:c + NOISE_CHUNK, None]
-        return
     width = hi - lo
+    steps = _chunk_steps(width)
+    if increments is not None:
+        for c in range(0, n_steps, steps):
+            yield increments[c:c + steps, None]
+        return
     cursor = _PhiloxCursor(seed)
-    buffer = np.empty((min(NOISE_CHUNK, n_steps), width + 8))[:, :width]
-    for c in range(0, n_steps, NOISE_CHUNK):
-        clen = min(NOISE_CHUNK, n_steps - c)
+    buffer = np.empty((min(steps, n_steps), width + 8))[:, :width]
+    for c in range(0, n_steps, steps):
+        clen = min(steps, n_steps - c)
         rows = min(width, max(1, NOISE_TILE // (2 * clen)))
         u = np.empty((rows, 2 * clen))
         work = np.empty((2, rows, clen))
@@ -218,6 +233,7 @@ def _normals(seed, lo, hi, n_steps, increments=None):
             for i, row in enumerate(u[:m], lo + r):
                 cursor.seek(i, 2 * c).random(out=row)
             _box_muller(u[:m], z[:, r:r + m].T, work[:, :m])
+        del u, work         # freed before the next chunk allocates its own
         yield z
 
 
@@ -366,6 +382,20 @@ def _block_moments(values: np.ndarray, axis: int = 0):
             ((values - mean) ** 2).sum(axis=axis))
 
 
+def _column_moments(values: np.ndarray, alone: bool):
+    """_block_moments of the columns of ``values``, as a wider array's columns reduce.
+
+    ``values`` (width, cols) is a column block of an array with more than
+    one column, unless ``alone``. A lone column of such an array is reduced
+    beside a copy of itself, because numpy sums a single column pairwise and
+    the columns of a wider array row by row (see the module docstring).
+    """
+    if values.shape[1] > 1 or alone:
+        return _block_moments(values)
+    count, mean, m2 = _block_moments(np.repeat(values, 2, axis=1))
+    return count, mean[:1], m2[:1]
+
+
 def _var_stderr(count, m2):
     var = m2 / (count - 1) if count > 1 else np.zeros_like(m2)
     return var, np.sqrt(var / count)
@@ -382,6 +412,16 @@ def _check_count(value, name: str = "n_traj") -> None:
 def _buffer_rows(width: int) -> int:
     """Steps a block buffers between reductions: 2**16 values, 1 to 64 rows."""
     return min(64, max(1, (1 << 16) // width))
+
+
+def _chunk_steps(width: int) -> int:
+    """Steps a block draws per noise chunk: NOISE_VALUES normals, 1 to NOISE_CHUNK steps."""
+    return min(NOISE_CHUNK, max(1, NOISE_VALUES // width))
+
+
+def _reduce_columns(width: int) -> int:
+    """Columns a block reduces at a time: 2**18 values, at least 1 column."""
+    return max(1, (1 << 18) // width)
 
 
 def _states(params, seed, lo, hi, n_steps, dt, n0=-1.0, sigma0=0j, phi0=0.0,
@@ -441,21 +481,55 @@ def _moment_block(states, width, n_steps, cuts):
     return sums, n
 
 
-def _snapshot_block(states, width, snap_steps):
-    """(n, u, phi) at each of the non-decreasing ``snap_steps``, a column each."""
-    snap_n = np.empty((width, len(snap_steps)))
-    snap_u = np.empty((width, len(snap_steps)), dtype=complex)
-    snap_phi = np.empty((width, len(snap_steps)))
+def _at_steps(states, snap_steps):
+    """Yield (j, n, u, phi) as the states reach each of the non-decreasing ``snap_steps``.
+
+    Runs ``states`` to its end, so its last Bloch-sphere check runs too.
+    """
     # a cursor over the ascending steps: column j is due at step `due`
     pending = enumerate(snap_steps)
     j, due = next(pending)
     for k, n, u, phi in states:
         while k == due:
-            snap_n[:, j] = n
-            snap_u[:, j] = u
-            snap_phi[:, j] = phi
+            yield j, n, u, phi
             j, due = next(pending, (None, None))
+
+
+def _snapshot_block(states, width, snap_steps):
+    """(n, u, phi) at each of the non-decreasing ``snap_steps``, a column each."""
+    snap_n = np.empty((width, len(snap_steps)))
+    snap_u = np.empty((width, len(snap_steps)), dtype=complex)
+    snap_phi = np.empty((width, len(snap_steps)))
+    for j, n, u, phi in _at_steps(states, snap_steps):
+        snap_n[:, j] = n
+        snap_u[:, j] = u
+        snap_phi[:, j] = phi
     return snap_n, snap_u, snap_phi
+
+
+def _decorrelation_block(states, width, snap_steps):
+    """decorrelation_residual's block job: (count, mean, m2) of K, C and n at each t'.
+
+    ``snap_steps`` are the t' steps and then step t. The block keeps n and
+    phi at those steps only (16 B per trajectory and step), and reduces
+    them a bounded column block at a time once phi(t) is known.
+    """
+    snap_n = np.empty((width, len(snap_steps)))
+    snap_phi = np.empty((width, len(snap_steps)))
+    for j, n, _, phi in _at_steps(states, snap_steps):
+        snap_n[:, j] = n
+        snap_phi[:, j] = phi
+    points = len(snap_steps) - 1
+    moments = np.empty((3, 2, points))       # K, C, n: mean and m2
+    cols = _reduce_columns(width)
+    for j in range(0, points, cols):
+        span = slice(j, min(j + cols, points))
+        n = snap_n[:, span]
+        u = np.exp(-1j * (snap_phi[:, -1:] - snap_phi[:, span]))
+        for (mean, m2), values in zip(moments, ((u * n).real, u.real, n)):
+            _, mean[span], m2[span] = _column_moments(values, points == 1)
+        del u               # freed before the next column block's
+    return tuple((width, mean, m2) for mean, m2 in moments)
 
 
 def _run_blocks(params, lo, hi, dt, job, *, n0=-1.0, sigma0=0j, phi0=0.0,
@@ -589,20 +663,23 @@ def _check_phase_args(delta: float, n_traj: int) -> None:
     _check_count(n_traj)
 
 
-def _wiener_paths(seed, lo, hi, scale, out):
-    """Fill ``out`` (hi - lo, steps) with the running sums of scale[j] * z_j.
+def _wiener_paths(seed, lo, hi, scale):
+    """Yield (c, phases): the running sums of scale[j] * z_j from step c on, a chunk at a time.
 
-    Chunks are summed in order with the previous chunk's last phase as the
-    first summand, so each row equals one cumsum over the whole row.
+    ``phases`` (steps, hi - lo) holds one row per step and is summed in
+    place in _normals' buffer, so it is valid only until the next chunk.
+    Each chunk's first row adds the previous chunk's last phase, so every
+    trajectory's phases equal one cumsum over all its steps.
     """
-    c = 0
-    for z in _normals(seed, lo, hi, out.shape[1]):
-        clen = len(z)
-        incr = np.multiply(scale[c:c + clen, None], z, out=z)
-        if c:
-            incr[0] += out[:, c - 1]
-        np.cumsum(incr, axis=0, out=out[:, c:c + clen].T)
-        c += clen
+    c, last = 0, None
+    for z in _normals(seed, lo, hi, len(scale)):
+        np.multiply(scale[c:c + len(z), None], z, out=z)
+        if last is not None:
+            z[0] += last
+        np.cumsum(z, axis=0, out=z)
+        last = z[-1].copy()     # the next chunk is drawn over this one
+        yield c, z
+        c += len(z)
 
 
 def simulate_phases(delta: float, n_traj: int, t_end: float, dt: float,
@@ -621,7 +698,8 @@ def simulate_phases(delta: float, n_traj: int, t_end: float, dt: float,
     rows = max(1, NOISE_TILE // (2 * NOISE_CHUNK))
     for lo in range(0, n_traj, rows):
         hi = min(lo + rows, n_traj)
-        _wiener_paths(seed, lo, hi, scale, phi[lo:hi, 1:])
+        for c, phases in _wiener_paths(seed, lo, hi, scale):
+            phi[lo:hi, 1 + c:1 + c + len(phases)] = phases.T
     return t, phi
 
 
@@ -640,7 +718,9 @@ def phase_autocorrelation(delta: float, n_traj: int, tau_grid,
 
     Wiener increments are stationary, so the grid is sampled exactly (no dt):
     each trajectory draws the increments between consecutive tau points.
-    The expected value is exp(-delta*|tau|/2).
+    The expected value is exp(-delta*|tau|/2). A block reduces each noise
+    chunk of lags as it is drawn, a bounded column block at a time, so its
+    memory does not grow with the number of lags.
     """
     _check_phase_args(delta, n_traj)
     tau = np.asarray(tau_grid, dtype=float)
@@ -650,10 +730,17 @@ def phase_autocorrelation(delta: float, n_traj: int, tau_grid,
     parts = []
     for lo in range(0, n_traj, BLOCK_TRAJ):
         hi = min(lo + BLOCK_TRAJ, n_traj)
-        phases = np.empty((hi - lo, len(tau)))
-        _wiener_paths(seed, lo, hi, scale, phases)
-        parts.append((_block_moments(np.cos(phases)),
-                      _block_moments(np.sin(phases))))
+        moments = np.empty((2, 2, len(tau)))    # cos, sin: mean and m2
+        cols = _reduce_columns(hi - lo)
+        for c, phases in _wiener_paths(seed, lo, hi, scale):
+            for j in range(0, len(phases), cols):
+                block = phases[j:j + cols].T.copy()   # (trajectories, lags)
+                span = slice(c + j, c + j + block.shape[1])
+                for (mean, m2), f in zip(moments, (np.cos, np.sin)):
+                    _, mean[span], m2[span] = _column_moments(f(block),
+                                                              len(tau) == 1)
+                del block       # freed before the next column block's
+        parts.append(tuple((hi - lo, mean, m2) for mean, m2 in moments))
 
     count, mean_re, m2_re = _tree_merge([p[0] for p in parts])
     _, mean_im, m2_im = _tree_merge([p[1] for p in parts])
@@ -712,12 +799,8 @@ def decorrelation_residual(params: SystemParams, n_traj: int, t: float,
 
     def job(lo, hi):
         # a block is reduced as it ends: only running blocks hold snapshots
-        snap_n, _, snap_phi = _snapshot_block(
-            _states(params, seed, lo, hi, n_steps, dt), hi - lo, snap_steps)
-        n = snap_n[:, :-1]
-        u = np.exp(-1j * (snap_phi[:, -1:] - snap_phi[:, :-1]))
-        return (_block_moments((u * n).real), _block_moments(u.real),
-                _block_moments(n))
+        return _decorrelation_block(_states(params, seed, lo, hi, n_steps, dt),
+                                    hi - lo, snap_steps)
 
     k_parts, c_parts, n_parts = zip(*_run_blocks(params, 0, n_traj, dt, job,
                                                  threads=threads))

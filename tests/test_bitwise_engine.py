@@ -137,6 +137,21 @@ def test_decorrelation_with_many_snapshots_is_pinned():
     assert _md5s(res, SNAPSHOTS_MD5) == SNAPSHOTS_MD5
 
 
+@pytest.mark.parametrize("columns", [1, 2, 7])
+def test_column_blocks_keep_the_pins(monkeypatch, columns):
+    # lags and t' points reduced a few columns at a time, a lone last column
+    # included (7 columns leave one of 64 lags and one of 50 t' points)
+    monkeypatch.setattr(fs, "_reduce_columns", lambda width: columns)
+    test_phase_autocorrelation_past_one_noise_chunk_is_pinned()
+    test_decorrelation_with_many_snapshots_is_pinned()
+
+
+def test_width_derived_chunks_keep_the_csv(tmp_path, monkeypatch):
+    # 9-step noise chunks at width 16 and 18-step ones at width 8
+    monkeypatch.setattr(fs, "NOISE_VALUES", 16 * 9)
+    assert sde_csv_md5(tmp_path, 2) == SDE_CSV_MD5
+
+
 # md5 of each run_ensemble array over 8200 trajectories and 600 steps, at the
 # module's own sizes: one 8192-wide block and a block of 8
 WIDE_MD5 = {"n_mean": "da3a7aa519296091501da87675d632ce",

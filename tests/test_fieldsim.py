@@ -122,6 +122,30 @@ def test_block_noise_chunk_tail(monkeypatch):
         assert np.array_equal(np.concatenate(chunks).T, want)
 
 
+def test_chunk_steps_follow_the_block_width():
+    # NOISE_CHUNK steps up to 4096 trajectories, fewer beyond, so that a
+    # chunk never holds more than NOISE_VALUES normals
+    assert [fs._chunk_steps(w) for w in (1, 7, 1000, 4096)] == [1024] * 4
+    assert fs._chunk_steps(8192) == 512
+    assert fs._chunk_steps(1 << 23) == 1
+    assert max(fs._chunk_steps(w) * w for w in range(1, fs.BLOCK_TRAJ + 1)) <= 1 << 22
+
+
+def test_wide_block_noise_is_one_bounded_chunk():
+    # 8192 streams x 1000 steps come as 512 + 488 steps through one 33.6 MB
+    # buffer; a 1024-step chunk held 66.7 MB
+    for _ in fs._normals(3, 0, 8, 10):
+        pass
+    tracemalloc.start()
+    try:
+        steps = [len(z) for z in fs._normals(3, 0, 8192, 1000)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert steps == [512, 488]
+    assert peak <= 36e6, peak
+
+
 @pytest.mark.parametrize("width, n_steps", [(1000, 40), (50, 2500)])
 def test_block_noise_builds_one_generator(monkeypatch, width, n_steps):
     # streams are re-pointed, not rebuilt: no generator (and no OS entropy)
@@ -431,12 +455,15 @@ def test_bad_input_refused_before_any_step(monkeypatch, entry, args, kwargs, mat
         entry(*args, seed=0, **kwargs)
 
 
+@pytest.mark.parametrize("cap", ["NOISE_CHUNK", "NOISE_VALUES"])
 @pytest.mark.parametrize("entry", ["run_ensemble", "run_trajectory",
                                    "decorrelation_residual"])
-def test_bloch_sphere_check_covers_the_last_short_chunk(monkeypatch, entry):
+def test_bloch_sphere_check_covers_the_last_short_chunk(monkeypatch, entry, cap):
     # 150 steps in chunks of 64 end on a 22-step chunk, and only the last
     # step leaves the sphere: the check after the last chunk runs only when
-    # the block job asks _states for the step after the last one
+    # the block job asks _states for the step after the last one. With the
+    # normals per chunk capped at 64 instead, the chunk comes from the
+    # width: 64 steps at width 1, and 21 at width 3, ending on 3 steps
     n_steps, calls = 150, []
     step = fs._midpoint_step
 
@@ -446,7 +473,7 @@ def test_bloch_sphere_check_covers_the_last_short_chunk(monkeypatch, entry):
         if len(calls) == n_steps:
             n[0] = math.nan
 
-    monkeypatch.setattr(fs, "NOISE_CHUNK", 64)
+    monkeypatch.setattr(fs, cap, 64)
     monkeypatch.setattr(fs, "_midpoint_step", last_step_leaves)
     runs = {
         "run_ensemble": lambda: run_ensemble(REF, 3, 0.15, 1e-3, seed=0),
@@ -595,6 +622,19 @@ def test_buffer_rows_do_not_change_statistics(monkeypatch, rows):
     assert max(fs._buffer_rows(w) * w for w in range(1, fs.BLOCK_TRAJ + 1)) <= 1 << 16
 
 
+def test_width_derived_chunks_do_not_change_statistics(monkeypatch):
+    # every chunk seeks its streams, so cutting a block's noise into chunks
+    # of 9 steps (at width 16) and 18 (at width 8) cannot change a bit
+    kw = dict(n_traj=24, t_end=0.15, dt=1e-3, seed=6)
+    monkeypatch.setattr(fs, "BLOCK_TRAJ", 16)
+    want = run_ensemble(REF, **kw)
+    monkeypatch.setattr(fs, "NOISE_VALUES", 16 * 9)
+    assert [fs._chunk_steps(w) for w in (16, 8)] == [9, 18]
+    got = run_ensemble(REF, **kw)
+    for name in ("n_mean", "n_var", "coherence_mean", "final_n"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
 def test_ensemble_input_validation():
     with pytest.raises(ValueError):
         run_ensemble(REF, n_traj=0, t_end=1.0, dt=1e-3, seed=0)
@@ -647,6 +687,24 @@ def test_phase_autocorrelation_matches_lorentzian_decay():
 def test_phase_autocorrelation_zero_diffusion():
     est = phase_autocorrelation(0.0, 50, np.array([0.5, 1.0]), seed=1)
     assert np.all(est.mean == 1.0 + 0j)
+
+
+def test_phase_autocorrelation_memory_does_not_grow_with_lags():
+    # each chunk of lags is reduced as it is drawn, so past one chunk (1024
+    # lags at 512 trajectories) only the per-lag outputs grow; holding every
+    # lag's phases, cos and sin took 24 B per trajectory and lag (55 MB more
+    # at 6000 lags than at 1500)
+    phase_autocorrelation(2.0, 8, np.arange(3) * 0.01, seed=1)
+    peaks = {}
+    for lags in (1500, 6000):
+        tracemalloc.start()
+        try:
+            est = phase_autocorrelation(2.0, 512, np.arange(lags) * 0.01, seed=1)
+            peaks[lags] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.mean.shape == (lags,)
+    assert (peaks[6000] - peaks[1500]) / 4500 < 256, peaks
 
 
 def test_phase_autocorrelation_grid_validation():
@@ -713,6 +771,23 @@ def test_decorrelation_memory_does_not_grow_with_blocks(monkeypatch):
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] < 0.1 * 768 * 101 * 16, peaks
+
+
+def test_decorrelation_memory_per_snapshot():
+    # a block keeps n and phi at each t' (16 B per trajectory and t') and
+    # reduces them in column blocks of a bounded size; keeping u as well and
+    # reducing every t' at once took about 52 B
+    decorrelation_residual(REF, 8, 0.01, np.array([0.0, 0.01]), seed=1, dt=1e-3)
+    peaks = {}
+    for points in (300, 600):
+        t_prime = np.arange(points) * 1e-3
+        tracemalloc.start()
+        try:
+            decorrelation_residual(REF, 1024, 0.6, t_prime, seed=1, dt=1e-3)
+            peaks[points] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert (peaks[600] - peaks[300]) / (1024 * 300) <= 17, peaks
 
 
 def test_decorrelation_grid_validation():
