@@ -383,12 +383,10 @@ def _block_moments(values: np.ndarray, axis: int = 0):
 
 
 def _column_moments(values: np.ndarray, alone: bool):
-    """_block_moments of the columns of ``values``, as a wider array's columns reduce.
+    """_block_moments of a column block, bit for bit as the whole array's columns.
 
-    ``values`` (width, cols) is a column block of an array with more than
-    one column, unless ``alone``. A lone column of such an array is reduced
-    beside a copy of itself, because numpy sums a single column pairwise and
-    the columns of a wider array row by row (see the module docstring).
+    ``alone`` says the whole array has this one column; otherwise a lone
+    column is reduced beside a copy of itself (see the module docstring).
     """
     if values.shape[1] > 1 or alone:
         return _block_moments(values)
@@ -420,8 +418,8 @@ def _chunk_steps(width: int) -> int:
 
 
 def _reduce_columns(width: int) -> int:
-    """Columns a block reduces at a time: 2**18 values, at least 1 column."""
-    return max(1, (1 << 18) // width)
+    """Columns a block reduces at a time: 2**17 values, at least 1 column."""
+    return max(1, (1 << 17) // width)
 
 
 def _states(params, seed, lo, hi, n_steps, dt, n0=-1.0, sigma0=0j, phi0=0.0,

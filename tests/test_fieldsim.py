@@ -455,9 +455,13 @@ def test_bad_input_refused_before_any_step(monkeypatch, entry, args, kwargs, mat
         entry(*args, seed=0, **kwargs)
 
 
-@pytest.mark.parametrize("cap", ["NOISE_CHUNK", "NOISE_VALUES"])
-@pytest.mark.parametrize("entry", ["run_ensemble", "run_trajectory",
-                                   "decorrelation_residual"])
+ENTRIES = ["run_ensemble", "run_trajectory", "decorrelation_residual"]
+
+
+@pytest.mark.parametrize("entry, cap",
+                         [(entry, "NOISE_CHUNK") for entry in ENTRIES]
+                         + [(entry, "NOISE_VALUES") for entry in ENTRIES],
+                         ids=ENTRIES + [f"{entry}-width" for entry in ENTRIES])
 def test_bloch_sphere_check_covers_the_last_short_chunk(monkeypatch, entry, cap):
     # 150 steps in chunks of 64 end on a 22-step chunk, and only the last
     # step leaves the sphere: the check after the last chunk runs only when
@@ -620,19 +624,6 @@ def test_buffer_rows_do_not_change_statistics(monkeypatch, rows):
         assert np.array_equal(a.coherence_mean, b.coherence_mean)
     # a block's buffers (n and u) stay within 1.5 MB at any width
     assert max(fs._buffer_rows(w) * w for w in range(1, fs.BLOCK_TRAJ + 1)) <= 1 << 16
-
-
-def test_width_derived_chunks_do_not_change_statistics(monkeypatch):
-    # every chunk seeks its streams, so cutting a block's noise into chunks
-    # of 9 steps (at width 16) and 18 (at width 8) cannot change a bit
-    kw = dict(n_traj=24, t_end=0.15, dt=1e-3, seed=6)
-    monkeypatch.setattr(fs, "BLOCK_TRAJ", 16)
-    want = run_ensemble(REF, **kw)
-    monkeypatch.setattr(fs, "NOISE_VALUES", 16 * 9)
-    assert [fs._chunk_steps(w) for w in (16, 8)] == [9, 18]
-    got = run_ensemble(REF, **kw)
-    for name in ("n_mean", "n_var", "coherence_mean", "final_n"):
-        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def test_ensemble_input_validation():
