@@ -732,7 +732,8 @@ def phase_autocorrelation(delta: float, n_traj: int, tau_grid,
         cols = _reduce_columns(hi - lo)
         for c, phases in _wiener_paths(seed, lo, hi, scale):
             for j in range(0, len(phases), cols):
-                block = phases[j:j + cols].T.copy()   # (trajectories, lags)
+                # (trajectories, lags) in C order, as the whole array was
+                block = phases[j:j + cols].T.copy()
                 span = slice(c + j, c + j + block.shape[1])
                 for (mean, m2), f in zip(moments, (np.cos, np.sin)):
                     _, mean[span], m2[span] = _column_moments(f(block),

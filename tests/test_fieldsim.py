@@ -133,7 +133,7 @@ def test_chunk_steps_follow_the_block_width():
 
 def test_wide_block_noise_is_one_bounded_chunk():
     # 8192 streams x 1000 steps come as 512 + 488 steps through one 33.6 MB
-    # buffer; a 1024-step chunk held 66.7 MB
+    # buffer; drawing all 1000 steps as one chunk peaked at 67 MB
     for _ in fs._normals(3, 0, 8, 10):
         pass
     tracemalloc.start()
@@ -767,7 +767,7 @@ def test_decorrelation_memory_does_not_grow_with_blocks(monkeypatch):
 def test_decorrelation_memory_per_snapshot():
     # a block keeps n and phi at each t' (16 B per trajectory and t') and
     # reduces them in column blocks of a bounded size; keeping u as well and
-    # reducing every t' at once took about 52 B
+    # reducing every t' at once took 72 B at this size
     decorrelation_residual(REF, 8, 0.01, np.array([0.0, 0.01]), seed=1, dt=1e-3)
     peaks = {}
     for points in (300, 600):
