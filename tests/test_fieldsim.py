@@ -665,6 +665,22 @@ def test_simulate_phases_variance_grows_linearly():
     assert np.array_equal(phi, phi2)
 
 
+@pytest.mark.parametrize("tile", [None, 64])
+@pytest.mark.parametrize("t_end", [0.0, 0.01, 0.1, 1.0])
+def test_simulate_phases_are_the_engine_phases(monkeypatch, tile, t_end):
+    # a 64-uniform tile cuts a 100-step path into spans of 32 steps, and
+    # puts 3 paths of 10 steps in a tile, so the last of 5 paths is short
+    if tile is not None:
+        monkeypatch.setattr(fs, "NOISE_TILE", tile)
+    p = SystemParams(a=1.0, delta=2.0, omega0=1.0)
+    t, phi = simulate_phases(p.delta, 5, t_end, 0.01, seed=13)
+    assert phi.shape == (5, len(t))
+    for i in range(5):
+        want = run_trajectory(p, t_end, 0.01, seed=13, index=i)
+        assert np.array_equal(t, want.t)
+        assert np.array_equal(phi[i], want.phi)
+
+
 def test_phase_autocorrelation_matches_lorentzian_decay():
     tau = np.array([0.0, 0.5, 1.0])
     est = phase_autocorrelation(2.0, 2000, tau, seed=42)
