@@ -196,12 +196,13 @@ def _normals(seed, lo, hi, n_steps, increments=None):
     Yields arrays of shape (<= _chunk_steps(hi - lo), hi - lo) in step
     order, a chunk at a time, with one C-contiguous row per step, so the
     step kernel reads each step's normals contiguously. One Philox
-    generator serves every stream: for each row of a tile of at most
-    NOISE_TILE uniforms it is pointed at stream (seed, i) where the chunk
-    starts, two uniforms per step, and fills the row; each tile goes through
-    one _box_muller call, whose buffers are allocated once per chunk and
-    whose last product is written transposed into the tile's columns of the
-    chunk. Transposing tile by tile keeps the copy in cache (a transpose of
+    generator serves every stream, and _fill_normals draws each chunk,
+    handed the chunk transposed: for each row of a tile of at most
+    NOISE_TILE uniforms the generator is pointed at stream (seed, i) where
+    the chunk starts, two uniforms per step, and fills the row; each tile
+    goes through one _box_muller call, whose buffers are allocated once per
+    chunk and whose last product is written transposed into the tile's
+    columns of the chunk. Transposing tile by tile keeps the copy in cache (a transpose of
     the whole chunk would cost more than the row layout saves), and the
     chunk's rows are padded by one cache line so that a power-of-two width
     does not put every row of a tile's column strip in the same cache sets.
@@ -224,17 +225,30 @@ def _normals(seed, lo, hi, n_steps, increments=None):
     buffer = np.empty((min(steps, n_steps), width + 8))[:, :width]
     for c in range(0, n_steps, steps):
         clen = min(steps, n_steps - c)
-        rows = min(width, max(1, NOISE_TILE // (2 * clen)))
-        u = np.empty((rows, 2 * clen))
-        work = np.empty((2, rows, clen))
         z = buffer[:clen]
-        for r in range(0, width, rows):
-            m = min(rows, width - r)
-            for i, row in enumerate(u[:m], lo + r):
-                cursor.seek(i, 2 * c).random(out=row)
-            _box_muller(u[:m], z[:, r:r + m].T, work[:, :m])
-        del u, work         # freed before the next chunk allocates its own
+        _fill_normals(cursor, lo, c, z.T)
         yield z
+
+
+def _fill_normals(cursor, lo, start, z):
+    """Write normals start .. start+steps-1 of streams lo, lo+1, ... into z.
+
+    z is any (streams, steps) view. Streams go a tile of at most NOISE_TILE
+    uniforms at a time (at least one stream): each stream is sought to
+    uniform 2 * start of stream (seed, i) and fills its row of the tile, and
+    the tile goes through one _box_muller call, whose product is written
+    straight into the tile's rows of z. The tile and the Box-Muller buffers
+    are allocated once per call.
+    """
+    width, steps = z.shape
+    rows = min(width, max(1, NOISE_TILE // (2 * steps)))
+    u = np.empty((rows, 2 * steps))
+    work = np.empty((2, rows, steps))
+    for r in range(0, width, rows):
+        m = min(rows, width - r)
+        for i, row in enumerate(u[:m], lo + r):
+            cursor.seek(i, 2 * start).random(out=row)
+        _box_muller(u[:m], z[r:r + m], work[:, :m])
 
 
 @dataclass
@@ -684,20 +698,33 @@ def simulate_phases(delta: float, n_traj: int, t_end: float, dt: float,
                     seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Wiener phase paths phi(t) for ``n_traj`` trajectories, shape (N, steps+1).
 
-    Uses the same streams as run_ensemble, so these are the phases the full
-    simulation would see.
+    Uses the same streams as run_ensemble, so row i is bit for bit the phi
+    of run_trajectory(index=i), the phases the full simulation would see.
+    Paths go a tile at a time, and _fill_normals draws each span of at most
+    NOISE_TILE // 2 steps of a tile's paths straight into their rows of phi,
+    so a tile and a span fill one noise tile of uniforms (8 paths of 4000
+    steps at once); the rows are then scaled by sqrt(delta*dt) and summed in
+    place. Each step is the engine's phi + sqrt(delta*dt)*z in the same
+    order, and the normals do not depend on how streams and steps are cut,
+    so no cut changes a bit. Beyond phi, memory is one tile's uniforms and
+    Box-Muller buffers.
     """
     _check_phase_args(delta, n_traj)
     t = time_grid(t_end, dt)
-    scale = np.full(len(t) - 1, math.sqrt(delta * dt))
+    n_steps = len(t) - 1
     phi = np.empty((n_traj, len(t)))
     phi[:, 0] = 0.0
-    # paths go in groups of one noise tile, so noise memory stays one tile
-    rows = max(1, NOISE_TILE // (2 * NOISE_CHUNK))
+    if n_steps == 0:
+        return t, phi
+    span = min(n_steps, NOISE_TILE // 2)
+    rows = max(1, NOISE_TILE // (2 * span))
+    cursor = _PhiloxCursor(seed)
     for lo in range(0, n_traj, rows):
-        hi = min(lo + rows, n_traj)
-        for c, phases in _wiener_paths(seed, lo, hi, scale):
-            phi[lo:hi, 1 + c:1 + c + len(phases)] = phases.T
+        paths = phi[lo:lo + rows, 1:]
+        for c in range(0, n_steps, span):
+            _fill_normals(cursor, lo, c, paths[:, c:c + span])
+        np.multiply(math.sqrt(delta * dt), paths, out=paths)
+        np.cumsum(paths, axis=1, out=paths)
     return t, phi
 
 

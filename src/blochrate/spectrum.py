@@ -19,6 +19,14 @@ pair
 
 and a Wiener-Khintchine estimator that recovers B*W from simulated field
 phase trajectories.
+
+The estimator forms e^{i phi} of every phase sample from one vectorised tan
+by the half-angle identity (_phasor), not from libm cos and sin, which numpy
+runs one value at a time: at criterion 6's size those took 0.38-0.52 s of
+the estimate's 0.56-0.64 s. Its values are within 3.5e-16 of cos and sin
+(libm's: 5.6e-17). The transforms keep libm cos and sin: their arguments
+are fewer, and autocorrelation_kernel and _trapezoid_transform are pinned
+bit for bit.
 """
 
 from __future__ import annotations
@@ -411,12 +419,42 @@ def _next_fast_len(n: int) -> int:
         n += 1
 
 
+def _phasor(phi, cos, sin, t):
+    """cos and sin of phi from one tan, by the half-angle (Cayley) identity.
+
+    With t = tan(phi/2), e^{i phi} = (1 + it)/(1 - it), so w = 2/(1 + t**2)
+    gives cos phi = w - 1 and sin phi = t*w: one tan, which numpy vectorises,
+    and six elementwise passes, written into ``cos`` and ``sin``; ``t``
+    (phi's shape) is scratch. For |phi| up to about 30 on the 2-core x86
+    Xeon host that is 6.6 ns a value, against 16 ns each for numpy's cos and
+    sin (tan alone: 2.5 ns). Over the whole double range the values are
+    within 3.5e-16 of a long-double cos and sin (libm's within 5.6e-17),
+    tan stays finite, a zero phi keeps its sign in sin, and a t whose square
+    overflows gives (-1, +-0), within 1e-154 of the true value.
+    """
+    np.multiply(phi, 0.5, out=t)
+    np.tan(t, out=t)
+    np.square(t, out=cos)
+    np.add(cos, 1.0, out=cos)
+    np.divide(2.0, cos, out=cos)
+    np.multiply(t, cos, out=sin)
+    np.subtract(cos, 1.0, out=cos)
+
+
 def _batch_autocorrelation(rows: np.ndarray, k_max: int) -> np.ndarray:
     """Mean lagged product g[k] = <s(t+k) conj(s(t))> of s = e^{i rows}, k <= k_max.
 
     Zero padding to any length >= n_t + k_max keeps lags 0..k_max free of
     wrap-around, so they are the exact linear correlations. The rows' power
     spectra are summed before a single inverse FFT.
+
+    s comes from _phasor, the half-angle form of e^{i rows}, written
+    straight into the FFT buffer's real and imaginary parts; its tan goes
+    through one contiguous scratch sized to a pass, at most _KERNEL_CHUNK
+    doubles (2 MB) unless one row is longer. Against libm's cos and sin the lagged
+    means move by at most 3.4e-16 over lags averaged over half a row or
+    more, and by up to 6.3e-14 at a lag averaged over a single sample, where
+    the FFT's rounding of the whole power spectrum is not averaged down.
 
     Rows pass through one reused buffer of about _KERNEL_CHUNK complex
     elements, max(1, _KERNEL_CHUNK // L) rows at a time for FFT length L,
@@ -430,12 +468,12 @@ def _batch_autocorrelation(rows: np.ndarray, k_max: int) -> np.ndarray:
     size = _next_fast_len(n_t + k_max)
     per_pass = max(1, _KERNEL_CHUNK // size)
     buf = np.zeros((min(per_pass, n_rows) + 1, size), dtype=complex)
+    half = np.empty((len(buf) - 1, n_t))     # tan(phi/2) of one pass
     for lo in range(0, n_rows, per_pass):
         chunk = rows[lo:lo + per_pass]
         s = buf[1:len(chunk) + 1]
         s[:, n_t:] = 0.0
-        np.cos(chunk, out=s.real[:, :n_t])
-        np.sin(chunk, out=s.imag[:, :n_t])
+        _phasor(chunk, s.real[:, :n_t], s.imag[:, :n_t], half[:len(chunk)])
         fft(s, axis=1, out=s)
         np.square(s.real, out=s.real)
         np.square(s.imag, out=s.imag)
@@ -468,7 +506,11 @@ def wk_estimate(phi: np.ndarray, dt: float, omega0: float, omega_grid,
     scipy off the package's import). Rows go through one reused buffer a
     few at a time, so beyond phi itself memory is fixed whatever n_traj:
     that buffer, about _KERNEL_CHUNK complex elements (4 MB) or two padded
-    rows if one row is longer, and the batches' autocorrelations.
+    rows if one row is longer, the tan scratch of one pass (at most 2 MB,
+    or a row), and the batches' autocorrelations. e^{i phi} is formed from
+    tan(phi/2) (_phasor), within 3.5e-16 of libm's cos and sin and about
+    a fifth of their cost; at criterion 6's size the estimate moves by at
+    most 4.4e-16 on a peak of 2.
 
     The window must cover many coherence times or the transform is biased;
     ``truncation_estimate`` reports the batch-pooled autocorrelation

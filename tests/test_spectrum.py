@@ -296,6 +296,41 @@ def test_batch_autocorrelation_is_the_linear_lagged_mean(max_lag):
     assert np.max(np.abs(got - want)) <= 1e-14
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is no wider than double here")
+def test_half_angle_phasor_is_accurate_everywhere():
+    # |phi| from 1e-20 to 1e308 at random exponents, plus the edge cases;
+    # libm cos and sin err by at most 5.6e-17 here, the half-angle form by
+    # 3.5e-16, and a formula that loses a few more bits fails the bound
+    rng = np.random.default_rng(11)
+    mag = rng.uniform(1.0, 10.0, 400_000) * 10.0 ** rng.uniform(-20.0, 307.0, 400_000)
+    big = np.finfo(float).max
+    phi = np.concatenate([rng.choice([-1.0, 1.0], len(mag)) * mag,
+                          rng.uniform(-40.0, 40.0, 400_000),
+                          [0.0, -0.0, math.pi, -math.pi, big, -big]])
+    cos, sin, t = (np.empty_like(phi) for _ in range(3))
+    spectrum._phasor(phi, cos, sin, t)
+    assert np.all(np.isfinite(cos)) and np.all(np.isfinite(sin))
+    exact = phi.astype(np.longdouble)
+    assert np.max(np.abs(cos - np.cos(exact))) <= 4e-16
+    assert np.max(np.abs(sin - np.sin(exact))) <= 4e-16
+    assert np.array_equal(np.signbit(sin[-6:-4]), [False, True])
+    assert np.array_equal(cos[-6:-4], [1.0, 1.0])
+
+
+@pytest.mark.parametrize("n_rows", [7, 9])
+def test_batch_autocorrelation_does_not_depend_on_the_pass_size(monkeypatch, n_rows):
+    # 7 rows at 3 a pass leave a last pass of 1, 9 rows none
+    rows = np.random.default_rng(4).normal(0.0, 3.0, (n_rows, 50)).cumsum(axis=1)
+    want = spectrum._batch_autocorrelation(rows, 20)
+    size = spectrum._next_fast_len(50 + 20)
+    for per_pass in (1, 3):
+        monkeypatch.setattr(spectrum, "_KERNEL_CHUNK", per_pass * size)
+        got = spectrum._batch_autocorrelation(rows, 20)
+        assert np.array_equal(got.view(float), want.view(float))
+        assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
+
+
 def test_wk_estimate_memory_stays_below_the_input():
     _, phi = simulate_phases(2.0, 512, 30.0, 0.01, seed=6)
     tracemalloc.start()
