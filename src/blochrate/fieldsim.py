@@ -202,10 +202,11 @@ def _normals(seed, lo, hi, n_steps, increments=None):
     the chunk starts, two uniforms per step, and fills the row; each tile
     goes through one _box_muller call, whose buffers are allocated once per
     chunk and whose last product is written transposed into the tile's
-    columns of the chunk. Transposing tile by tile keeps the copy in cache (a transpose of
-    the whole chunk would cost more than the row layout saves), and the
-    chunk's rows are padded by one cache line so that a power-of-two width
-    does not put every row of a tile's column strip in the same cache sets.
+    columns of the chunk. Transposing tile by tile keeps the copy in cache
+    (a transpose of the whole chunk would cost more than the row layout
+    saves), and the chunk's rows are padded by one cache line so that a
+    power-of-two width does not put every row of a tile's column strip in
+    the same cache sets.
     ``increments`` (explicit normals, one per step, for a single trajectory)
     is sliced in the same chunks in place of the streams.
 
@@ -714,9 +715,7 @@ def simulate_phases(delta: float, n_traj: int, t_end: float, dt: float,
     n_steps = len(t) - 1
     phi = np.empty((n_traj, len(t)))
     phi[:, 0] = 0.0
-    if n_steps == 0:
-        return t, phi
-    span = min(n_steps, NOISE_TILE // 2)
+    span = max(1, min(n_steps, NOISE_TILE // 2))
     rows = max(1, NOISE_TILE // (2 * span))
     cursor = _PhiloxCursor(seed)
     for lo in range(0, n_traj, rows):

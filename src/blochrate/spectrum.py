@@ -22,11 +22,15 @@ phase trajectories.
 
 The estimator forms e^{i phi} of every phase sample from one vectorised tan
 by the half-angle identity (_phasor), not from libm cos and sin, which numpy
-runs one value at a time: at criterion 6's size those took 0.38-0.52 s of
-the estimate's 0.56-0.64 s. Its values are within 3.5e-16 of cos and sin
-(libm's: 5.6e-17). The transforms keep libm cos and sin: their arguments
-are fewer, and autocorrelation_kernel and _trapezoid_transform are pinned
-bit for bit.
+runs one value at a time: at criterion 6's size (4096 paths of 4001 steps)
+those took 0.32 s of the estimate's 0.57 s, and the half-angle form takes
+0.12 s of 0.36 s. Its values are within 3.5e-16 of a long-double cos and
+sin (libm's: 5.6e-17). Every other trig path keeps libm cos and sin:
+autocorrelation_kernel and _trapezoid_transform are pinned bit for bit and
+spend little of their time in trig (the WK transform of criterion 6 takes
+about 15 ms in all), and in fieldsim the step kernel's e^{i dphi/2} and
+the phase helpers' e^{i phi} are pinned bit for bit by the engine and
+golden tests.
 """
 
 from __future__ import annotations
@@ -425,12 +429,13 @@ def _phasor(phi, cos, sin, t):
     With t = tan(phi/2), e^{i phi} = (1 + it)/(1 - it), so w = 2/(1 + t**2)
     gives cos phi = w - 1 and sin phi = t*w: one tan, which numpy vectorises,
     and six elementwise passes, written into ``cos`` and ``sin``; ``t``
-    (phi's shape) is scratch. For |phi| up to about 30 on the 2-core x86
-    Xeon host that is 6.6 ns a value, against 16 ns each for numpy's cos and
-    sin (tan alone: 2.5 ns). Over the whole double range the values are
-    within 3.5e-16 of a long-double cos and sin (libm's within 5.6e-17),
-    tan stays finite, a zero phi keeps its sign in sin, and a t whose square
-    overflows gives (-1, +-0), within 1e-154 of the true value.
+    (phi's shape) is scratch. In wk_estimate's passes on the 2-core x86 host
+    that is about 6.7 ns a value, against about 19 ns for numpy's cos and
+    sin together, which run libm one value at a time (tan alone: about
+    2 ns). Over the whole double range the values are within 3.5e-16 of a
+    long-double cos and sin (libm's within 5.6e-17), tan stays finite, a
+    zero phi keeps its sign in sin, and a t whose square overflows gives
+    (-1, +-0), within 1e-154 of the true value.
     """
     np.multiply(phi, 0.5, out=t)
     np.tan(t, out=t)
@@ -451,10 +456,11 @@ def _batch_autocorrelation(rows: np.ndarray, k_max: int) -> np.ndarray:
     s comes from _phasor, the half-angle form of e^{i rows}, written
     straight into the FFT buffer's real and imaginary parts; its tan goes
     through one contiguous scratch sized to a pass, at most _KERNEL_CHUNK
-    doubles (2 MB) unless one row is longer. Against libm's cos and sin the lagged
-    means move by at most 3.4e-16 over lags averaged over half a row or
-    more, and by up to 6.3e-14 at a lag averaged over a single sample, where
-    the FFT's rounding of the whole power spectrum is not averaged down.
+    doubles (2 MB) unless one row is longer. Against libm's cos and sin the
+    lagged means move by at most 3.4e-16 over lags averaged over half a row
+    or more, and by up to 6.3e-14 at a lag averaged over a single sample,
+    where the FFT's rounding of the whole power spectrum is not averaged
+    down.
 
     Rows pass through one reused buffer of about _KERNEL_CHUNK complex
     elements, max(1, _KERNEL_CHUNK // L) rows at a time for FFT length L,
@@ -509,7 +515,7 @@ def wk_estimate(phi: np.ndarray, dt: float, omega0: float, omega_grid,
     rows if one row is longer, the tan scratch of one pass (at most 2 MB,
     or a row), and the batches' autocorrelations. e^{i phi} is formed from
     tan(phi/2) (_phasor), within 3.5e-16 of libm's cos and sin and about
-    a fifth of their cost; at criterion 6's size the estimate moves by at
+    a third of their cost; at criterion 6's size the estimate moves by at
     most 4.4e-16 on a peak of 2.
 
     The window must cover many coherence times or the transform is biased;
