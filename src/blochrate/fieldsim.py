@@ -27,17 +27,25 @@ k = 2 + dt*gamma_perp and w = Omega0*dt, one step of (n, u) is
 
 which is the lab-frame step of sigma multiplied through by e^{i phi_mid}
 (v = sigma_m*e^{i phi_mid}); sigma = u*e^{-i phi} is formed only where a
-caller asks for sigma (run_trajectory).
+caller asks for sigma (run_trajectory). The step evaluates it with its
+constants folded, D = 2 + dt*a + w**2/k:
+
+    n_m = (2/D)*n - dt*a/D + (4w/(k*D))*Im(u*r)
+    u1  = (((2 - dt*gamma_perp)/k)*u*r - i*(w/k)*n_m)*r
+
+since 2v - u*r = ((2 - dt*gamma_perp)/k)*u*r - i*(w/k)*n_m, whose last term
+is subtracted from the imaginary part alone: no division and no complex
+product beyond the two by r.
 
 The step runs in place: each block allocates one workspace, and every
-intermediate is written into it with ``out=``, by the same ufunc on the same
-operands in the same order as the expressions above, so the workspace
-changes no bit. r is evaluated as cos and sin of half = 0.5*dphi + 0.0 into
-its real and imaginary parts. That equals the complex exp of 0.5j*dphi bit
-for bit: the complex product hands the exp the argument (+-0) + i*half, and
-libm's cexp(+-0 + ih) is (cos h, sin h). The + 0.0 is the product's own
-addition, which turns a -0 increment into +0, so a zero increment's sine is
-+0 as the exp has it, not sin(-0) = -0. A test checks the libm assumption.
+intermediate is written into it with ``out=``. r comes from one vectorised
+tan by the half-angle identity (spectrum._phasor): with t = tan(q),
+q = 0.25*dphi + 0.0 and w' = 2/(1 + t**2), Re r = w' - 1 and Im r = t*w',
+within 3.5e-16 of the complex exp of 0.5j*dphi. numpy runs libm's cos and
+sin one value at a time, and they cost about twice the tan and its passes.
+The + 0.0 turns a -0 increment into +0, so a zero increment's r is (1, +0)
+as the exp has it. Box-Muller's cosine and the phase helpers' e^{i phi}
+come from the same helper, so no stochastic path calls libm's cos or sin.
 
 A step guard refuses dt*max(a, gamma_perp, Omega0) > MAX_STEP_RATE before any
 step runs, and every noise chunk ends with a Bloch-sphere bound check.
@@ -100,6 +108,7 @@ import numpy as np
 
 from .params import (SystemParams, _check_initial_state, _check_lags, check_seed,
                      grid_steps, time_grid)
+from .spectrum import _phasor
 
 BLOCK_TRAJ = 8192      # trajectories integrated together; independent of --threads
 NOISE_CHUNK = 1024     # most steps drawn per stream call (any cut draws the same normals)
@@ -171,12 +180,13 @@ def _box_muller(u, out=None, work=None):
     Each pair (u[2j], u[2j+1]) gives sqrt(-2 ln(1 - u[2j])) * cos(2 pi u[2j+1]);
     1 - u maps [0, 1) onto (0, 1], so the log stays finite and no domain check
     is needed. Elementwise, so any block of rows gives each row's normals bit
-    for bit. ``work`` (shape (2, *normals' shape), C-contiguous; allocated
-    when not given) holds the radius and the cosine, and ``out`` (any view
-    of the normals' shape) takes their product, so a caller can store the
-    normals transposed with no extra pass. Each operation is the ufunc,
-    operand order and dtype of the expression above, so the buffers change
-    no bit.
+    for bit. The cosine comes from tan(pi u[2j+1]) by the half-angle
+    identity (spectrum._phasor; pi*u is exactly half of 2*pi*u), within
+    4e-16 of libm's cos at a third of its cost. ``work`` (shape
+    (2, *normals' shape), C-contiguous; allocated when not given) holds the
+    radius and the cosine, and ``out`` (any view of the normals' shape)
+    takes their product, so a caller can store the normals transposed with
+    no extra pass; the buffers change no bit.
     """
     if work is None:
         work = np.empty((2, *u.shape[:-1], u.shape[-1] // 2))
@@ -185,8 +195,8 @@ def _box_muller(u, out=None, work=None):
     np.log(radius, out=radius)
     np.multiply(-2.0, radius, out=radius)
     np.sqrt(radius, out=radius)
-    np.multiply(2.0 * math.pi, u[..., 1::2], out=cosine)
-    np.cos(cosine, out=cosine)
+    np.multiply(math.pi, u[..., 1::2], out=cosine)     # the half angle
+    _phasor(cosine, cosine)
     return np.multiply(radius, cosine, out=out)
 
 
@@ -278,13 +288,13 @@ class EnsembleTrace:
 # ----------------------------------------------------------------------
 # core stepping kernel (vectorized over trajectories) and its step guard
 
-_TWO, _HALF, _ZERO = np.array(2.0), np.array(0.5), np.array(0.0)
+_TWO, _QUARTER, _ZERO = np.array(2.0), np.array(0.25), np.array(0.0)
 
 
 class _StepWorkspace:
     """The constants and scratch arrays of _midpoint_step for one block.
 
-    The step's scalars are held as 0-d float64 and complex128 arrays: a ufunc
+    The step's scalars are held as 0-d float64 arrays: a ufunc
     converts a Python scalar on every call, which at narrow widths costs more
     than the arithmetic, and a 0-d array of the same dtype selects the same
     loop, so the bits do not change.
@@ -294,14 +304,14 @@ class _StepWorkspace:
         k = 2.0 + dt * gamma_perp
         w = omega0 * dt
         self.scale = np.array(math.sqrt(delta * dt))
-        self.decay = np.array(dt * a)
-        self.drive = np.array(4.0 * w / k)
-        self.denom = np.array(2.0 + dt * a + w * w / k)
-        self.pump = np.array(0.5j * w)
-        self.k = np.array(k)
+        denom = 2.0 + dt * a + w * w / k
+        self.lead = np.array(2.0 / denom)
+        self.decay = np.array(dt * a / denom)
+        self.drive = np.array(4.0 * w / k / denom)
+        self.keep = np.array((2.0 - dt * gamma_perp) / k)
+        self.kick = np.array(w / k)
         self.dphi, self.half, self.n_m = (np.empty(width) for _ in range(3))
-        self.r, self.ur, self.v, self.pw = (np.empty(width, dtype=complex)
-                                            for _ in range(4))
+        self.r, self.ur = (np.empty(width, dtype=complex) for _ in range(2))
 
 
 def _midpoint_step(n, u, phi, z, ws):
@@ -314,38 +324,32 @@ def _midpoint_step(n, u, phi, z, ws):
     elementwise, so each trajectory's arithmetic is independent of its
     neighbours in the block.
 
-    r = e^{i dphi/2} is cos and sin of half = 0.5*dphi + 0.0, written into
-    r's real and imaginary parts: bit for bit the complex exp of 0.5j*dphi,
-    signed zeros included, because libm's cexp(+-0 + ih) is (cos h, sin h)
-    and the ``+ 0.0`` is the complex product's own addition (see the module
-    docstring). Every other operation is the ufunc, operand order and dtype
-    of the plain expressions of the step, only with ``out=``.
+    r = e^{i dphi/2} comes from t = tan(0.25*dphi + 0.0) by the half-angle
+    identity, written into r's real and imaginary parts with ``half`` as
+    the tan's scratch; a zero increment of either sign gives r = (1, +0)
+    (see the module docstring). Every other operation is the ufunc, operand
+    order and dtype of the folded expressions of the module docstring, only
+    with ``out=``.
     """
-    dphi, half, n_m, r, ur, v, pw = (ws.dphi, ws.half, ws.n_m, ws.r, ws.ur,
-                                     ws.v, ws.pw)
+    dphi, half, n_m, r, ur = ws.dphi, ws.half, ws.n_m, ws.r, ws.ur
     np.multiply(ws.scale, z, out=dphi)
-    np.multiply(_HALF, dphi, out=half)
+    np.multiply(_QUARTER, dphi, out=half)
     np.add(half, _ZERO, out=half)
-    np.cos(half, out=r.real)
-    np.sin(half, out=r.imag)
+    _phasor(half, r.real, r.imag)
     np.multiply(u, r, out=ur)
-    # n_m = (2n - dt*a + (4w/k)*Im(ur)) / (2 + dt*a + w**2/k)
-    np.multiply(_TWO, n, out=n_m)
+    # n_m = (2/D)*n - dt*a/D + (4w/(k*D))*Im(ur)
+    np.multiply(ws.lead, n, out=n_m)
     np.subtract(n_m, ws.decay, out=n_m)
     np.multiply(ws.drive, ur.imag, out=half)
     np.add(n_m, half, out=n_m)
-    np.divide(n_m, ws.denom, out=n_m)
-    # v = (2ur - (i/2)w*n_m) / k
-    np.multiply(_TWO, ur, out=v)
-    np.multiply(ws.pump, n_m, out=pw)
-    np.subtract(v, pw, out=v)
-    np.divide(v, ws.k, out=v)
+    # 2v - ur = ((2 - dt*gamma_perp)/k)*ur - i*(w/k)*n_m, formed in ur
+    np.multiply(ws.keep, ur, out=ur)
+    np.multiply(ws.kick, n_m, out=half)
+    np.subtract(ur.imag, half, out=ur.imag)
     # n1 = 2n_m - n, u1 = (2v - ur)*r, phi1 = phi + dphi
     np.multiply(_TWO, n_m, out=half)
     np.subtract(half, n, out=n)
-    np.multiply(_TWO, v, out=v)
-    np.subtract(v, ur, out=v)
-    np.multiply(v, r, out=u)
+    np.multiply(ur, r, out=u)
     np.add(phi, dphi, out=phi)
 
 
@@ -538,10 +542,13 @@ def _decorrelation_block(states, width, snap_steps):
     for j in range(0, points, cols):
         span = slice(j, min(j + cols, points))
         n = snap_n[:, span]
-        u = np.exp(-1j * (snap_phi[:, -1:] - snap_phi[:, span]))
-        for (mean, m2), values in zip(moments, ((u * n).real, u.real, n)):
+        # Re e^{-i(phi(t) - phi(t'))}, from the half angle of the difference
+        cos = np.subtract(snap_phi[:, span], snap_phi[:, -1:])
+        np.multiply(cos, 0.5, out=cos)
+        _phasor(cos, cos)
+        for (mean, m2), values in zip(moments, (cos * n, cos, n)):
             _, mean[span], m2[span] = _column_moments(values, points == 1)
-        del u               # freed before the next column block's
+        del cos             # freed before the next column block's
     return tuple((width, mean, m2) for mean, m2 in moments)
 
 
@@ -663,7 +670,9 @@ def run_trajectory(params: SystemParams, t_end: float, dt: float, seed: int,
 
     ((n, u, phi),) = _run_blocks(params, index, index + 1, dt, job, n0=n0,
                                  sigma0=sigma0, phi0=phi0)
-    return TrajectoryTrace(t=t, n=n[0], sigma=u[0] * np.exp(-1j * phi[0]),
+    turn = np.empty(len(t), dtype=complex)          # e^{-i phi}
+    _phasor(np.multiply(phi[0], -0.5), turn.real, turn.imag)
+    return TrajectoryTrace(t=t, n=n[0], sigma=np.multiply(u[0], turn, out=turn),
                            phi=phi[0])
 
 
@@ -761,10 +770,13 @@ def phase_autocorrelation(delta: float, n_traj: int, tau_grid,
                 # (trajectories, lags) in C order, as the whole array was
                 block = phases[j:j + cols].T.copy()
                 span = slice(c + j, c + j + block.shape[1])
-                for (mean, m2), f in zip(moments, (np.cos, np.sin)):
-                    _, mean[span], m2[span] = _column_moments(f(block),
+                np.multiply(block, 0.5, out=block)
+                trig = np.empty((2, *block.shape))     # cos, sin
+                _phasor(block, *trig)
+                for (mean, m2), values in zip(moments, trig):
+                    _, mean[span], m2[span] = _column_moments(values,
                                                               len(tau) == 1)
-                del block       # freed before the next column block's
+                del block, trig     # freed before the next column block's
         parts.append(tuple((hi - lo, mean, m2) for mean, m2 in moments))
 
     count, mean_re, m2_re = _tree_merge([p[0] for p in parts])

@@ -55,6 +55,10 @@ __all__ = [
 # element budget of one tau chunk in autocorrelation_kernel (2 MB per float array)
 _KERNEL_CHUNK = 1 << 18
 
+# the half-angle phasor's constants, as 0-d arrays: a ufunc converts a Python
+# scalar on every call, which costs more than the arithmetic at narrow widths
+_ONE, _TWO = np.array(1.0), np.array(2.0)
+
 
 class SpectrumSupportError(ValueError):
     """A tabulated spectrum's grid cannot support the requested operation."""
@@ -423,27 +427,29 @@ def _next_fast_len(n: int) -> int:
         n += 1
 
 
-def _phasor(phi, cos, sin, t):
-    """cos and sin of phi from one tan, by the half-angle (Cayley) identity.
+def _phasor(t, cos, sin=None):
+    """cos and sin of x from one tan of x/2, by the half-angle (Cayley) identity.
 
-    With t = tan(phi/2), e^{i phi} = (1 + it)/(1 - it), so w = 2/(1 + t**2)
-    gives cos phi = w - 1 and sin phi = t*w: one tan, which numpy vectorises,
-    and six elementwise passes, written into ``cos`` and ``sin``; ``t``
-    (phi's shape) is scratch. In wk_estimate's passes on the 2-core x86 host
-    that is about 6.7 ns a value, against about 19 ns for numpy's cos and
-    sin together, which run libm one value at a time (tan alone: about
-    2 ns). Over the whole double range the values are within 3.5e-16 of a
-    long-double cos and sin (libm's within 5.6e-17), tan stays finite, a
-    zero phi keeps its sign in sin, and a t whose square overflows gives
-    (-1, +-0), within 1e-154 of the true value.
+    ``t`` holds the half angle x/2 and is left holding tan(x/2); each caller
+    folds the 1/2 into a multiply it already makes. With t = tan(x/2),
+    e^{ix} = (1 + it)/(1 - it), so w = 2/(1 + t**2) gives cos x = w - 1 and
+    sin x = t*w: one tan, which numpy vectorises, and four or five
+    elementwise passes, written into ``cos`` and, when given, ``sin``.
+    Without ``sin``, ``cos`` may be ``t`` itself. In wk_estimate's passes on
+    the 2-core x86 host that is about 6.7 ns a value, against about 19 ns
+    for numpy's cos and sin together, which run libm one value at a time
+    (tan alone: about 2 ns). Over the whole double range the values are
+    within 3.5e-16 of a long-double cos and sin (libm's within 5.6e-17),
+    tan stays finite, a zero half angle keeps its sign in sin, and a t
+    whose square overflows gives (-1, +-0), within 1e-154 of the true value.
     """
-    np.multiply(phi, 0.5, out=t)
     np.tan(t, out=t)
     np.square(t, out=cos)
-    np.add(cos, 1.0, out=cos)
-    np.divide(2.0, cos, out=cos)
-    np.multiply(t, cos, out=sin)
-    np.subtract(cos, 1.0, out=cos)
+    np.add(cos, _ONE, out=cos)
+    np.divide(_TWO, cos, out=cos)
+    if sin is not None:
+        np.multiply(t, cos, out=sin)
+    np.subtract(cos, _ONE, out=cos)
 
 
 def _batch_autocorrelation(rows: np.ndarray, k_max: int) -> np.ndarray:
@@ -479,7 +485,8 @@ def _batch_autocorrelation(rows: np.ndarray, k_max: int) -> np.ndarray:
         chunk = rows[lo:lo + per_pass]
         s = buf[1:len(chunk) + 1]
         s[:, n_t:] = 0.0
-        _phasor(chunk, s.real[:, :n_t], s.imag[:, :n_t], half[:len(chunk)])
+        t = np.multiply(chunk, 0.5, out=half[:len(chunk)])
+        _phasor(t, s.real[:, :n_t], s.imag[:, :n_t])
         fft(s, axis=1, out=s)
         np.square(s.real, out=s.real)
         np.square(s.imag, out=s.imag)

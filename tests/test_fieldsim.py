@@ -17,6 +17,7 @@ from blochrate import (
     simulate_phases,
 )
 from blochrate.fieldsim import RngStream, _midpoint_step
+from blochrate.spectrum import _phasor
 
 REF = SystemParams(a=1.0, delta=5.0, omega0=math.sqrt(11.0))
 
@@ -215,19 +216,23 @@ def lab_frame_step(n, sigma, phi, z, a, gamma_perp, delta, omega0, dt):
 def cexp_step(n, u, phi, z, a, gamma_perp, delta, omega0, dt):
     """Reference: the rotating-frame step as plain expressions.
 
-    One complex exp of dphi/2 and fresh arrays for every intermediate; the
-    package evaluates the same expressions in place, with cos and sin in
-    place of the exp, and must agree bit for bit.
+    The phase factor r = e^{i dphi/2} from the shared half-angle helper and
+    fresh arrays for every other intermediate, with the constants folded as
+    in the fieldsim module docstring; the package evaluates the same
+    expressions in place and must agree bit for bit.
     """
     dphi = math.sqrt(delta * dt) * z
-    r = np.exp(0.5j * dphi)
+    r = np.empty(len(z), dtype=complex)
+    _phasor(0.25 * dphi + 0.0, r.real, r.imag)
     ur = u * r
     k = 2.0 + dt * gamma_perp
     w = omega0 * dt
-    n_m = ((2.0 * n - dt * a + (4.0 * w / k) * ur.imag)
-           / (2.0 + dt * a + w * w / k))
-    v = (2.0 * ur - (0.5j * w) * n_m) / k
-    return 2.0 * n_m - n, (2.0 * v - ur) * r, phi + dphi
+    denom = 2.0 + dt * a + w * w / k
+    n_m = ((2.0 / denom) * n - dt * a / denom
+           + (4.0 * w / k / denom) * ur.imag)
+    twice_v = ((2.0 - dt * gamma_perp) / k) * ur   # 2v - ur, less its kick
+    twice_v.imag -= (w / k) * n_m
+    return 2.0 * n_m - n, twice_v * r, phi + dphi
 
 
 def assert_bits_equal(got, want, what):
@@ -270,36 +275,38 @@ def test_step_matches_cexp_oracle(monkeypatch, width, p, n0, sigma0, phi0):
         assert_bits_equal(array, np.array(rows).T, key)
 
 
-def test_cexp_is_cos_and_sin():
-    # the assumption behind the step's phase factor: for every finite h,
-    # libm's exp(0 + ih) is (cos h, sin(h + 0.0)) bit for bit, evaluated as
-    # the step evaluates it, into the real and imaginary parts of one array
+def test_half_angle_phase_factors_are_the_exp_to_rounding():
+    # the step's phase factor, left in its workspace, is the complex exp of
+    # 0.5j*dphi to rounding, on edge and random increments; with
+    # sqrt(delta*dt) = 1 the increment is z itself
     tiny = np.finfo(float).smallest_subnormal
     edge = np.array([0.0, -0.0, tiny, -tiny, 1e3 * tiny, -7e-310,
                      np.finfo(float).tiny, 1e-300, 1e-8, math.pi, 1e22,
                      1e100, 1e300, -1e300, np.finfo(float).max])
     rng = np.random.default_rng(5)
-    h = np.concatenate([edge, rng.standard_normal(200_000) * 4.0,
+    z = np.concatenate([edge, rng.standard_normal(200_000) * 4.0,
                         rng.uniform(-1.0, 1.0, 50_000)
                         * 10.0 ** rng.uniform(-300.0, 300.0, 50_000)])
-    half = h + 0.0
-    r = np.empty(len(h), dtype=complex)
-    np.cos(half, out=r.real)
-    np.sin(half, out=r.imag)
-    want = np.exp(1j * h)
-    same = want.view(np.uint64) == r.view(np.uint64)
-    assert same.all(), ("libm's cexp(0 + ih) is not (cos h, sin h) bit for bit "
-                        f"at h = {h[~same.reshape(-1, 2).all(axis=1)][:5]}; "
-                        "the step's phase factor no longer equals the complex exp")
-    # the + 0.0 is what keeps a -0 increment's sine at +0, as the exp has it,
-    # and the step's phase factor (left in its workspace) is that exp; with
-    # sqrt(delta*dt) = 1 the increment is z itself
-    assert np.signbit(np.sin(-0.0)) and not np.signbit(np.exp(1j * h[1:2]).imag[0])
-    z = edge[:-1]
     ws = fs._StepWorkspace(len(z), 1.0, 0.5, 4.0, 0.0, 0.25)
     n, u, phi = np.zeros(len(z)), np.zeros(len(z), dtype=complex), np.zeros(len(z))
     _midpoint_step(n, u, phi, z, ws)
-    assert_bits_equal(ws.r, np.exp(0.5j * z), "the step's phase factor")
+    assert np.all(np.isfinite(ws.r))
+    error = np.abs(ws.r.view(float) - np.exp(0.5j * z).view(float))
+    assert np.max(error) <= 3.5e-16        # in the real and imaginary parts
+    # a zero increment of either sign gives r = (1, +0), the sign bit clear
+    # as the exp has it: the + 0.0 turns tan(-0) = -0 into +0
+    assert np.array_equal(ws.r[:2], [1.0, 1.0])
+    assert not np.signbit(ws.r[:2].imag).any()
+    # Box-Muller's cosine on edge uniforms, against libm's cos(2 pi u), at
+    # radius uniforms from 0 (radius 0) to 1 - 2**-53 (the largest radius)
+    angle = np.array([0.0, 0.25, 0.5, 0.75, 1.0 - 2.0 ** -53])
+    for lead in (0.0, 0.5, 1.0 - 2.0 ** -53):
+        u = np.column_stack([np.full(len(angle), lead), angle]).ravel()
+        got = fs._box_muller(u)
+        radius = math.sqrt(-2.0 * math.log(1.0 - lead))
+        assert np.all(np.isfinite(got))
+        want = radius * np.cos(2.0 * math.pi * angle)
+        assert np.all(np.abs(got - want) <= 4e-16 * radius), (lead, got - want)
 
 
 @pytest.mark.parametrize("width", [1, 3])
@@ -540,7 +547,7 @@ def test_ensemble_coherence_channel():
 
 def test_step_loop_takes_no_exp_and_one_workspace_per_block(monkeypatch):
     # the only exp is the initial state's, once per block; the steps take
-    # cos and sin into a workspace allocated once per block, and the
+    # their phase factor into a workspace allocated once per block, and the
     # coherence channel reads u and evaluates no transcendental
     calls, widths = [], []
     exp, workspace = np.exp, fs._StepWorkspace
@@ -572,6 +579,29 @@ def test_step_loop_takes_no_exp_and_one_workspace_per_block(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 8 * width
+
+
+def test_stochastic_paths_take_no_libm_trig(monkeypatch):
+    # the normals' cosine and every phase factor come from the half-angle
+    # tan: np.cos, np.sin and np.exp, which run libm one value at a time,
+    # are called per step or per noise tile by no entry point; the one exp
+    # left is the initial state's, a scalar once per block
+    calls = {"cos": [], "sin": [], "exp": []}
+    for name, seen in calls.items():
+        def counting(x, *args, _real=getattr(np, name), _seen=seen, **kwargs):
+            _seen.append(np.size(x))
+            return _real(x, *args, **kwargs)
+        monkeypatch.setattr(np, name, counting)
+    monkeypatch.setattr(fs, "BLOCK_TRAJ", 4)
+    monkeypatch.setattr(fs, "NOISE_TILE", 64)       # several tiles a chunk
+    run_ensemble(REF, n_traj=10, t_end=0.05, dt=1e-3, seed=2)
+    assert calls == {"cos": [], "sin": [], "exp": [1, 1, 1]}
+    run_trajectory(REF, 0.05, 1e-3, seed=2, index=3)
+    decorrelation_residual(REF, 10, 0.05, [0.0, 0.02, 0.05], seed=2, dt=1e-3)
+    assert calls == {"cos": [], "sin": [], "exp": [1] * 7}
+    simulate_phases(2.0, 10, 0.5, 1e-2, seed=3)
+    phase_autocorrelation(2.0, 10, np.linspace(0.0, 1.0, 40), seed=4)
+    assert calls == {"cos": [], "sin": [], "exp": [1] * 7}
 
 
 def test_ensemble_thread_count_invariance(monkeypatch):

@@ -2,10 +2,18 @@
 
 ``tests/data/golden_fieldsim.npz`` holds the outputs of the calls in
 ``golden_outputs`` as computed by the fixed-point implicit-midpoint engine
-that preceded the closed-form step. Phase-only outputs (every ``phi``, the
-bare field correlation and the phase helpers) never touch the step kernel and
-must match bit for bit; everything that passes through the kernel must match
-to GOLDEN_TOL.
+that preceded the closed-form step, with libm cos and sin in Box-Muller and
+in every phase factor. Everything that passes through the step kernel must
+match to GOLDEN_TOL. Phase-only outputs (every ``phi``, the bare field
+correlation and the phase helpers) never touch the step kernel and must
+match to PHASE_TOL: they once matched bit for bit, but the normals' cosine
+and the phase helpers' cos and sin now come from the half-angle tan
+(``spectrum._phasor``), within 4e-16 of libm's, so a normal moves by a few
+ulps and a phase path, which sums hundreds of them, by about 1e-15 (the
+largest at the change was 1.1e-15, traj_stream.phi). PHASE_TOL = 1e-14
+leaves ten times that and still fails anything but rounding: a wrong
+normal, a lost step or a misplaced factor of two moves a phase by 1e-3 or
+more. The file is kept as it was, as the proof that only rounding moved.
 
 Several calls shrink BLOCK_TRAJ and NOISE_CHUNK so that a few trajectories
 span several blocks and noise chunks. Streams are counter based, so single
@@ -29,6 +37,7 @@ from blochrate import (SystemParams, decorrelation_residual,
 
 GOLDEN = Path(__file__).parent / "data" / "golden_fieldsim.npz"
 GOLDEN_TOL = 1e-12
+PHASE_TOL = 1e-14
 
 REF = SystemParams(a=1.0, delta=5.0, omega0=math.sqrt(11.0))
 RINGING = SystemParams(a=1.0, delta=1.0, omega0=6.0)       # fig2b
@@ -93,8 +102,8 @@ def golden_outputs() -> dict:
     return out
 
 
-# outputs that never pass through the step kernel: compared bit for bit
-EXACT = {"traj_stream.phi", "traj_incr.phi", "decorr.c_mean", "decorr.c_stderr",
+# outputs that never pass through the step kernel: compared to PHASE_TOL
+PHASE = {"traj_stream.phi", "traj_incr.phi", "decorr.c_mean", "decorr.c_stderr",
          "phases.phi", "autocorr.mean", "autocorr.stderr_re",
          "autocorr.stderr_im"}
 
@@ -107,8 +116,8 @@ def test_golden_fieldsim():
     for key, value in got.items():
         ref = want[key]
         assert value.shape == ref.shape, key
-        if key in EXACT:
-            assert np.array_equal(value, ref), key
+        if key in PHASE:
+            assert np.max(np.abs(value - ref)) <= PHASE_TOL, key
         else:
             dev[key] = float(np.max(np.abs(value - ref)))
     worst = max(dev, key=lambda key: (math.isnan(dev[key]), dev[key]))  # NaN ranks worst

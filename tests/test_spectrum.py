@@ -308,14 +308,18 @@ def test_half_angle_phasor_is_accurate_everywhere():
     phi = np.concatenate([rng.choice([-1.0, 1.0], len(mag)) * mag,
                           rng.uniform(-40.0, 40.0, 400_000),
                           [0.0, -0.0, math.pi, -math.pi, big, -big]])
-    cos, sin, t = (np.empty_like(phi) for _ in range(3))
-    spectrum._phasor(phi, cos, sin, t)
+    cos, sin = np.empty_like(phi), np.empty_like(phi)
+    spectrum._phasor(np.multiply(phi, 0.5), cos, sin)
     assert np.all(np.isfinite(cos)) and np.all(np.isfinite(sin))
     exact = phi.astype(np.longdouble)
     assert np.max(np.abs(cos - np.cos(exact))) <= 4e-16
     assert np.max(np.abs(sin - np.sin(exact))) <= 4e-16
     assert np.array_equal(np.signbit(sin[-6:-4]), [False, True])
     assert np.array_equal(cos[-6:-4], [1.0, 1.0])
+    # the cosine alone, written over its own half angle, is the same cosine
+    alone = np.multiply(phi, 0.5)
+    spectrum._phasor(alone, alone)
+    assert np.array_equal(alone, cos)
 
 
 @pytest.mark.parametrize("n_rows", [7, 9])
