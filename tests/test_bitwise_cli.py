@@ -47,13 +47,13 @@ RUNS = {
 }
 CSV_MD5 = {
     "analyze": "4ec2cf25fccabcae4a61d967990e1f0e",
-    "decorrelate": "e08f8f01ed20d26b0df0253e6bab5651",
-    "fig1a": "ec8dac3bfb420230562bd95787b55d57",
-    "fig1b": "ce8b48217932def148f9d6e32e62982f",
-    "fig2a": "09f0daad812453c3f34487a7cbce22bf",
-    "fig2b": "7424960056ea4f38acfc769d2236ec32",
-    "fig3a": "835985ba59378d1292e3ac82067b2e38",
-    "fig3b": "c4b4c4465cb04fba75ee3f5f8679f5dd",
+    "decorrelate": "c30ec63847cb5f6a51e7ed8fc0a5ca2f",
+    "fig1a": "380f1b830bb95c17deb032734cea25c9",
+    "fig1b": "c878499f0bfb37ac4339e7a88af9541c",
+    "fig2a": "d9464911957833d2a83592f1257b7b9f",
+    "fig2b": "8fa701f45555eac085670f145131ae9f",
+    "fig3a": "5c4f9fd2a86496a496fc11bf9a1b8ac3",
+    "fig3b": "4dd147e37bc234abf928d466c6b6d74d",
 }
 
 RATES = SystemParams(a=1.0, delta=0.0, omega0=0.0, gamma_dc=0.0)

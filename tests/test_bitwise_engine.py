@@ -38,7 +38,7 @@ from blochrate import SystemParams, decorrelation_residual, run_trajectory
 from blochrate.cli import main
 
 PINNED = Path(__file__).parent / "data" / "bitwise_engine.npz"
-SDE_CSV_MD5 = "ddaf1c366f331908de5311a77c38a3ea"
+SDE_CSV_MD5 = "6af284bf983b05f969594f4873327064"
 SDE_ARGS = ["--set", "model=sde", "--set", "delta=5", "--set", "omega0=4",
             "--set", "n_traj=40", "--set", "t_end=0.3", "--set", "dt=1e-3",
             "--seed", "77"]
@@ -105,17 +105,17 @@ def _signbits(x):
 
 
 # md5 of each output array's bytes, with _small()'s blocks and chunks
-LAGS_MD5 = {"mean": "0846ae55de6ebed6ff37c33b0a001cc5",
-            "stderr_re": "2b0378063768c7aa2f0ac0f5b70a80a5",
-            "stderr_im": "ccdac341c6b2948cf9ae608e3f770f66"}
-SNAPSHOTS_MD5 = {"k_mean": "afffac7294c48587e20af926a76ae73a",
-                 "k_stderr": "c62f5afafbb23000caeee06eb6610e72",
-                 "c_mean": "5d6f6a9ad64f8cc145ba82f67eabf40d",
-                 "c_stderr": "ede506e9e929eb60be0bd7cf84d39398",
-                 "n_mean": "40420073479e6e7352097247a1c74457",
-                 "n_stderr": "1e12053961f71559e78f094d3ea64175",
-                 "residual": "abc80727c2aaf261a2c3e20cb8bbf7f3",
-                 "residual_stderr": "c62f5afafbb23000caeee06eb6610e72"}
+LAGS_MD5 = {"mean": "38ec35be1094c367148ee190a5327c35",
+            "stderr_re": "a0f275100513b42cb64ad06250bb0e6a",
+            "stderr_im": "cddfe48e0269e08e004d3208901b99e6"}
+SNAPSHOTS_MD5 = {"k_mean": "8177b888ef90965d7f0d92095700d4ea",
+                 "k_stderr": "06fc2e2b9e6fc5b2fb5f27293ec36340",
+                 "c_mean": "1018a4aa3a566629d59768b4685d3896",
+                 "c_stderr": "c7a534c9d17c5f675afd1217eb959e21",
+                 "n_mean": "d961a7ae29246a9098c240f2d0e3902b",
+                 "n_stderr": "757fb5bdaa0767c45d37bb2ecb6c26ab",
+                 "residual": "948af63492a6c7d0dbc5229020317621",
+                 "residual_stderr": "06fc2e2b9e6fc5b2fb5f27293ec36340"}
 
 
 def _md5s(result, names) -> dict:
@@ -154,10 +154,10 @@ def test_width_derived_chunks_keep_the_csv(tmp_path, monkeypatch):
 
 # md5 of each run_ensemble array over 8200 trajectories and 600 steps, at the
 # module's own sizes: one 8192-wide block and a block of 8
-WIDE_MD5 = {"n_mean": "da3a7aa519296091501da87675d632ce",
-            "n_var": "f4cf19e62dcb56df09f1ff145173ff16",
-            "coherence_mean": "95be27fcb7ab9dc0862d409058181922",
-            "final_n": "c1082fe848aa08722a361829e4ef5d7e"}
+WIDE_MD5 = {"n_mean": "5f6e56aade61c4d375c8be56c7595c48",
+            "n_var": "abb115e62183c0eaaf0c4eb2b2dafa84",
+            "coherence_mean": "5cc57cb92ee43dd2302ce52d0cb56897",
+            "final_n": "da0288675ac9475933f1388ef5537a51"}
 
 
 @pytest.mark.parametrize("threads", [1, 2])
