@@ -25,12 +25,12 @@ by the half-angle identity (_phasor), not from libm cos and sin, which numpy
 runs one value at a time: at criterion 6's size (4096 paths of 4001 steps)
 those took 0.32 s of the estimate's 0.57 s, and the half-angle form takes
 0.12 s of 0.36 s. Its values are within 3.5e-16 of a long-double cos and
-sin (libm's: 5.6e-17). Every other trig path keeps libm cos and sin:
+sin (libm's: 5.6e-17). fieldsim shares the helper at every stochastic trig
+site: Box-Muller's cosine, the step kernel's e^{i dphi/2} and the phase
+helpers' e^{i phi}. The deterministic transforms keep libm cos and sin:
 autocorrelation_kernel and _trapezoid_transform are pinned bit for bit and
 spend little of their time in trig (the WK transform of criterion 6 takes
-about 15 ms in all), and in fieldsim the step kernel's e^{i dphi/2} and
-the phase helpers' e^{i phi} are pinned bit for bit by the engine and
-golden tests.
+about 15 ms in all).
 """
 
 from __future__ import annotations
@@ -430,18 +430,19 @@ def _next_fast_len(n: int) -> int:
 def _phasor(t, cos, sin=None):
     """cos and sin of x from one tan of x/2, by the half-angle (Cayley) identity.
 
-    ``t`` holds the half angle x/2 and is left holding tan(x/2); each caller
-    folds the 1/2 into a multiply it already makes. With t = tan(x/2),
-    e^{ix} = (1 + it)/(1 - it), so w = 2/(1 + t**2) gives cos x = w - 1 and
-    sin x = t*w: one tan, which numpy vectorises, and four or five
-    elementwise passes, written into ``cos`` and, when given, ``sin``.
-    Without ``sin``, ``cos`` may be ``t`` itself. In wk_estimate's passes on
-    the 2-core x86 host that is about 6.7 ns a value, against about 19 ns
-    for numpy's cos and sin together, which run libm one value at a time
-    (tan alone: about 2 ns). Over the whole double range the values are
-    within 3.5e-16 of a long-double cos and sin (libm's within 5.6e-17),
-    tan stays finite, a zero half angle keeps its sign in sin, and a t
-    whose square overflows gives (-1, +-0), within 1e-154 of the true value.
+    ``t`` holds the half angle x/2 and is overwritten with tan(x/2); each
+    caller folds the 1/2 into a multiply it already makes. With
+    t = tan(x/2), e^{ix} = (1 + it)/(1 - it), so w = 2/(1 + t**2) gives
+    cos x = w - 1 and sin x = t*w: one tan, which numpy vectorises, and four
+    or five elementwise passes, written into ``cos`` and, when given,
+    ``sin``. ``sin`` may be ``t`` itself, and so may ``cos`` when no
+    ``sin`` is asked for. In wk_estimate's passes on the 2-core x86 host
+    that is about 6.7 ns a value, against about 19 ns for numpy's cos and
+    sin together, which run libm one value at a time (tan alone: about
+    2 ns). Over the whole double range the values are within 3.5e-16 of a
+    long-double cos and sin (libm's within 5.6e-17), tan stays finite, a
+    zero half angle keeps its sign in sin, and a t whose square overflows
+    gives (-1, +-0), within 1e-154 of the true value.
     """
     np.tan(t, out=t)
     np.square(t, out=cos)

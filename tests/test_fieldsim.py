@@ -230,9 +230,10 @@ def cexp_step(n, u, phi, z, a, gamma_perp, delta, omega0, dt):
     denom = 2.0 + dt * a + w * w / k
     n_m = ((2.0 / denom) * n - dt * a / denom
            + (4.0 * w / k / denom) * ur.imag)
-    twice_v = ((2.0 - dt * gamma_perp) / k) * ur   # 2v - ur, less its kick
-    twice_v.imag -= (w / k) * n_m
-    return 2.0 * n_m - n, twice_v * r, phi + dphi
+    # 2v - ur = ((2 - dt*gamma_perp)/k)*ur - i*(w/k)*n_m
+    rest = ((2.0 - dt * gamma_perp) / k) * ur
+    rest.imag -= (w / k) * n_m
+    return 2.0 * n_m - n, rest * r, phi + dphi
 
 
 def assert_bits_equal(got, want, what):
