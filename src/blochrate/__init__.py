@@ -6,8 +6,8 @@ effective Bloch equations, modified and plain rate equations) and provides
 the analysis tools to decide which reduction is valid where.
 """
 
-from .analysis import (AnalysisReport, ModeSpectrum, QuadratureError,
-                       RegimeFlags, build_report, eigenvalues,
+from .analysis import (AnalysisReport, ModeSpectrum, RegimeFlags,
+                       build_report, eigenvalues,
                        measured_oscillation_frequency, steady_state,
                        thresholds, zeta_numeric)
 from .fieldsim import (DecorrelationResult, EnsembleTrace, IntegratorError,
@@ -23,6 +23,6 @@ from .spectrum import (LorentzianSpectrum, SpectrumModel, SpectrumSupportError,
                        TabulatedSpectrum, WkEstimate, autocorrelation_kernel,
                        from_phase_diffusion, fwhm_of, load_tabulated,
                        spectral_density, spectrum_from_autocorrelation,
-                       spectrum_from_kernel, width_hint, wk_estimate)
+                       spectrum_from_kernel, wk_estimate)
 
 __version__ = "0.1.0"

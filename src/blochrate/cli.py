@@ -503,8 +503,7 @@ def main(argv=None) -> int:
         else:
             cmd_decorrelate(cfg, out_dir, threads, args.plot)
         return 0
-    except (kinetics.StepSizeError, IntegratorError, analysis.QuadratureError,
-            SpectrumSupportError) as exc:
+    except (kinetics.StepSizeError, IntegratorError, SpectrumSupportError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 3
     except (ConfigError, CoherentLimitError, ValueError, OSError) as exc:

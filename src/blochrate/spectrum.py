@@ -46,7 +46,7 @@ from .params import _check_lags
 __all__ = [
     "LorentzianSpectrum", "TabulatedSpectrum", "SpectrumModel",
     "SpectrumSupportError", "from_phase_diffusion", "load_tabulated",
-    "spectral_density", "width_hint",
+    "spectral_density",
     "autocorrelation_kernel", "spectrum_from_kernel",
     "spectrum_from_autocorrelation", "wk_estimate", "WkEstimate", "fwhm_of",
 ]
@@ -142,16 +142,6 @@ def spectral_density(s: SpectrumModel, omega):
     else:
         out = np.interp(omega, s.omega, s.values, left=0.0, right=0.0)
     return float(out) if out.ndim == 0 else out
-
-
-def width_hint(s: SpectrumModel) -> float:
-    """Characteristic half-width, used to place quadrature break points."""
-    if isinstance(s, LorentzianSpectrum):
-        return 0.5 * s.fwhm
-    half = fwhm_of(s.omega, s.values)
-    if math.isfinite(half) and half > 0:
-        return 0.5 * half
-    return 0.25 * (s.omega[-1] - s.omega[0])
 
 
 def fwhm_of(x, y) -> float:
@@ -516,8 +506,8 @@ def wk_estimate(phi: np.ndarray, dt: float, omega0: float, omega_grid,
     Each batch forms e^{i phi} only for its own rows, zero-padded to the
     next 11-smooth length >= n_steps+1 + lags, which is enough for the lags
     the window keeps to be exact linear (not circular) correlations; its
-    power spectra are summed before one inverse FFT (numpy.fft, which keeps
-    scipy off the package's import). Rows go through one reused buffer a
+    power spectra are summed before one inverse FFT (numpy.fft: the package
+    depends on numpy alone). Rows go through one reused buffer a
     few at a time, so beyond phi itself memory is fixed whatever n_traj:
     that buffer, about _KERNEL_CHUNK complex elements (4 MB) or two padded
     rows if one row is longer, the tan scratch of one pass (at most 2 MB,

@@ -15,8 +15,10 @@ from blochrate import (
     measured_oscillation_frequency,
     steady_state,
     thresholds,
+    spectral_density,
     zeta_numeric,
 )
+from test_kinetics import ref_table
 
 rates = st.floats(min_value=1e-2, max_value=1e2,
                   allow_nan=False, allow_infinity=False)
@@ -55,10 +57,84 @@ def test_zeta_quadrature_matches_detuned_closed_form(delta, gamma_perp, detuning
 
 
 def test_zeta_flat_spectrum_saturates():
+    # a flat table on [-L, L] overlaps the atomic line by (2/pi) arctan(L/gp)
     gp = 0.5
     x = np.linspace(-1000.0 * gp, 1000.0 * gp, 4001)
     flat = TabulatedSpectrum(omega=x, values=np.ones_like(x))
-    assert abs(zeta_numeric(flat, gp) - 1.0) <= 1e-3
+    exact = 2.0 / math.pi * math.atan(1000.0)
+    assert abs(zeta_numeric(flat, gp) - exact) <= 1e-14 * exact
+
+
+@pytest.mark.parametrize("gamma_perp", [0.0, -1.0, math.nan, math.inf])
+def test_zeta_refuses_bad_gamma_perp(gamma_perp):
+    for s in (LorentzianSpectrum(peak=1.0, fwhm=2.0), ref_table()):
+        with pytest.raises(ValueError, match="gamma_perp"):
+            zeta_numeric(s, gamma_perp)
+
+
+def test_zeta_refuses_a_table_without_the_atomic_line():
+    off_line = TabulatedSpectrum(omega=np.array([1.0, 2.0, 3.0]),
+                                 values=np.array([1.0, 2.0, 1.0]))
+    with pytest.raises(ValueError, match="W\\(0\\) = 0"):
+        zeta_numeric(off_line, 0.5)
+
+
+def _detuned_table():
+    """A Lorentzian of fwhm 2 centred at 3, on ref_table's 1201 nodes."""
+    omega = ref_table().omega
+    lor = LorentzianSpectrum(peak=1.0, fwhm=2.0, center=3.0)
+    return TabulatedSpectrum(omega=omega, values=spectral_density(lor, omega))
+
+
+def _zeta_gauss_legendre(tab, gp, order=20):
+    """zeta of a table by Gauss-Legendre on each segment.
+
+    Each segment is cut into equal pieces no longer than a quarter of the
+    segment's distance from the atomic line's poles at +-i*gp, so the
+    rational integrand is resolved to rounding by `order` points a piece.
+    """
+    t, weights = np.polynomial.legendre.leggauss(order)
+    total = 0.0
+    for w0, w1, v0, v1 in zip(tab.omega[:-1], tab.omega[1:],
+                              tab.values[:-1], tab.values[1:]):
+        near = 0.0 if w0 <= 0.0 <= w1 else min(abs(w0), abs(w1))
+        pieces = math.ceil((w1 - w0) / (0.25 * math.hypot(near, gp)))
+        edges = np.linspace(w0, w1, pieces + 1)
+        mid, half = 0.5 * (edges[1:] + edges[:-1])[:, None], 0.5 * np.diff(edges)[:, None]
+        w = mid + half * t
+        density = v0 + (v1 - v0) * (w - w0) / (w1 - w0)
+        atomic = (gp / math.pi) / (w * w + gp * gp)
+        total += math.fsum((half * weights * density * atomic).ravel())
+    return total / spectral_density(tab, 0.0)
+
+
+@pytest.mark.parametrize("gamma_perp", [0.01, 0.5, 5.0, 300.0])
+@pytest.mark.parametrize("make", [ref_table, _detuned_table])
+def test_zeta_table_matches_gauss_legendre(make, gamma_perp):
+    # scipy's adaptive quad raised "roundoff error is detected" on both
+    # tables at all four gamma_perp; the closed form is within 2e-15 here
+    tab = make()
+    oracle = _zeta_gauss_legendre(tab, gamma_perp)
+    value = zeta_numeric(tab, gamma_perp)
+    assert math.isfinite(value)
+    assert abs(value - oracle) <= 1e-13 * oracle
+
+
+@pytest.mark.parametrize("gamma_perp,fwhm,center", [
+    (0.05825, 1.797e-4, 35.52),     # adaptive quad raised on this line
+    (0.5, 5.0, 3.0), (1.0, 0.2, 2.0), (0.5, 50.0, 30.0),
+    (1.0, 1e-3, 0.0), (1.0, 2e3, 0.0)])
+def test_zeta_table_branch_matches_lorentzian_branch(gamma_perp, fwhm, center):
+    # the Lorentzian sampled on sinh-spaced nodes out to sinh(20) half-widths
+    # about its center and sinh(18) gamma_perp about the atomic line; the
+    # chords' error falls as the square of the node spacing (1.7e-7 here)
+    lor = LorentzianSpectrum(peak=1.0, fwhm=fwhm, center=center)
+    u = np.linspace(-1.0, 1.0, 40001)
+    omega = np.unique(np.concatenate([center + 0.5 * fwhm * np.sinh(20.0 * u),
+                                      gamma_perp * np.sinh(18.0 * u)]))
+    tab = TabulatedSpectrum(omega=omega, values=spectral_density(lor, omega))
+    closed = zeta_numeric(lor, gamma_perp)
+    assert abs(zeta_numeric(tab, gamma_perp) - closed) <= 1e-6 * closed
 
 
 def test_zeta_narrow_lorentzian_limit():

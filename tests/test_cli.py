@@ -485,13 +485,15 @@ def test_trace_writer_memory_does_not_grow_with_rows(tmp_path):
 
 
 def test_cli_import_leaves_scipy_out():
-    # the CLI's cold start loads no scipy module: scipy.integrate was about
-    # 0.5 s of import and scipy.fft the rest; only analysis.zeta_numeric
-    # needs scipy, and imports it when called
+    # the package runs on numpy alone: neither the CLI's cold start nor
+    # zeta_numeric loads a scipy module (scipy.integrate was about 0.5 s of
+    # import and scipy.fft the rest)
     src = str(Path(blochrate.__file__).parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     probe = ("import sys, blochrate.cli; "
+             "from blochrate import TabulatedSpectrum, zeta_numeric; "
+             "zeta_numeric(TabulatedSpectrum([-2.0, 0.0, 2.0], [0.0, 1.0, 0.0]), 0.5); "
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, check=True)

@@ -137,7 +137,7 @@ def test_public_surface_is_pinned():
         "AnalysisReport", "CoherentLimitError", "CollisionParams",
         "DecorrelationResult", "EnsembleTrace", "IntegratorError",
         "KineticTrace", "LorentzianSpectrum", "ModeSpectrum",
-        "PhaseAutocorrelation", "QuadratureError", "RegimeFlags",
+        "PhaseAutocorrelation", "RegimeFlags",
         "SpectrumModel", "SpectrumSupportError", "StepSizeError",
         "SystemParams", "TabulatedSpectrum", "TrajectoryTrace", "WkEstimate",
         "autocorrelation_kernel", "build_report", "decorrelation_residual",
@@ -148,8 +148,8 @@ def test_public_surface_is_pinned():
         "measured_oscillation_frequency", "phase_autocorrelation",
         "run_ensemble", "run_trajectory", "simulate_phases",
         "spectral_density", "spectrum_from_autocorrelation",
-        "spectrum_from_kernel", "steady_state", "thresholds", "width_hint",
-        "wk_estimate", "zeta_numeric",
+        "spectrum_from_kernel", "steady_state", "thresholds", "wk_estimate",
+        "zeta_numeric",
     ]
 
 
@@ -206,7 +206,6 @@ def test_public_signatures_are_pinned():
         "spectrum_from_kernel": "kernel tau omega",
         "steady_state": "params",
         "thresholds": "params",
-        "width_hint": "s",
         "wk_estimate": "phi dt omega0 omega_grid max_lag",
         "zeta_numeric": "s gamma_perp",
     }

@@ -3,7 +3,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.integrate import trapezoid
 
 from blochrate import (
     LorentzianSpectrum,
@@ -17,7 +16,6 @@ from blochrate import (
     spectral_density,
     spectrum_from_autocorrelation,
     spectrum_from_kernel,
-    width_hint,
     wk_estimate,
 )
 from blochrate import spectrum
@@ -99,10 +97,6 @@ def test_fwhm_of_gaussian_samples():
     assert math.isclose(fwhm_of(x, y), 2.0 * math.sqrt(2.0 * math.log(2.0)),
                         rel_tol=1e-4)
     assert math.isnan(fwhm_of(x, np.ones_like(x)))
-
-
-def test_width_hint_scales():
-    assert width_hint(LorentzianSpectrum(peak=1.0, fwhm=6.0)) == 3.0
 
 
 # ----------------------------------------------------------------------
@@ -258,7 +252,7 @@ def test_wk_estimate_stderr_scales_inverse_sqrt_n():
 
 def _trapezoid_oracle(f, tau, x):
     # the per-omega quadrature the matrix form replaced
-    return np.array([trapezoid((f * np.exp(-1j * w * tau)).real, tau) for w in x])
+    return np.array([np.trapezoid((f * np.exp(-1j * w * tau)).real, tau) for w in x])
 
 
 @pytest.mark.parametrize("chunk", [1 << 18, 500])      # one omega chunk, many
