@@ -36,10 +36,11 @@ def zeta_numeric(s: SpectrumModel, gamma_perp: float) -> float:
     - Table, linear between nodes and zero outside: with x = w/g and
       W = alpha + beta*x on a segment, the segment gives
       [alpha*D(arctan x) + beta*D(log(1+x^2))/2]/pi, summed over the
-      segments and divided by W(0). D(arctan x) is taken as
-      arctan2(x1-x0, 1+x0*x1) and D(log(1+x^2)) as
-      log1p((x1-x0)(x1+x0)/(1+x0^2)), so that neither difference cancels
-      however narrow or far out a segment lies.
+      segments and divided by W(0). D(arctan x) is arctan2(x1-x0, 1+x0*x1)
+      and D(log(1+x^2)) is log1p(|(x1-x0)(x1+x0)|/(1+xi^2)), xi the
+      endpoint nearer 0, signed as (x1-x0)(x1+x0). Neither difference
+      cancels, and log1p's argument is never negative: dividing by 1+x0^2
+      instead rounds it to -1 on a chord from far out to the atomic line.
 
     On a 1201-node table the sum is within 2e-15 of per-segment
     Gauss-Legendre at gamma_perp from 0.01 to 300. gamma_perp must be
@@ -55,12 +56,14 @@ def zeta_numeric(s: SpectrumModel, gamma_perp: float) -> float:
         return (b + gamma_perp) * (c2 + b * b) / (b * (c2 + (b + gamma_perp) ** 2))
     x = s.omega / gamma_perp
     x0, x1 = x[:-1], x[1:]
-    dx = np.diff(x)
+    dx = x1 - x0
     beta = np.diff(s.values) / dx
     alpha = s.values[:-1] - beta * x0
     d_arctan = np.arctan2(dx, 1.0 + x0 * x1)
-    half_d_log = 0.5 * np.log1p(dx * (x1 + x0) / (1.0 + x0 * x0))
-    return float(np.sum(alpha * d_arctan + beta * half_d_log)) / (math.pi * w21)
+    squares = dx * (x1 + x0)
+    inner = np.minimum(np.abs(x0), np.abs(x1))
+    d_log = np.copysign(np.log1p(np.abs(squares) / (1.0 + inner * inner)), squares)
+    return float(np.sum(alpha * d_arctan + 0.5 * beta * d_log)) / (math.pi * w21)
 
 
 def steady_state(params: SystemParams) -> float:

@@ -13,9 +13,9 @@ from blochrate import (
     eigenvalues,
     integrate_effective_bloch,
     measured_oscillation_frequency,
+    spectral_density,
     steady_state,
     thresholds,
-    spectral_density,
     zeta_numeric,
 )
 from test_kinetics import ref_table
@@ -63,6 +63,18 @@ def test_zeta_flat_spectrum_saturates():
     flat = TabulatedSpectrum(omega=x, values=np.ones_like(x))
     exact = 2.0 / math.pi * math.atan(1000.0)
     assert abs(zeta_numeric(flat, gp) - exact) <= 1e-14 * exact
+
+
+@pytest.mark.parametrize("half_span", [1.0, 1e3, 1e9, 1e12])
+def test_zeta_triangle_is_exact(half_span):
+    # a triangle on [-L, 0, L] overlaps by (2/pi)(arctan X - ln(1+X^2)/(2X)),
+    # X = L/gp; each chord runs from far out to the atomic line
+    gp = 0.5
+    tri = TabulatedSpectrum(omega=np.array([-half_span, 0.0, half_span]),
+                            values=np.array([0.0, 1.0, 0.0]))
+    big_x = half_span / gp
+    exact = 2.0 / math.pi * (math.atan(big_x) - math.log1p(big_x * big_x) / (2.0 * big_x))
+    assert abs(zeta_numeric(tri, gp) - exact) <= 1e-14 * exact
 
 
 @pytest.mark.parametrize("gamma_perp", [0.0, -1.0, math.nan, math.inf])
