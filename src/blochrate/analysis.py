@@ -24,6 +24,11 @@ __all__ = [
 ]
 
 
+# largest |w|/gamma_perp of a table node: with |x| <= 1e150 the products
+# x0*x1, (x1-x0)*(x1+x0) and xi**2 stay below 4e300, so none overflows
+_MAX_TABLE_X = 1e150
+
+
 def zeta_numeric(s: SpectrumModel, gamma_perp: float) -> float:
     """Spectral overlap factor of any spectrum model, in closed form.
 
@@ -44,7 +49,8 @@ def zeta_numeric(s: SpectrumModel, gamma_perp: float) -> float:
 
     On a 1201-node table the sum is within 2e-15 of per-segment
     Gauss-Legendre at gamma_perp from 0.01 to 300. gamma_perp must be
-    finite and positive, and W(0) must be positive.
+    finite and positive, W(0) must be positive, and a table's nodes must
+    keep max|w|/gamma_perp <= 1e150 (_MAX_TABLE_X).
     """
     if not (math.isfinite(gamma_perp) and gamma_perp > 0):
         raise ValueError("gamma_perp must be positive and finite")
@@ -54,6 +60,11 @@ def zeta_numeric(s: SpectrumModel, gamma_perp: float) -> float:
     if isinstance(s, LorentzianSpectrum):
         b, c2 = 0.5 * s.fwhm, s.center ** 2
         return (b + gamma_perp) * (c2 + b * b) / (b * (c2 + (b + gamma_perp) ** 2))
+    # the grid is increasing, so its largest |w| is at an end
+    ratio = float(max(-s.omega[0], s.omega[-1])) / gamma_perp
+    if not ratio <= _MAX_TABLE_X:
+        raise ValueError(f"max|w|/gamma_perp = {ratio:.3g} exceeds {_MAX_TABLE_X:g}: "
+                         f"the table's overlap terms would overflow")
     x = s.omega / gamma_perp
     x0, x1 = x[:-1], x[1:]
     dx = x1 - x0

@@ -456,7 +456,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="output directory (created if missing)")
         p.add_argument("--seed", type=int, default=None, metavar="U64")
         if threads_and_plot:
-            p.add_argument("--threads", type=int, default=1, metavar="N")
+            p.add_argument("--threads", type=int, default=1, metavar="N",
+                           help="run ensemble trajectory blocks on up to N worker "
+                                "processes (default 1); the output does not depend on N")
             p.add_argument("--plot", action="store_true",
                            help="also write an SVG line plot")
 

@@ -65,9 +65,9 @@ its draws are split into chunks either. A chunk is handed to the step as a
 (steps, width) array, one contiguous row of normals per step; each tile of
 streams is transposed into it as it is transformed. Ensemble statistics are
 reduced per fixed-size trajectory block and the blocks are merged pairwise in
-index order, so results are bit-identical for any worker count. One
-generator, _states, steps the blocks of every entry point, so trajectory i is
-the same trajectory everywhere.
+index order, so results are bit-identical for any number of worker processes
+(_run_blocks). One generator, _states, steps the blocks of every entry
+point, so trajectory i is the same trajectory everywhere.
 
 Buffered reduction: every ensemble reports <u> and the final n. In
 _moment_block, run_ensemble's block job (the only one that reads per-step
@@ -101,8 +101,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -473,18 +473,21 @@ def _states(params, seed, lo, hi, n_steps, dt, n0=-1.0, sigma0=0j, phi0=0.0,
             )
 
 
-def _moment_block(states, width, n_steps, cuts):
-    """run_ensemble's block job: per-step sums over ``width`` trajectories, final n.
+def _moment_block(params, seed, n_steps, dt, state, prefixes, lo, hi):
+    """run_ensemble's block job: per-step sums over trajectories [lo, hi), final n.
 
-    Returns {m: ((m, mean, m2) of n, sum of u)} over the leading m columns,
-    for m = ``width`` and each of ``cuts`` (see the module docstring).
+    ``state`` is (n0, sigma0, phi0). Returns {m: ((m, mean, m2) of n, sum of
+    u)} over the leading m columns, for m = hi - lo and for each m - lo of
+    the ``prefixes`` that cut the block (see the module docstring).
     """
+    width = hi - lo
     rows = _buffer_rows(width)
     n_buf = np.empty((rows, width))
     u_buf = np.empty((rows, width), dtype=complex)
+    cuts = [m - lo for m in prefixes if lo < m < hi]
     sums = {m: ((m, np.empty(n_steps + 1), np.empty(n_steps + 1)),
                 np.empty(n_steps + 1, dtype=complex)) for m in {*cuts, width}}
-    for k, n, u, _ in states:
+    for k, n, u, _ in _states(params, seed, lo, hi, n_steps, dt, *state):
         # buffer row k % rows holds step k; a full buffer (or the last step)
         # is reduced row-wise into the steps it holds
         row = k % rows
@@ -499,44 +502,38 @@ def _moment_block(states, width, n_steps, cuts):
     return sums, n
 
 
-def _at_steps(states, snap_steps):
-    """Yield (j, n, u, phi) as the states reach each of the non-decreasing ``snap_steps``.
+def _snapshot_block(params, seed, n_steps, dt, state, lo, hi):
+    """run_trajectory's block job: (n, u, phi) of [lo, hi) at every step, a column each.
 
-    Runs ``states`` to its end, so its last Bloch-sphere check runs too.
+    ``state`` is (n0, sigma0, phi0, increments).
     """
-    # a cursor over the ascending steps: column j is due at step `due`
-    pending = enumerate(snap_steps)
-    j, due = next(pending)
-    for k, n, u, phi in states:
-        while k == due:
-            yield j, n, u, phi
-            j, due = next(pending, (None, None))
+    snaps = tuple(np.empty((hi - lo, n_steps + 1), dtype=dtype)
+                  for dtype in (float, complex, float))
+    for k, *values in _states(params, seed, lo, hi, n_steps, dt, *state):
+        for snap, value in zip(snaps, values):
+            snap[:, k] = value
+    return snaps
 
 
-def _snapshot_block(states, width, snap_steps):
-    """(n, u, phi) at each of the non-decreasing ``snap_steps``, a column each."""
-    snap_n = np.empty((width, len(snap_steps)))
-    snap_u = np.empty((width, len(snap_steps)), dtype=complex)
-    snap_phi = np.empty((width, len(snap_steps)))
-    for j, n, u, phi in _at_steps(states, snap_steps):
-        snap_n[:, j] = n
-        snap_u[:, j] = u
-        snap_phi[:, j] = phi
-    return snap_n, snap_u, snap_phi
-
-
-def _decorrelation_block(states, width, snap_steps):
+def _decorrelation_block(params, seed, n_steps, dt, snap_steps, lo, hi):
     """decorrelation_residual's block job: (count, mean, m2) of K, C and n at each t'.
 
     ``snap_steps`` are the t' steps and then step t. The block keeps n and
     phi at those steps only (16 B per trajectory and step), and reduces
-    them a bounded column block at a time once phi(t) is known.
+    them a bounded column block at a time once phi(t) is known, so only
+    running blocks hold snapshots.
     """
+    width = hi - lo
     snap_n = np.empty((width, len(snap_steps)))
     snap_phi = np.empty((width, len(snap_steps)))
-    for j, n, _, phi in _at_steps(states, snap_steps):
-        snap_n[:, j] = n
-        snap_phi[:, j] = phi
+    # a cursor over the non-decreasing steps: column j is due at step `due`
+    pending = enumerate(snap_steps)
+    j, due = next(pending)
+    for k, n, _, phi in _states(params, seed, lo, hi, n_steps, dt):
+        while k == due:
+            snap_n[:, j] = n
+            snap_phi[:, j] = phi
+            j, due = next(pending, (None, None))
     points = len(snap_steps) - 1
     moments = np.empty((3, 2, points))       # K, C, n: mean and m2
     cols = _reduce_columns(width)
@@ -555,10 +552,16 @@ def _decorrelation_block(states, width, snap_steps):
 
 def _run_blocks(params, lo, hi, dt, job, *, n0=-1.0, sigma0=0j, phi0=0.0,
                 threads=1):
-    """``job(s, e)`` of each block [s, e) of [lo, hi), in order, on ``threads`` threads.
+    """``job(s, e)`` of each block [s, e) of [lo, hi), in block order.
 
     Every argument is checked (the initial state must be finite with
     |n0| <= 1 and |sigma0| <= 1/2), and the step guard runs, before any job.
+    When min(threads, blocks) > 1 the blocks run on that many worker
+    processes, forked for this call and shut down before it returns: ``job``
+    must then pickle (a functools.partial of a module-level block job), it
+    sees the module as it was at the fork, and its exceptions reach the
+    caller with their type and message. Otherwise, or where fork is not
+    available, the blocks run here one after another.
     """
     _check_count(hi - lo)
     _check_count(threads, "threads")
@@ -566,9 +569,15 @@ def _run_blocks(params, lo, hi, dt, job, *, n0=-1.0, sigma0=0j, phi0=0.0,
     _check_step(params, dt)
     starts = range(lo, hi, BLOCK_TRAJ)
     ends = [min(s + BLOCK_TRAJ, hi) for s in starts]
-    if threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(job, starts, ends))   # collected in block order
+    workers = min(threads, len(starts))
+    if workers > 1:
+        # imported here: import blochrate and one-worker runs do not pay for it
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        if "fork" in multiprocessing.get_all_start_methods():
+            context = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(workers, mp_context=context) as pool:
+                return list(pool.map(job, starts, ends))   # collected in block order
     return list(map(job, starts, ends))
 
 
@@ -603,7 +612,8 @@ def run_ensemble(params: SystemParams, n_traj: int, t_end: float, dt: float,
     Default initial condition is the cold ground state n=-1, sigma=0, phi=0;
     a non-finite state, |n0| > 1 or |sigma0| > 1/2 is refused with
     ValueError before any step. Deterministic: the same (params, n_traj,
-    t_end, dt, seed) give the same trace bit for bit, for any ``threads``.
+    t_end, dt, seed) give the same trace bit for bit, for any ``threads``,
+    the most worker processes the trajectory blocks run on (_run_blocks).
     ``prefixes`` (sizes in [1, n_traj)) adds ``prefix_traces``: the traces
     of trajectories [0, m) for each size m, bit-identical to separate runs
     of m trajectories, from this one run.
@@ -616,12 +626,8 @@ def run_ensemble(params: SystemParams, n_traj: int, t_end: float, dt: float,
             raise ValueError(f"prefix sizes must be integers in [1, n_traj), "
                              f"got {size!r}")
 
-    def job(lo, hi):
-        # a block also reduces the leading columns that a prefix cuts it at
-        cuts = [m - lo for m in prefixes if lo < m < hi]
-        return _moment_block(_states(params, seed, lo, hi, n_steps, dt, n0,
-                                     sigma0, phi0), hi - lo, n_steps, cuts)
-
+    job = partial(_moment_block, params, seed, n_steps, dt, (n0, sigma0, phi0),
+                  tuple(prefixes))
     sums, finals = zip(*_run_blocks(params, 0, n_traj, dt, job, n0=n0,
                                     sigma0=sigma0, phi0=phi0, threads=threads))
     final_n = np.concatenate(finals)
@@ -664,11 +670,8 @@ def run_trajectory(params: SystemParams, t_end: float, dt: float, seed: int,
         if not np.all(np.isfinite(increments)):
             raise ValueError("increments must be finite")
 
-    def job(lo, hi):
-        return _snapshot_block(_states(params, seed, lo, hi, n_steps, dt, n0,
-                                       sigma0, phi0, increments),
-                               hi - lo, range(n_steps + 1))
-
+    job = partial(_snapshot_block, params, seed, n_steps, dt,
+                  (n0, sigma0, phi0, increments))
     ((n, u, phi),) = _run_blocks(params, index, index + 1, dt, job, n0=n0,
                                  sigma0=sigma0, phi0=phi0)
     turn = np.empty(len(t), dtype=complex)          # e^{-i phi}
@@ -825,7 +828,9 @@ def decorrelation_residual(params: SystemParams, n_traj: int, t: float,
     """Measure the factorization error K(t,t') - C(t,t')*n_mean(t').
 
     t and every t' must sit on the dt grid, with t >= max(t'). The verdict
-    holds_3sigma is max|residual| <= 3*residual_stderr over the grid.
+    holds_3sigma is max|residual| <= 3*residual_stderr over the grid. The
+    trajectory blocks run on at most ``threads`` worker processes
+    (_run_blocks), and the result is bit-identical for any ``threads``.
     """
     t_prime = np.asarray(t_prime_grid, dtype=float)
     _check_lags(t_prime, "t_prime_grid")
@@ -836,11 +841,7 @@ def decorrelation_residual(params: SystemParams, n_traj: int, t: float,
     # the t' steps, then step t itself, whose phase column is the final phase
     snap_steps = [grid_steps(tp, dt, "t_prime") for tp in t_prime] + [n_steps]
 
-    def job(lo, hi):
-        # a block is reduced as it ends: only running blocks hold snapshots
-        return _decorrelation_block(_states(params, seed, lo, hi, n_steps, dt),
-                                    hi - lo, snap_steps)
-
+    job = partial(_decorrelation_block, params, seed, n_steps, dt, snap_steps)
     k_parts, c_parts, n_parts = zip(*_run_blocks(params, 0, n_traj, dt, job,
                                                  threads=threads))
     count, k_mean, k_m2 = _tree_merge(k_parts)

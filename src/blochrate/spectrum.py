@@ -77,6 +77,10 @@ class LorentzianSpectrum:
             raise ValueError("peak must be positive and finite")
         if not (self.fwhm > 0 and math.isfinite(self.fwhm)):
             raise ValueError("fwhm must be positive and finite")
+        half = 0.5 * float(self.fwhm)
+        if half * half < np.finfo(float).tiny:
+            # spectral_density's (fwhm/2)**2 would underflow: 0/0 at the centre
+            raise ValueError(f"fwhm={self.fwhm!r} too small: (fwhm/2)**2 underflows")
         if not math.isfinite(self.center):
             raise ValueError("center must be finite")
 
@@ -101,11 +105,6 @@ class TabulatedSpectrum:
             raise ValueError("spectral density must be non-negative")
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "values", values)
-
-    @property
-    def center(self) -> float:
-        """The nominal line position: the node of maximum density."""
-        return float(self.omega[np.argmax(self.values)])
 
 
 SpectrumModel = LorentzianSpectrum | TabulatedSpectrum

@@ -91,6 +91,18 @@ def test_zeta_refuses_a_table_without_the_atomic_line():
         zeta_numeric(off_line, 0.5)
 
 
+def test_zeta_refuses_a_table_too_wide_for_gamma_perp():
+    # |w/gamma_perp| near 1e154 overflowed the products of x: this table gave
+    # -inf at 1e-150 and nan at 1e-160 and 1e-300
+    table = TabulatedSpectrum(omega=np.array([-1.0, 0.0, 1e4, 2e4]),
+                              values=np.array([0.0, 1.0, 1.0, 0.0]))
+    for gamma_perp in (1e-150, 1e-160, 1e-300):
+        with pytest.raises(ValueError, match="exceeds"):
+            zeta_numeric(table, gamma_perp)
+    assert zeta_numeric(table, 1e-100) == 1.0
+    assert math.isclose(zeta_numeric(table, 1e-3), 0.9974828612005664, rel_tol=1e-15)
+
+
 def _detuned_table():
     """A Lorentzian of fwhm 2 centred at 3, on ref_table's 1201 nodes."""
     omega = ref_table().omega

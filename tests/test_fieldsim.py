@@ -1,5 +1,11 @@
 import math
+import multiprocessing
+import os
+import pickle
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +22,7 @@ from blochrate import (
     run_trajectory,
     simulate_phases,
 )
+from blochrate.cli import main
 from blochrate.fieldsim import RngStream, _midpoint_step
 from blochrate.spectrum import _phasor
 
@@ -269,9 +276,8 @@ def test_step_matches_cexp_oracle(monkeypatch, width, p, n0, sigma0, phi0):
         want["n"].append(n)
         want["u"].append(u)
         want["phi"].append(phi)
-    got = fs._snapshot_block(fs._states(p, seed, 0, width, n_steps, dt, n0,
-                                        sigma0, phi0),
-                             width, range(n_steps + 1))
+    got = fs._snapshot_block(p, seed, n_steps, dt, (n0, sigma0, phi0, None),
+                             0, width)
     for array, (key, rows) in zip(got, want.items(), strict=True):
         assert_bits_equal(array, np.array(rows).T, key)
 
@@ -615,6 +621,116 @@ def test_ensemble_thread_count_invariance(monkeypatch):
     assert np.array_equal(t1.n_mean, t3.n_mean)
     assert np.array_equal(t1.n_var, t3.n_var)
     assert np.array_equal(t1.coherence_mean, t3.coherence_mean)
+
+
+# ----------------------------------------------------------------------
+# blocks on worker processes
+
+def record_block_pids(monkeypatch, path):
+    """Make every block append the pid of the process that steps it to ``path``."""
+    workspace = fs._StepWorkspace
+
+    def recording(*args):
+        with open(path, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        return workspace(*args)
+
+    monkeypatch.setattr(fs, "_StepWorkspace", recording)
+
+
+@pytest.mark.parametrize("threads, n_traj, workers", [
+    (1, 10, 0), (2, 4, 0),            # one worker or one block: no pool
+    (2, 10, 2), (4, 10, 3),           # min(threads, blocks) forked workers
+])
+def test_blocks_run_on_forked_workers_that_are_gone_after(monkeypatch, tmp_path,
+                                                          threads, n_traj, workers):
+    # blocks of 4: 10 trajectories make three blocks, 4 make one
+    monkeypatch.setattr(fs, "BLOCK_TRAJ", 4)
+    pids = tmp_path / "pids"
+    record_block_pids(monkeypatch, pids)
+    run_ensemble(REF, n_traj, 0.05, 1e-3, seed=2, threads=threads)
+    assert multiprocessing.active_children() == []
+    decorrelation_residual(REF, n_traj, 0.05, [0.0, 0.02], seed=2, dt=1e-3,
+                           threads=threads)
+    assert multiprocessing.active_children() == []
+    seen = pids.read_text().split()
+    assert len(seen) == 2 * len(range(0, n_traj, 4))     # one line a block
+    if workers:
+        assert str(os.getpid()) not in seen
+        assert 1 <= len(set(seen)) <= 2 * workers         # one pool per call
+    else:
+        assert set(seen) == {str(os.getpid())}
+
+
+def test_block_error_reaches_the_caller_from_a_worker(monkeypatch, tmp_path, capsys):
+    # the last step of the first block a process runs leaves the sphere;
+    # the forked workers inherit the patch, and the first block's error is
+    # raised in block order, as one process raises it
+    n_steps, calls = 150, []
+    step = fs._midpoint_step
+
+    def last_step_leaves(n, u, phi, z, ws):
+        step(n, u, phi, z, ws)
+        calls.append(None)
+        if len(calls) == n_steps:
+            n[0] = math.nan
+
+    monkeypatch.setattr(fs, "_midpoint_step", last_step_leaves)
+    monkeypatch.setattr(fs, "BLOCK_TRAJ", 2)
+    raised = {}
+    for threads in (1, 2):
+        calls.clear()
+        with pytest.raises(IntegratorError) as info:
+            run_ensemble(REF, 6, 0.15, 1e-3, seed=0, threads=threads)
+        raised[threads] = (type(info.value), str(info.value))
+        assert multiprocessing.active_children() == []
+    assert raised[2] == raised[1]
+    assert "left the Bloch sphere by step 150" in raised[1][1]
+    calls.clear()
+    assert main(["simulate", "--set", "model=sde", "--set", "n_traj=6",
+                 "--set", "t_end=0.15", "--set", "dt=1e-3", "--threads", "2",
+                 "--out", str(tmp_path)]) == 3
+    assert "left the Bloch sphere by step 150" in capsys.readouterr().err
+
+
+def test_block_jobs_pickle(monkeypatch):
+    # every entry point hands _run_blocks a job that survives pickling, and
+    # the unpickled job gives the same numbers bit for bit
+    run_blocks = fs._run_blocks
+
+    def through_pickle(params, lo, hi, dt, job, **kwargs):
+        return run_blocks(params, lo, hi, dt, pickle.loads(pickle.dumps(job)),
+                          **kwargs)
+
+    monkeypatch.setattr(fs, "BLOCK_TRAJ", 4)
+    z = np.linspace(-2.0, 2.0, 50)
+    runs = [
+        lambda: run_ensemble(REF, 10, 0.05, 1e-3, seed=2, sigma0=0.1j,
+                             prefixes=(3, 6)),
+        lambda: run_trajectory(REF, 0.05, 1e-3, seed=2, index=5),
+        lambda: run_trajectory(REF, 0.05, 1e-3, seed=2, increments=z),
+        lambda: decorrelation_residual(REF, 10, 0.05, [0.0, 0.02], seed=2, dt=1e-3),
+    ]
+    want = [run() for run in runs]
+    monkeypatch.setattr(fs, "_run_blocks", through_pickle)
+    for run, expected in zip(runs, want):
+        got = run()
+        for field in vars(expected):
+            if isinstance(getattr(expected, field), np.ndarray):
+                assert np.array_equal(getattr(got, field), getattr(expected, field))
+
+
+def test_import_loads_no_process_machinery():
+    # the pool's modules are imported where a pool is built, so importing
+    # the package (and every one-worker run) does not pay for them
+    src = str(Path(fs.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = ("import sys, blochrate; "
+             "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("threads", [1, 3])

@@ -60,6 +60,17 @@ def test_bad_lorentzian_rejected(kwargs):
         LorentzianSpectrum(**kwargs)
 
 
+def test_lorentzian_width_whose_square_underflows_rejected():
+    # (fwhm/2)**2 below the smallest normal double made spectral_density
+    # divide 0 by 0 at the centre; the narrowest line accepted is exact there
+    for fwhm in (1e-300, 1e-160, 2.9e-154):
+        with pytest.raises(ValueError, match="underflows"):
+            LorentzianSpectrum(1.0, fwhm)
+    s = LorentzianSpectrum(1.0, 3e-154, center=2.0)
+    assert spectral_density(s, 2.0) == 1.0
+    LorentzianSpectrum(1.0, 1e200)          # a square that overflows is no underflow
+
+
 def test_phase_diffusion_spectrum_has_pinned_peak():
     s = from_phase_diffusion(omega0=2.0, delta=5.0)
     assert s.fwhm == 5.0
@@ -85,7 +96,8 @@ def test_load_tabulated_roundtrip(tmp_path):
     path = tmp_path / "spec.dat"
     path.write_text("# omega value\n-1.0 0.5\n0.0 2.0\n\n1.0 0.5\n")
     s = load_tabulated(path)
-    assert s.center == 0.0
+    assert np.array_equal(s.omega, [-1.0, 0.0, 1.0])
+    assert np.array_equal(s.values, [0.5, 2.0, 0.5])
     assert spectral_density(s, 0.5) == 1.25
     # off-table queries read zero density
     assert spectral_density(s, 5.0) == 0.0
