@@ -10,23 +10,30 @@ file passing:
   Lorentzian line (10 001 rows) and on a seed-jittered 241-node table of it,
   and for ``model=effective-bloch`` (6001 rows);
 - the md5 of ``integrate_memory_kernel(None, DARK, 5.0, 1e-3, n0=n0).n``
-  with no drive (no kernel, so no history sum) for n0 = -1 and 0.
+  with no drive (no kernel, so no history sum) for n0 = -1 and 0;
+- the md5 of ``integrate_memory_kernel(ref_table(), REF, 100.0, 1e-2, n0=n0).n``
+  for n0 = -1 and 0.5, where the kernel's window (about 950 steps) is shorter
+  than the run, so the direct history sum starts past n[0];
+- the step a diverging solve names, for a kernel of the wrong sign.
 
 Regenerate (only after a deliberate change of the numbers) with
 ``PYTHONPATH=src python tests/test_bitwise_kinetics.py``; then update
-CSV_MD5 and DARK_MD5 from its printout.
+CSV_MD5, DARK_MD5 and WINDOW_MD5 from its printout.
 """
 
 import hashlib
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from blochrate import (LorentzianSpectrum, SystemParams, integrate_memory_kernel,
-                       spectral_density)
+from blochrate import (LorentzianSpectrum, StepSizeError, SystemParams,
+                       autocorrelation_kernel, from_phase_diffusion,
+                       integrate_memory_kernel, kinetics, spectral_density)
 from blochrate.cli import main
+from test_kinetics import ref_table
 
 PINNED = Path(__file__).parent / "data" / "bitwise_kinetics.npz"
 REF = SystemParams(a=1.0, delta=5.0, omega0=math.sqrt(11.0))
@@ -50,6 +57,10 @@ DARK = SystemParams(a=1.0, delta=5.0, omega0=0.0)
 DARK_MD5 = {
     -1.0: "c149148abe441c9d0f12fb31e6703aaf",
     0.0: "bccc37e9a593c986560a26d4162b4b20",
+}
+WINDOW_MD5 = {
+    -1.0: "7b1cb6f43db8348d9a32dfed845636be",
+    0.5: "3af33d11e45d5f5071a431df62ba4101",
 }
 
 
@@ -95,6 +106,29 @@ def test_undriven_memory_kernel_is_bit_identical(n0):
     assert hashlib.md5(n.tobytes()).hexdigest() == DARK_MD5[n0]
 
 
+def truncated_window_n(n0: float) -> np.ndarray:
+    return integrate_memory_kernel(ref_table(), REF, 100.0, 1e-2, n0=n0).n
+
+
+@pytest.mark.parametrize("n0", sorted(WINDOW_MD5))
+def test_truncated_window_memory_kernel_is_bit_identical(n0):
+    assert hashlib.md5(truncated_window_n(n0).tobytes()).hexdigest() == WINDOW_MD5[n0]
+
+
+@pytest.mark.parametrize("lorentzian", [False, True])
+def test_divergence_names_its_step(monkeypatch, lorentzian):
+    # the -1e6 kernel of test_kinetics' divergence test, through the direct
+    # sum (an anonymous spectrum) and through the Lorentzian path
+    line = from_phase_diffusion(REF.omega0, REF.delta)
+    monkeypatch.setattr(kinetics, "autocorrelation_kernel",
+                        lambda _, tau: -1e6 * autocorrelation_kernel(line, tau))
+    with pytest.raises(StepSizeError) as diverged, \
+            np.errstate(over="ignore", invalid="ignore"):
+        integrate_memory_kernel(line if lorentzian else SimpleNamespace(),
+                                REF, 1.0, 1e-3)
+    assert str(diverged.value) == "memory-kernel: diverged at step 209"
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -109,3 +143,5 @@ if __name__ == "__main__":
     print("CSV_MD5 =", digests)
     print("DARK_MD5 =", {n0: hashlib.md5(integrate_memory_kernel(
         None, DARK, 5.0, 1e-3, n0=n0).n.tobytes()).hexdigest() for n0 in sorted(DARK_MD5)})
+    print("WINDOW_MD5 =", {n0: hashlib.md5(truncated_window_n(n0).tobytes()).hexdigest()
+                           for n0 in sorted(WINDOW_MD5)})
