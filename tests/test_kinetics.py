@@ -1,3 +1,4 @@
+import cmath
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -207,6 +208,55 @@ def test_memory_kernel_lorentzian_recursion_matches_direct_sum(params, spec,
                         lambda _, tau: autocorrelation_kernel(line, tau))
     direct = integrate_memory_kernel(SimpleNamespace(), params, t_end, dt)
     assert np.max(np.abs(fast.n - direct.n)) <= 1e-10
+
+
+def lorentzian_step_loop(rho, a, g0, dt, n0, steps):
+    """The Lorentzian solve one step at a time, with hist <- rho*(hist + n).
+
+    integrate_memory_kernel's predictor-corrector on Python floats, as the
+    solver ran it before it applied the step map to blocks of steps; kept as
+    the oracle of that blocked solve.
+    """
+    neg_a, half_g0, half_dt, end_g0 = -a, 0.5 * g0, 0.5 * dt, dt * 0.5 * g0
+    nk = n0
+    hist = -0.5 * nk + 0j          # the far-edge half weight of the trapezoid
+    j_curr = 0.0
+    n = np.empty(steps + 1)
+    out = memoryview(n)
+    out[0] = nk
+    for k in range(1, steps + 1):
+        f_k = neg_a * (nk + 1.0) - 2.0 * j_curr
+        n_pred = nk + dt * f_k
+        hist = rho * (hist + nk)
+        j_pred = dt * (g0 * hist.real + half_g0 * n_pred)
+        nk = nk + half_dt * (f_k + (neg_a * (n_pred + 1.0) - 2.0 * j_pred))
+        out[k] = nk
+        j_curr = j_pred + end_g0 * (nk - n_pred)
+    out.release()
+    return n
+
+
+OFF_CENTRE = LorentzianSpectrum(peak=2.2, fwhm=5.0, center=3.0)
+
+
+# steps + 1 points in blocks of ceil(sqrt(steps + 1)): 1 and 1024 fill their
+# blocks, 2 and 1056 leave a last block of one point, 1022 one of B - 1
+@pytest.mark.parametrize("steps,spec", [
+    *((steps, spec) for steps in (1, 2, 1022, 1023, 1056) for spec in (None, OFF_CENTRE)),
+    (10 ** 6, OFF_CENTRE),
+])
+def test_memory_kernel_lorentzian_matches_the_step_loop(steps, spec):
+    # the blocked solve rounds differently from the step loop: a few ulps per
+    # block over sqrt(steps) blocks, 1e-13 at 1e6 steps
+    dt = 1e-4
+    line = spec or from_phase_diffusion(REF.omega0, REF.delta)
+    g0 = float(autocorrelation_kernel(line, np.zeros(1))[0])
+    rho = cmath.exp(complex(-(0.5 * line.fwhm + REF.gamma_perp) * dt, line.center * dt))
+    for n0 in (-1.0, 0.0, 0.5):
+        got = integrate_memory_kernel(spec, REF, steps * dt, dt, n0=n0).n
+        want = lorentzian_step_loop(rho, REF.a, g0, dt, n0, steps)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12, (n0, np.max(np.abs(got - want)))
 
 
 def ref_table():
