@@ -50,7 +50,7 @@ CASES = {
                         "--set", "dt=1e-3"],
 }
 CSV_MD5 = {
-    "memory-kernel": "292c1e94f45bfb6fd29d4342dd194ec6",
+    "memory-kernel": "5171aeff8da5b4eae80e6bf94c650d39",
     "memory-kernel-table": "31fab8f17905ff79a5a130e92ae07723",
     "effective-bloch": "17a6e24311249a1b27554111ee675495",
 }
