@@ -407,8 +407,9 @@ def cmd_decorrelate(cfg: RunConfig, out_dir: Path, threads: int,
     total = grid_steps(cfg.t_obs, dt, "t_obs", positive=True)
     # past total + 1 points the spacing is below one step and rounding already
     # hits every grid index, so the clamp caps the t' count at the grid's steps
-    # + 1 without changing idx; a running block still keeps 16 B per
-    # trajectory and t' point (n and phi) up to that cap
+    # + 1 without changing idx; a running block keeps n and phi (16 B) per
+    # trajectory and t' point, and holds fewer trajectories where that would
+    # pass 2**22 snapshots (64 MB; fieldsim.SNAPSHOT_VALUES)
     idx = np.unique(np.round(np.linspace(0, total, min(cfg.n_tprime, total + 1)))
                     .astype(int))
     t_prime = idx * dt

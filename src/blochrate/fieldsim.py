@@ -111,6 +111,7 @@ from .params import (SystemParams, _check_initial_state, _check_lags, check_seed
 from .spectrum import _phasor
 
 BLOCK_TRAJ = 8192      # trajectories integrated together; independent of --threads
+SNAPSHOT_VALUES = 1 << 22  # most (n, phi) snapshots a decorrelation block keeps
 NOISE_CHUNK = 1024     # most steps drawn per stream call (any cut draws the same normals)
 NOISE_VALUES = 1 << 22 # most normals in one chunk; bounds a wide block's noise
 NOISE_TILE = 1 << 16   # uniforms transformed together; bounds the noise temporaries
@@ -550,9 +551,11 @@ def _decorrelation_block(params, seed, n_steps, dt, snap_steps, lo, hi):
     return tuple((width, mean, m2) for mean, m2 in moments)
 
 
-def _run_blocks(params, lo, hi, dt, job, *, n0=-1.0, sigma0=0j, phi0=0.0,
-                threads=1):
+def _run_blocks(params, lo, hi, dt, job, *, width, n0=-1.0, sigma0=0j,
+                phi0=0.0, threads=1):
     """``job(s, e)`` of each block [s, e) of [lo, hi), in block order.
+
+    Blocks hold ``width`` trajectories, the last one the rest.
 
     Every argument is checked (the initial state must be finite with
     |n0| <= 1 and |sigma0| <= 1/2), and the step guard runs, before any job.
@@ -567,8 +570,8 @@ def _run_blocks(params, lo, hi, dt, job, *, n0=-1.0, sigma0=0j, phi0=0.0,
     _check_count(threads, "threads")
     _check_initial_state(n0=n0, sigma0=sigma0, phi0=phi0)
     _check_step(params, dt)
-    starts = range(lo, hi, BLOCK_TRAJ)
-    ends = [min(s + BLOCK_TRAJ, hi) for s in starts]
+    starts = range(lo, hi, width)
+    ends = [min(s + width, hi) for s in starts]
     workers = min(threads, len(starts))
     if workers > 1:
         # imported here: import blochrate and one-worker runs do not pay for it
@@ -628,8 +631,9 @@ def run_ensemble(params: SystemParams, n_traj: int, t_end: float, dt: float,
 
     job = partial(_moment_block, params, seed, n_steps, dt, (n0, sigma0, phi0),
                   tuple(prefixes))
-    sums, finals = zip(*_run_blocks(params, 0, n_traj, dt, job, n0=n0,
-                                    sigma0=sigma0, phi0=phi0, threads=threads))
+    sums, finals = zip(*_run_blocks(params, 0, n_traj, dt, job, width=BLOCK_TRAJ,
+                                    n0=n0, sigma0=sigma0, phi0=phi0,
+                                    threads=threads))
     final_n = np.concatenate(finals)
     trace = _ensemble_trace(sums, n_traj, t, final_n)
     trace.prefix_traces = tuple(_ensemble_trace(sums, m, t, final_n)
@@ -672,8 +676,8 @@ def run_trajectory(params: SystemParams, t_end: float, dt: float, seed: int,
 
     job = partial(_snapshot_block, params, seed, n_steps, dt,
                   (n0, sigma0, phi0, increments))
-    ((n, u, phi),) = _run_blocks(params, index, index + 1, dt, job, n0=n0,
-                                 sigma0=sigma0, phi0=phi0)
+    ((n, u, phi),) = _run_blocks(params, index, index + 1, dt, job, width=1,
+                                 n0=n0, sigma0=sigma0, phi0=phi0)
     turn = np.empty(len(t), dtype=complex)          # e^{-i phi}
     _phasor(np.multiply(phi[0], -0.5), turn.real, turn.imag)
     return TrajectoryTrace(t=t, n=n[0], sigma=np.multiply(u[0], turn, out=turn),
@@ -830,7 +834,10 @@ def decorrelation_residual(params: SystemParams, n_traj: int, t: float,
     t and every t' must sit on the dt grid, with t >= max(t'). The verdict
     holds_3sigma is max|residual| <= 3*residual_stderr over the grid. The
     trajectory blocks run on at most ``threads`` worker processes
-    (_run_blocks), and the result is bit-identical for any ``threads``.
+    (_run_blocks), and the result is bit-identical for any ``threads``. A
+    running block keeps n and phi at every t' (16 B per trajectory and t'),
+    and holds fewer than BLOCK_TRAJ trajectories where that would pass
+    SNAPSHOT_VALUES snapshots (64 MB).
     """
     t_prime = np.asarray(t_prime_grid, dtype=float)
     _check_lags(t_prime, "t_prime_grid")
@@ -841,9 +848,14 @@ def decorrelation_residual(params: SystemParams, n_traj: int, t: float,
     # the t' steps, then step t itself, whose phase column is the final phase
     snap_steps = [grid_steps(tp, dt, "t_prime") for tp in t_prime] + [n_steps]
 
+    # a running block keeps n and phi at every snapshot step, 16 B each: a
+    # block narrower than BLOCK_TRAJ keeps at most SNAPSHOT_VALUES (64 MB).
+    # The width follows from the job alone, so the merge order, and with it
+    # every bit of the result, does not depend on ``threads``
+    width = min(BLOCK_TRAJ, max(1, SNAPSHOT_VALUES // len(snap_steps)))
     job = partial(_decorrelation_block, params, seed, n_steps, dt, snap_steps)
     k_parts, c_parts, n_parts = zip(*_run_blocks(params, 0, n_traj, dt, job,
-                                                 threads=threads))
+                                                 width=width, threads=threads))
     count, k_mean, k_m2 = _tree_merge(k_parts)
     _, c_mean, c_m2 = _tree_merge(c_parts)
     _, n_mean, n_m2 = _tree_merge(n_parts)

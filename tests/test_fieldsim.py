@@ -944,6 +944,37 @@ def test_decorrelation_memory_per_snapshot():
     assert (peaks[600] - peaks[300]) / (1024 * 300) <= 17, peaks
 
 
+BLOCKS_SEEN = None     # the file record_decorrelation_block appends to
+
+
+def record_decorrelation_block(params, seed, n_steps, dt, snap_steps, lo, hi):
+    """A _decorrelation_block that logs its block [lo, hi) and steps nothing."""
+    with open(BLOCKS_SEEN, "a") as log:
+        log.write(f"{lo} {hi}\n")
+    points = len(snap_steps) - 1
+    return tuple((hi - lo, np.zeros(points), np.zeros(points)) for _ in range(3))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_decorrelation_blocks_bound_their_snapshots(tmp_path, monkeypatch, threads):
+    # a running block keeps n and phi (16 B) per trajectory and snapshot: at
+    # 2001 t' points and t itself, 8192 trajectories took 262 MB. The width
+    # comes from the job alone, the same at any worker count, and stays 8192
+    # wherever 8192 trajectories fit the bound
+    monkeypatch.setattr(fs, "_decorrelation_block", record_decorrelation_block)
+    n_traj = 20000
+    for n_tprime, width in ((21, 8192), (2001, fs.SNAPSHOT_VALUES // 2002)):
+        log = tmp_path / f"{n_tprime}.log"
+        monkeypatch.setattr(sys.modules[__name__], "BLOCKS_SEEN", log)
+        decorrelation_residual(REF, n_traj, 2.0, np.linspace(0.0, 2.0, n_tprime),
+                               seed=1, dt=1e-3, threads=threads)
+        blocks = sorted(tuple(map(int, line.split()))
+                        for line in log.read_text().splitlines())
+        assert blocks == [(lo, min(lo + width, n_traj))
+                          for lo in range(0, n_traj, width)]
+        assert width * (n_tprime + 1) * 16 <= 64 << 20
+
+
 def test_decorrelation_grid_validation():
     with pytest.raises(ValueError):
         decorrelation_residual(REF, 16, 0.4, np.array([0.25, 0.5]),
