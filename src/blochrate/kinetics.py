@@ -260,8 +260,8 @@ def integrate_memory_kernel(spectrum: SpectrumModel | None,
     classic one-step stage evaluation inapplicable); at dt=1e-4 the error
     stays below 1e-6 for unit-scale rates. On a Lorentzian line one step is
     an affine map of (n, J, history), which _lorentzian_solve applies to
-    blocks of about sqrt(steps) steps at once: 1e5 steps take about 7 ms on
-    a 2-core x86 host (42 ms stepped one at a time in Python), and n differs
+    blocks of about sqrt(steps) steps at once: 1e5 steps take 4-7 ms on a
+    2-core x86 host (32-42 ms stepped one at a time in Python), and n differs
     from the step-by-step solve by about 1e-14 at 1e5 steps and 1e-13 at
     1e6 (the tests allow 1e-12). Every other kernel, including none (no
     drive, an empty history), runs the direct sum (_direct_sum_solve). A
