@@ -838,6 +838,29 @@ def test_phase_autocorrelation_matches_lorentzian_decay():
     assert np.all(dev <= 3.0 * est.stderr_re[1:])
 
 
+@pytest.mark.parametrize("n_traj, lags, block", [
+    (3, 1100, None),     # past one span of lags: _chunk_steps(3) = 1024
+    (10, 50, 4),         # three blocks of trajectories
+])
+def test_phase_autocorrelation_draws_the_streams(monkeypatch, n_traj, lags, block):
+    # trajectory i's phases are the running sums of sqrt(delta*dtau) times
+    # the normals of stream (seed, i), whatever the blocks and spans
+    if block is not None:
+        monkeypatch.setattr(fs, "BLOCK_TRAJ", block)
+    delta, seed = 2.0, 17
+    tau = np.arange(lags) * 0.01
+    est = phase_autocorrelation(delta, n_traj, tau, seed=seed)
+    scale = np.sqrt(delta * np.diff(tau, prepend=0.0))
+    phi = np.cumsum(scale * np.array([stream_normals(seed, i, lags)
+                                      for i in range(n_traj)]), axis=1)
+    for got, se, values in [(est.mean.real, est.stderr_re, np.cos(phi)),
+                            (est.mean.imag, est.stderr_im, np.sin(phi))]:
+        assert np.max(np.abs(got - values.mean(axis=0))) <= 1e-13
+        want_se = np.sqrt(values.var(axis=0, ddof=1) / n_traj)
+        assert np.max(np.abs(se - want_se)) <= 1e-13
+    assert est.n_traj == n_traj
+
+
 def test_phase_autocorrelation_zero_diffusion():
     est = phase_autocorrelation(0.0, 50, np.array([0.5, 1.0]), seed=1)
     assert np.all(est.mean == 1.0 + 0j)
