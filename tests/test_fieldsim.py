@@ -39,19 +39,37 @@ def stream_normals(seed, index, count):
 # ----------------------------------------------------------------------
 # random streams
 
+def fill_normals(seed, lo, start, z):
+    """z filled by _fill_normals with streams lo, lo+1, ... from a new cursor."""
+    fs._fill_normals(fs._PhiloxCursor(seed), lo, start, z)
+    return z
+
+
 def test_stream_reproducible_and_split_by_index():
-    a = RngStream(12345, 7).normals(64)
-    b = RngStream(12345, 7).normals(64)
-    c = RngStream(12345, 8).normals(64)
+    cursor = fs._PhiloxCursor(12345)
+    a, b = np.empty((2, 2, 64))
+    fs._fill_normals(cursor, 7, 0, a)       # streams 7 and 8
+    fs._fill_normals(cursor, 7, 0, b)       # again, from the same cursor
     assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
+    assert not np.array_equal(a[0], a[1])
+    assert np.array_equal(a[0], stream_normals(12345, 7, 64))
 
 
 def test_stream_chunking_does_not_change_draws():
-    whole = RngStream(5, 1).normals(10)
-    s = RngStream(5, 1)
-    parts = np.concatenate([s.normals(4), s.normals(6)])
-    assert np.array_equal(whole, parts)
+    # a fill from any step continues the stream, whatever the cursor drew
+    # before: steps 4 and 7 start 0 and 2 words into a 4-word Philox block
+    whole = stream_normals(5, 1, 10)
+    cursor = fs._PhiloxCursor(5)
+    got = np.empty((1, 10))
+    for start, stop in [(7, 10), (0, 4), (4, 7)]:
+        fs._fill_normals(cursor, 1, start, got[:, start:stop])
+    assert np.array_equal(got[0], whole)
+
+
+def test_rng_stream_normals_are_the_stream():
+    # RngStream is kept for perfbench's tracer only; it draws the same stream
+    assert np.array_equal(RngStream(12345, 7).normals(64),
+                          stream_normals(12345, 7, 64))
 
 
 def test_box_muller_frozen_values():
@@ -64,20 +82,21 @@ def test_box_muller_frozen_values():
 
 
 def test_stream_seed_range():
-    assert np.array_equal(RngStream(2**64 - 1, 0).normals(4),
-                          RngStream(2**64 - 1, 0).normals(4))
+    # seeds and indices 0 and 2**64 - 1 are streams; -1 and 2**64 are refused
+    last = 2**64 - 1
+    for seed, index in [(0, 0), (last, 0), (0, last), (last, last)]:
+        z = fill_normals(seed, index, 0, np.empty((1, 4)))
+        assert np.array_equal(z[0], stream_normals(seed, index, 4))
     for bad in (-1, 2**64):
         with pytest.raises(ValueError):
-            RngStream(bad, 0)
+            fs._PhiloxCursor(bad)
         with pytest.raises(ValueError):
             run_ensemble(REF, n_traj=2, t_end=0.01, dt=1e-3, seed=bad)
     # the trajectory index is the other half of the key and has the same range
-    last = run_trajectory(REF, 0.01, 1e-3, seed=3, index=2**64 - 1)
-    assert np.array_equal(last.phi, run_trajectory(REF, 0.01, 1e-3, seed=3,
-                                                   index=2**64 - 1).phi)
+    tr = run_trajectory(REF, 0.01, 1e-3, seed=3, index=last)
+    assert np.array_equal(tr.phi, run_trajectory(REF, 0.01, 1e-3, seed=3,
+                                                 index=last).phi)
     for bad in (-1, 2**64):
-        with pytest.raises(ValueError, match="index"):
-            RngStream(0, bad)
         with pytest.raises(ValueError, match="index"):
             run_trajectory(REF, 0.01, 1e-3, seed=3, index=bad)
 
@@ -95,7 +114,7 @@ def test_seek_matches_a_fresh_philox(seed, index):
 
 
 def test_stream_moments():
-    z = RngStream(2024, 0).normals(1_000_000)
+    z = fill_normals(2024, 0, 0, np.empty((1, 1_000_000)))[0]
     assert abs(z.mean()) < 4e-3
     assert abs(z.var(ddof=1) - 1.0) < 1e-2
 
