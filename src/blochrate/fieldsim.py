@@ -61,9 +61,10 @@ wide that a chunk would pass NOISE_VALUES normals. Within a chunk each stream
 fills its own row of a block of uniforms, and the whole block is then
 transformed at once; the transform is elementwise, so a stream's normals do
 not depend on the block around it, and since every chunk seeks, not on how
-its draws are split into chunks either. A chunk is handed to the step as a
-(steps, width) array, one contiguous row of normals per step; each tile of
-streams is transposed into it as it is transformed. Ensemble statistics are
+its draws are split into chunks either. The step loop takes a chunk
+step-major, a (steps, width) array with one contiguous row per step
+(_normals); the phase helpers take stream-major rows, one per trajectory,
+filled in place by _fill_normals. Ensemble statistics are
 reduced per fixed-size trajectory block and the blocks are merged pairwise in
 index order, so results are bit-identical for any number of worker processes
 (_run_blocks). One generator, _states, steps the blocks of every entry
@@ -162,8 +163,8 @@ class RngStream:
     j-th normal is the same no matter how draws are chunked into calls. The
     seed and the index must lie in [0, 2**64).
 
-    Not exported: the package draws noise through _normals. It stays only
-    because perfbench/tracing.py patches RngStream.__init__ by name.
+    Not exported: the package draws noise through _fill_normals. It stays
+    only because perfbench/tracing.py patches RngStream.__init__ by name.
     """
 
     def __init__(self, seed: int, index: int = 0):
@@ -207,18 +208,18 @@ def _normals(seed, lo, hi, n_steps, increments=None):
 
     Yields arrays of shape (<= _chunk_steps(hi - lo), hi - lo) in step
     order, a chunk at a time, with one C-contiguous row per step, so the
-    step kernel reads each step's normals contiguously. One Philox
-    generator serves every stream, and _fill_normals draws each chunk,
-    handed the chunk transposed: for each row of a tile of at most
-    NOISE_TILE uniforms the generator is pointed at stream (seed, i) where
-    the chunk starts, two uniforms per step, and fills the row; each tile
-    goes through one _box_muller call, whose buffers are allocated once per
-    chunk and whose last product is written transposed into the tile's
-    columns of the chunk. Transposing tile by tile keeps the copy in cache
-    (a transpose of the whole chunk would cost more than the row layout
-    saves), and the chunk's rows are padded by one cache line so that a
-    power-of-two width does not put every row of a tile's column strip in
-    the same cache sets.
+    step kernel (_states, the one caller) reads each step's normals
+    contiguously. One Philox generator serves every stream, and
+    _fill_normals draws each chunk, handed the chunk transposed: for each
+    row of a tile of at most NOISE_TILE uniforms the generator is pointed at
+    stream (seed, i) where the chunk starts, two uniforms per step, and
+    fills the row; each tile goes through one _box_muller call, whose
+    buffers are allocated once per chunk and whose last product is written
+    transposed into the tile's columns of the chunk. Transposing tile by
+    tile keeps the copy in cache (a transpose of the whole chunk would cost
+    more than the row layout saves), and the chunk's rows are padded by one
+    cache line so that a power-of-two width does not put every row of a
+    tile's column strip in the same cache sets.
     ``increments`` (explicit normals, one per step, for a single trajectory)
     is sliced in the same chunks in place of the streams.
 
@@ -693,25 +694,6 @@ def _check_phase_args(delta: float, n_traj: int) -> None:
     _check_count(n_traj)
 
 
-def _wiener_paths(seed, lo, hi, scale):
-    """Yield (c, phases): the running sums of scale[j] * z_j from step c on, a chunk at a time.
-
-    ``phases`` (steps, hi - lo) holds one row per step and is summed in
-    place in _normals' buffer, so it is valid only until the next chunk.
-    Each chunk's first row adds the previous chunk's last phase, so every
-    trajectory's phases equal one cumsum over all its steps.
-    """
-    c, last = 0, None
-    for z in _normals(seed, lo, hi, len(scale)):
-        np.multiply(scale[c:c + len(z), None], z, out=z)
-        if last is not None:
-            z[0] += last
-        np.cumsum(z, axis=0, out=z)
-        last = z[-1].copy()     # the next chunk is drawn over this one
-        yield c, z
-        c += len(z)
-
-
 def simulate_phases(delta: float, n_traj: int, t_end: float, dt: float,
                     seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Wiener phase paths phi(t) for ``n_traj`` trajectories, shape (N, steps+1).
@@ -759,33 +741,45 @@ def phase_autocorrelation(delta: float, n_traj: int, tau_grid,
 
     Wiener increments are stationary, so the grid is sampled exactly (no dt):
     each trajectory draws the increments between consecutive tau points.
-    The expected value is exp(-delta*|tau|/2). A block reduces each noise
-    chunk of lags as it is drawn, a bounded column block at a time, so its
-    memory does not grow with the number of lags; a column block's cos and
-    sin come from one tan of its half phases (spectrum._phasor).
+    The expected value is exp(-delta*|tau|/2). As in simulate_phases the
+    phases are stream-major: one cursor serves the call, and a block fills
+    spans of _chunk_steps(width) lags (at most NOISE_VALUES normals) into
+    one reused (trajectories, lags) buffer, scales and sums each row in
+    place, carrying the last phase across spans, and reduces each span a
+    bounded column block at a time, so memory does not grow with the
+    number of lags; a column block's cos and sin come from one tan of its
+    half phases (spectrum._phasor).
     """
     _check_phase_args(delta, n_traj)
     tau = np.asarray(tau_grid, dtype=float)
     _check_lags(tau, "tau_grid")
 
     scale = np.sqrt(delta * np.diff(np.concatenate([[0.0], tau])))
+    cursor = _PhiloxCursor(seed)
     parts = []
     for lo in range(0, n_traj, BLOCK_TRAJ):
         hi = min(lo + BLOCK_TRAJ, n_traj)
+        steps = _chunk_steps(hi - lo)
+        buffer = np.empty((hi - lo, min(steps, len(tau))))
         moments = np.empty((2, 2, len(tau)))    # cos, sin: mean and m2
         cols = _reduce_columns(hi - lo)
-        for c, phases in _wiener_paths(seed, lo, hi, scale):
-            for j in range(0, len(phases), cols):
-                # (trajectories, lags) in C order, as the whole array was
-                block = phases[j:j + cols].T.copy()
-                span = slice(c + j, c + j + block.shape[1])
-                np.multiply(block, 0.5, out=block)
-                cos = np.empty_like(block)
-                _phasor(block, cos, block)      # block becomes the sine
-                for (mean, m2), values in zip(moments, (cos, block)):
+        for c in range(0, len(tau), steps):
+            phases = buffer[:, :min(steps, len(tau) - c)]
+            _fill_normals(cursor, lo, c, phases)
+            np.multiply(scale[c:c + steps], phases, out=phases)
+            if c:
+                phases[:, 0] += last
+            np.cumsum(phases, axis=1, out=phases)
+            last = phases[:, -1].copy()     # the next span overwrites it
+            for j in range(0, phases.shape[1], cols):
+                half = np.multiply(phases[:, j:j + cols], 0.5)
+                span = slice(c + j, c + j + half.shape[1])
+                cos = np.empty_like(half)
+                _phasor(half, cos, half)        # half becomes the sine
+                for (mean, m2), values in zip(moments, (cos, half)):
                     _, mean[span], m2[span] = _column_moments(values,
                                                               len(tau) == 1)
-                del block, cos, values  # freed before the next column block's
+                del half, cos, values   # freed before the next column block's
         parts.append(tuple((hi - lo, mean, m2) for mean, m2 in moments))
 
     count, mean_re, m2_re = _tree_merge([p[0] for p in parts])

@@ -173,10 +173,20 @@ def test_wide_block_noise_is_one_bounded_chunk():
     assert peak <= 36e6, peak
 
 
-@pytest.mark.parametrize("width, n_steps", [(1000, 40), (50, 2500)])
-def test_block_noise_builds_one_generator(monkeypatch, width, n_steps):
+@pytest.mark.parametrize("draw", [
+    pytest.param(lambda: fs._normals(21, 0, 1000, 40), id="1000-40"),
+    pytest.param(lambda: fs._normals(21, 0, 50, 2500), id="50-2500"),
+    pytest.param(lambda: [simulate_phases(2.0, 10, 0.5, 1e-2, seed=3)],
+                 id="simulate_phases"),
+    pytest.param(lambda: [phase_autocorrelation(2.0, 10, np.arange(40) * 0.01,
+                                                seed=4)],
+                 id="phase_autocorrelation"),
+])
+def test_block_noise_builds_one_generator(monkeypatch, draw):
     # streams are re-pointed, not rebuilt: no generator (and no OS entropy)
-    # per trajectory, in one chunk or in several
+    # per trajectory or per block, in one chunk or in several; the phase
+    # helpers take their 10 trajectories in blocks of 4
+    monkeypatch.setattr(fs, "BLOCK_TRAJ", 4)
     built = []
     philox = np.random.Philox
 
@@ -185,7 +195,7 @@ def test_block_noise_builds_one_generator(monkeypatch, width, n_steps):
         return philox(*args, **kwargs)
 
     monkeypatch.setattr(np.random, "Philox", counting)
-    for _ in fs._normals(21, 0, width, n_steps):
+    for _ in draw():
         pass
     assert len(built) <= 1
 
