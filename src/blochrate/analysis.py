@@ -166,14 +166,21 @@ def measured_oscillation_frequency(t, x) -> float:
 
     Peak locations are refined by a local parabola. For an exponentially
     damped cosine consecutive maxima are spaced by exactly one period, so the
-    mean spacing inverts to the frequency directly. Returns nan when fewer
-    than two interior maxima exist (no measurable oscillation).
+    mean spacing inverts to the frequency directly. A flat top counts as a
+    maximum only if it ends in a fall, so a monotone staircase (a solution
+    settling onto its steady state ulp by ulp) has none. Returns nan when
+    fewer than two interior maxima exist (no measurable oscillation).
     """
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
     peaks = []
     for i in range(1, len(x) - 1):
         if x[i] > x[i - 1] and x[i] >= x[i + 1]:
+            j = i + 1
+            while x[j] == x[i] and j < len(x) - 1:
+                j += 1
+            if x[j] >= x[i]:           # the flat top rises again or reaches the end
+                continue
             denom = x[i - 1] - 2.0 * x[i] + x[i + 1]
             shift = 0.0 if denom == 0 else 0.5 * (x[i - 1] - x[i + 1]) / denom
             peaks.append(t[i] + shift * (t[i] - t[i - 1]))

@@ -325,6 +325,16 @@ def test_measured_frequency_needs_repeated_peaks():
     assert math.isnan(measured_oscillation_frequency(t, np.exp(-t)))
 
 
+def test_measured_frequency_flat_tops():
+    # a rise into a run of equal values is no maximum unless the run ends in
+    # a fall: a monotone staircase has none, two flat tops 3 apart ring at 2pi/3
+    t = np.arange(7.0)
+    assert math.isnan(measured_oscillation_frequency(t, [0, 1, 1, 2, 2, 3, 3]))
+    assert math.isnan(measured_oscillation_frequency(t, [0, 1, 1, 1, 2, 2, 2]))
+    f = measured_oscillation_frequency(t, [0, 1, 1, 0, 1, 1, 0])
+    assert f == 2.0 * math.pi / 3.0
+
+
 def test_report_fields_and_ranges():
     p = SystemParams(a=1.0, delta=1.0, omega0=6.0)
     r = build_report(p)
