@@ -154,6 +154,46 @@ def test_effective_bloch_refuses_unresolved_oscillation():
         integrate_effective_bloch(p, 1.0, 0.05)
 
 
+def effective_bloch_step_loop(params, dt, n0, q0, steps):
+    """The effective Bloch pair one RK4 step at a time, on Python floats.
+
+    integrate_effective_bloch as it ran before it applied the step's affine
+    map about the steady state to blocks of steps; kept as the oracle of that
+    blocked solve.
+    """
+    a, k2, g, h = params.a, 2.0 * params.zeta_bw21, params.gamma_eff, dt
+    n = np.empty(steps + 1)
+    q = np.empty(steps + 1)
+    n[0], q[0] = n0, q0
+    nk, qk = float(n0), float(q0)
+    for k in range(steps):
+        an1, aq1 = -a * (nk + 1.0) - k2 * qk, g * (nk - qk)
+        n1, q1 = nk + 0.5 * h * an1, qk + 0.5 * h * aq1
+        an2, aq2 = -a * (n1 + 1.0) - k2 * q1, g * (n1 - q1)
+        n2, q2 = nk + 0.5 * h * an2, qk + 0.5 * h * aq2
+        an3, aq3 = -a * (n2 + 1.0) - k2 * q2, g * (n2 - q2)
+        n3, q3 = nk + h * an3, qk + h * aq3
+        an4, aq4 = -a * (n3 + 1.0) - k2 * q3, g * (n3 - q3)
+        nk += (h / 6.0) * (an1 + 2.0 * an2 + 2.0 * an3 + an4)
+        qk += (h / 6.0) * (aq1 + 2.0 * aq2 + 2.0 * aq3 + aq4)
+        n[k + 1], q[k + 1] = nk, qk
+    return n, q
+
+
+# steps + 1 points in blocks of ceil(sqrt(steps + 1)): 1 and 1023 fill their
+# blocks, 2 and 1056 leave a last block of one point, 1022 one of B - 1
+@pytest.mark.parametrize("steps", [1, 2, 1022, 1023, 1056, 10 ** 5])
+@pytest.mark.parametrize("params", [REF, SystemParams(a=1.0, delta=1.0, omega0=6.0)])
+def test_effective_bloch_matches_the_step_loop(params, steps):
+    dt = 1e-3
+    for n0, q0 in ((-1.0, 0.0), (-1.0, 0.8), (0.3, -0.2)):
+        got = integrate_effective_bloch(params, steps * dt, dt, n0=n0, q0=q0)
+        want_n, want_q = effective_bloch_step_loop(params, dt, n0, q0, steps)
+        assert got.n.shape == want_n.shape and got.q.shape == want_q.shape
+        worst = max(np.max(np.abs(got.n - want_n)), np.max(np.abs(got.q - want_q)))
+        assert worst <= 1e-12, (n0, q0, worst)
+
+
 # ----------------------------------------------------------------------
 # memory kernel
 
@@ -171,6 +211,17 @@ def test_memory_kernel_zero_drive_is_free_decay():
     assert np.max(np.abs(tr.n - (-1.0 + 0.0 * tr.t))) == 0.0
     tr2 = integrate_memory_kernel(None, p, 5.0, 1e-3, n0=0.0)
     assert np.max(np.abs(tr2.n - (-1.0 + np.exp(-tr2.t)))) <= 1e-6
+
+
+@pytest.mark.parametrize("n0", [-1.0, -0.5, 0.0, 1.0])
+def test_memory_kernel_zero_drive_is_the_heun_power_law(n0):
+    # with no kernel the predictor-corrector is Heun's method on
+    # dn/dt = -a(n + 1): each step multiplies n + 1 by 1 - a*dt + (a*dt)**2/2
+    p, dt, steps = SystemParams(a=1.0, delta=5.0, omega0=0.0), 1e-3, 5000
+    n = integrate_memory_kernel(None, p, steps * dt, dt, n0=n0).n
+    z = p.a * dt
+    want = -1.0 + (n0 + 1.0) * (1.0 - z + 0.5 * z * z) ** np.arange(steps + 1)
+    assert np.max(np.abs(n - want)) <= 1e-12
 
 
 def test_memory_kernel_markov_limit():
