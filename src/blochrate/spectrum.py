@@ -36,6 +36,7 @@ about 15 ms in all).
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,7 +127,11 @@ def from_phase_diffusion(omega0: float, delta: float) -> LorentzianSpectrum:
 
 def load_tabulated(path) -> TabulatedSpectrum:
     """Read a two-column (omega, W) text table; '#' starts a comment."""
-    data = np.loadtxt(path, comments="#", ndmin=2)
+    with warnings.catch_warnings():     # a file with no rows is refused below
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        data = np.loadtxt(path, comments="#", ndmin=2)
+    if len(data) == 0:
+        raise ValueError(f"{path}: no rows of (omega, W)")
     if data.shape[1] != 2:
         raise ValueError(f"{path}: expected two columns (omega, W), got {data.shape[1]}")
     return TabulatedSpectrum(omega=data[:, 0], values=data[:, 1])

@@ -92,6 +92,14 @@ def test_tabulated_requires_sane_table(tmp_path):
         load_tabulated(bad)
 
 
+def test_load_tabulated_refuses_a_file_without_rows(tmp_path):
+    # numpy only warns on such a file, and the suite makes warnings errors
+    empty = tmp_path / "empty.dat"
+    empty.write_text("# omega value\n\n")
+    with pytest.raises(ValueError, match="no rows"):
+        load_tabulated(empty)
+
+
 def test_load_tabulated_roundtrip(tmp_path):
     path = tmp_path / "spec.dat"
     path.write_text("# omega value\n-1.0 0.5\n0.0 2.0\n\n1.0 0.5\n")
