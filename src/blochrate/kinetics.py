@@ -300,7 +300,8 @@ def integrate_memory_kernel(spectrum: SpectrumModel | None,
     else:
         # the last index still above the threshold, found on the boolean mask
         alive = np.abs(g_full) >= 1e-12 * peak
-        window = horizon - 1 - int(np.argmax(alive[::-1]))
+        # at least one step, so that dt must resolve the kernel's first step
+        window = max(1, horizon - 1 - int(np.argmax(alive[::-1])))
     g = g_full[:window + 1]
     g0 = float(g[0])
 

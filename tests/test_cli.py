@@ -394,6 +394,22 @@ def test_simulate_step_guard_maps_to_exit_3(tmp_path, capsys):
     assert rc == 3
 
 
+def test_simulate_memory_kernel_table_refusals(tmp_path, capsys):
+    # a table with no rows is a config error; one whose kernel is gone within
+    # the first step is a numerical failure, whatever its width
+    run = ["simulate", "--set", "model=memory-kernel", "--set", "t_end=1",
+           "--set", "dt=1e-3", "--out", str(tmp_path)]
+    empty = tmp_path / "empty.dat"
+    empty.write_text("# omega W\n")
+    assert main([*run, "--set", f"spectrum_path={empty}"]) == 2
+    assert "no rows" in capsys.readouterr().err
+    for width in ("1e8", "1e10"):
+        wide = tmp_path / f"wide{width}.dat"
+        wide.write_text(f"-{width} 0\n0 1e-9\n{width} 0\n")
+        assert main([*run, "--set", f"spectrum_path={wide}"]) == 3
+        assert "under-resolves the kernel" in capsys.readouterr().err
+
+
 def test_simulate_monochromatic_rules(tmp_path):
     # zero linewidth: the kernel needs the spectrum and must refuse, while
     # the rate equation keeps its finite cancelled pumping rate

@@ -243,6 +243,16 @@ def test_memory_kernel_refuses_unresolved_kernel():
         integrate_memory_kernel(None, p, 1.0, 1e-2)
 
 
+@pytest.mark.parametrize("width", [1e8, 1e10])
+def test_memory_kernel_refuses_a_kernel_gone_within_one_step(width):
+    # the damped kernel of a table this wide falls below 1e-12 of its peak
+    # before the first step: the window is then one step, and dt is checked
+    tab = TabulatedSpectrum(omega=np.array([-width, 0.0, width]),
+                            values=np.array([0.0, 1e-9, 0.0]))
+    with pytest.raises(StepSizeError, match="under-resolves the kernel"):
+        integrate_memory_kernel(tab, REF, 1.0, 1e-3)
+
+
 @pytest.mark.parametrize("params,spec", [
     (REF, None),                                               # criterion 5
     (SystemParams(a=1.0, delta=25.0, omega0=4.0), None),
