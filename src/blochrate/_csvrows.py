@@ -1,9 +1,9 @@
 """CSV lines from a list of fields, formatted a block of rows at a time.
 
 ``blocks(fields, block_rows)`` joins the fields of each row by commas, one
-line a row, a block of rows at a time; ``rows(fields)`` makes all of them. A
-field is a ``str``, written as is on every line, or a float column, each value
-written as Python's ``'%.17g'`` writes it, byte for byte.
+line a row, a block of rows at a time. A field is a ``str``, written as is
+on every line, or a float column, each value written as Python's ``'%.17g'``
+writes it, byte for byte.
 
 A value is formatted in numpy for every finite |x| in [1e-6, 1e17): with
 e = floor(log10|x|), x times the exact double 10^(16-e) is carried as an
@@ -15,8 +15,6 @@ NaN, infinities, subnormals and the other magnitudes are formatted by
 """
 
 from __future__ import annotations
-
-import sys
 
 import numpy as np
 
@@ -176,8 +174,3 @@ def _lines(line: bytes, columns) -> str:
     for values, at in columns:
         _format_g17(np.asarray(values, dtype=float), buf[:, at:at + _WIDTH])
     return out.translate(None, b"\0").decode()
-
-
-def rows(fields) -> str:
-    """Every line of ``fields`` (see ``blocks``) as one str."""
-    return "".join(blocks(fields, sys.maxsize))

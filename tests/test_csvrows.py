@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blochrate._csvrows import rows
+from blochrate._csvrows import blocks
 from blochrate.cli import _fig3_subsets
 
 EXAMPLES = settings(derandomize=True, max_examples=200, deadline=None)
@@ -16,7 +16,7 @@ IN_RANGE = st.integers(*np.array([1e-7, 1e18]).view(np.int64).tolist())
 
 def assert_formats_like_python(values) -> None:
     x = np.asarray(values, dtype=float)
-    got = rows([x])
+    got = "".join(blocks([x], 16))
     want = "".join("%.17g\n" % v for v in x.tolist())
     assert got == want
 
@@ -60,6 +60,6 @@ def test_integer_column_formats_like_python():
     # is the largest of them
     n_traj = np.array([*_fig3_subsets(10000), 2 ** 53, 10 ** 16, 99999999999999984.0])
     values = np.sqrt(n_traj) / 3.0
-    got = rows([n_traj, values, -values, "sde", "%7"])
+    got = "".join(blocks([n_traj, values, -values, "sde", "%7"], 4))
     want = "".join("%d,%.17g,%.17g,sde,%%7\n" % row for row in zip(n_traj, values, -values))
     assert got == want
