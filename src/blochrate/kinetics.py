@@ -15,15 +15,15 @@ Every solver refuses a start off the Bloch ball (a non-finite n0 or q0, or
 uses. All solvers use the classical fixed-step 4th-order one-step method on a
 uniform grid (the memory-kernel model, whose right side depends on history,
 uses a 2nd-order predictor-corrector with trapezoid history quadrature).
-Affine models are advanced with the exact closed form of the RK4 map, which
-is the same discrete solution without per-step rounding.
 
-The memory-kernel history sum costs O(1) per step for a Lorentzian line,
-whose damped kernel is one complex exponential and so obeys a recursion over
-the whole history: the step is then an affine map, applied to blocks of
-steps by small matrix powers, with no per-step Python work. A tabulated
-spectrum costs O(window) per step, summed directly over the window where
-the damped kernel exceeds 1e-12 of its peak.
+A model with constant coefficients steps by an affine map with a fixed
+point in closed form. One block solver, _affine_solve, applies the map's
+powers about that point to blocks of steps, with no per-step Python work:
+for the rate equations (1x1), the effective Bloch pair (2x2) and the memory
+kernel on a Lorentzian line or with no drive (4x4). Only the modified rate
+equation, whose pump switches on in time, and a tabulated memory kernel,
+whose history is summed directly over the window where the damped kernel
+exceeds 1e-12 of its peak, keep a step loop.
 A tabulated kernel is evaluated once per solve, on the solver's uniform lag
 grid, where spectrum.autocorrelation_kernel needs one complex product per
 (lag, table node) and no per-lag cos or sin. On a 1201-node table at
@@ -109,19 +109,47 @@ def _check_step(dt: float, rate: float, model: str) -> None:
         )
 
 
-def _affine_rk4(decay: float, drive: float, y0: float,
-                t: np.ndarray) -> np.ndarray:
-    """Exact closed form of the RK4 map for dy/dt = -decay*y + drive.
+# ----------------------------------------------------------------------
+# affine step maps, solved about their fixed point
 
-    One RK4 step multiplies (y - y_inf) by the degree-4 Taylor polynomial of
-    exp(-decay*dt); iterating gives powers of that factor. decay > 0.
+def _rk4_map(rates: np.ndarray, dt: float) -> np.ndarray:
+    """One RK4 step of dx/dt = rates @ x: the degree-4 Taylor polynomial of
+    exp(dt*rates), in Horner form (on a 1x1 system, RK4's growth factor)."""
+    z = dt * np.asarray(rates, dtype=float)
+    eye = np.eye(len(z))
+    m = eye / 6.0 + z / 24.0
+    for c in (0.5, 1.0, 1.0):
+        m = c * eye + np.einsum("ik,kl->il", z, m)
+    return m
+
+
+def _affine_solve(m, x_inf, x0, steps: int, keep: int) -> np.ndarray:
+    """x_inf + m^k (x0 - x_inf), k = 0..steps, for the first ``keep`` components.
+
+    This is the solution of the affine map x' = m x + c with fixed point
+    x_inf, worked about that point: a start at x_inf stays there exactly.
+    With B = ceil(sqrt(steps + 1)) the powers m^0 ... m^B take B small
+    products, the block starts m^(bB) (x0 - x_inf) another steps/B, and each
+    component is one einsum over (blocks, B). No product goes through BLAS,
+    whose buffers would add to the solve's resident memory. A non-finite
+    value (a diverging map) is left for the caller to find.
     """
-    dt = t[1] - t[0]
-    z = -decay * dt
-    growth = 1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
-    assert 0.0 < growth < 1.0
-    y_inf = drive / decay
-    return y_inf + (y0 - y_inf) * growth ** np.arange(len(t))
+    x_inf = np.asarray(x_inf, dtype=float)
+    dim = len(x_inf)
+    block = math.isqrt(steps) + 1                  # ceil(sqrt(steps + 1))
+    blocks = -(-(steps + 1) // block)
+    powers = np.empty((block + 1, dim, dim))
+    powers[0] = np.eye(dim)
+    for j in range(block):
+        np.einsum("ik,kl->il", m, powers[j], out=powers[j + 1])
+    starts = np.empty((blocks, dim))
+    starts[0] = np.subtract(x0, x_inf)
+    for b in range(1, blocks):
+        np.einsum("ik,k->i", powers[block], starts[b - 1], out=starts[b])
+    x = np.empty((keep, blocks, block))
+    np.einsum("bk,jik->ibj", starts, powers[:block, :keep], out=x)
+    x += x_inf[:keep, None, None]
+    return x.reshape(keep, -1)[:, :steps + 1]
 
 
 # ----------------------------------------------------------------------
@@ -159,7 +187,8 @@ def _rate_equation(params, coll, t_end, dt, n0, model):
     zeta_bw21 = params.omega0 ** 2 / (params.delta + 2.0 * gamma_perp)
     rate = g_par + 2.0 * zeta_bw21
     _check_step(dt, rate, model)
-    n = _affine_rk4(rate, g_par * n_eq, n0, t)
+    m = _rk4_map(np.array([[-rate]]), dt)
+    (n,) = _affine_solve(m, [g_par * n_eq / rate], [n0], len(t) - 1, 1)
     return KineticTrace(t=t, n=n)
 
 
@@ -203,6 +232,9 @@ def integrate_effective_bloch(params: SystemParams, t_end: float, dt: float,
 
     dn/dt = -a(n+1) - 2*zeta*bw21*q
     dq/dt = gamma_eff*(n - q)
+
+    RK4's step is a 2x2 affine map about n = q = -a/(a + 2*zeta*bw21), run
+    by _affine_solve: n and q stay within 1e-14 of the step loop.
     """
     _check_initial_state(n0=n0, q0=q0)
     t = time_grid(t_end, dt, positive=True)
@@ -215,22 +247,9 @@ def integrate_effective_bloch(params: SystemParams, t_end: float, dt: float,
     fastest = max(a + k2, g, math.sqrt(g * (a + k2)))
     _check_step(dt, fastest, "effective-bloch")
 
-    n = np.empty(len(t))
-    q = np.empty(len(t))
-    n[0], q[0] = n0, q0
-    h = dt
-    nk, qk = float(n0), float(q0)
-    for k in range(len(t) - 1):
-        an1, aq1 = -a * (nk + 1.0) - k2 * qk, g * (nk - qk)
-        n1, q1 = nk + 0.5 * h * an1, qk + 0.5 * h * aq1
-        an2, aq2 = -a * (n1 + 1.0) - k2 * q1, g * (n1 - q1)
-        n2, q2 = nk + 0.5 * h * an2, qk + 0.5 * h * aq2
-        an3, aq3 = -a * (n2 + 1.0) - k2 * q2, g * (n2 - q2)
-        n3, q3 = nk + h * an3, qk + h * aq3
-        an4, aq4 = -a * (n3 + 1.0) - k2 * q3, g * (n3 - q3)
-        nk += (h / 6.0) * (an1 + 2.0 * an2 + 2.0 * an3 + an4)
-        qk += (h / 6.0) * (aq1 + 2.0 * aq2 + 2.0 * aq3 + aq4)
-        n[k + 1], q[k + 1] = nk, qk
+    m = _rk4_map(np.array([[-a, -k2], [g, -g]]), dt)
+    n_inf = -a / (a + k2)
+    n, q = _affine_solve(m, [n_inf, n_inf], [n0, q0], len(t) - 1, 2)
     return KineticTrace(t=t, n=n, q=q)
 
 
@@ -258,17 +277,18 @@ def integrate_memory_kernel(spectrum: SpectrumModel | None,
 
     Second-order predictor-corrector stepping (the history dependence makes
     classic one-step stage evaluation inapplicable); at dt=1e-4 the error
-    stays below 1e-6 for unit-scale rates. On a Lorentzian line one step is
-    an affine map of (n, J, history), which _lorentzian_solve applies to
-    blocks of about sqrt(steps) steps at once: 1e5 steps take 4-7 ms on a
-    2-core x86 host (32-42 ms stepped one at a time in Python), and n differs
-    from the step-by-step solve by about 1e-14 at 1e5 steps and 1e-13 at
-    1e6 (the tests allow 1e-12). Every other kernel, including none (no
-    drive, an empty history), runs the direct sum (_direct_sum_solve). A
-    diverging solve raises StepSizeError naming the first step whose n is
-    not finite, the same step on either path. The Lorentzian solve's memory
-    is about 25 bytes a step while the grid lies within the kernel's horizon
-    (t, the damped kernel and n) and 17 past it: 2.6 MB of tracemalloc peak
+    stays below 1e-6 for unit-scale rates. On a Lorentzian line, and with no
+    drive (spectrum None, omega0 = 0: the map with g0 = 0), one step is an
+    affine map of (n, J, history), run by _lorentzian_solve in blocks of
+    about sqrt(steps) steps: 1e5 steps take about 4 ms on a 2-core x86 host
+    (32-42 ms stepped one at a time in Python), and n differs from the step
+    loop by about 1e-14 at 1e5 steps and 1e-13 at 1e6 (the tests allow
+    1e-12). Only a tabulated kernel runs the direct sum (_direct_sum_solve),
+    over a window of at least one step. A diverging solve
+    raises StepSizeError naming the first step whose n is not finite, the
+    same step on either path. The Lorentzian solve's memory is about 25
+    bytes a step while the grid lies within the kernel's horizon (t, the
+    damped kernel and n) and 17 past it: 2.6 MB of tracemalloc peak
     at 1e5 steps and 22 MB at 1e6 for the criterion-5 line. A non-finite n0
     or |n0| > 1 is refused with ValueError before any step.
     """
@@ -281,45 +301,42 @@ def integrate_memory_kernel(spectrum: SpectrumModel | None,
         # coherence decay a non-decaying kernel would need unbounded history
         raise ValueError("memory window unbounded: gamma_perp must be positive")
 
-    if spectrum is None and params.omega0 != 0:
+    steps = len(t) - 1
+    if spectrum is None:
+        if params.omega0 == 0:
+            # no drive: the Lorentzian map with g0 = 0, a free decay to -1
+            _check_step(dt, max(a, gp), "memory-kernel")
+            return KineticTrace(t=t, n=_lorentzian_solve(0j, a, 0.0, dt, float(n0), steps))
         spectrum = from_phase_diffusion(params.omega0, params.delta)
     # |I(tau)| <= I(0) for a non-negative spectrum, so past this horizon the
     # damped kernel is below e^-1 * 1e-12 of its peak: outside the window
     horizon = min(len(t), int((math.log(1e12) + 1.0) / (gp * dt)) + 2)
-    if spectrum is None:
-        g_full = np.zeros(horizon)
-    else:
-        g_full = autocorrelation_kernel(spectrum, t[:horizon])
+    g_full = autocorrelation_kernel(spectrum, t[:horizon])
     damp = np.multiply(-gp, t[:horizon])
     g_full *= np.exp(damp, out=damp)
     del damp                       # the solve holds only t, g_full and n
 
     peak = abs(g_full[0])
-    if peak == 0.0:
-        window = 0
-    else:
-        # the last index still above the threshold, found on the boolean mask
-        alive = np.abs(g_full) >= 1e-12 * peak
-        # at least one step, so that dt must resolve the kernel's first step
-        window = max(1, horizon - 1 - int(np.argmax(alive[::-1])))
+    # the last index still above the threshold, found on the boolean mask;
+    # at least one step, so that dt must resolve the kernel's first step
+    alive = np.abs(g_full) >= 1e-12 * peak
+    window = max(1, horizon - 1 - int(np.argmax(alive[::-1])))
     g = g_full[:window + 1]
     g0 = float(g[0])
 
     markov_rate = a + 2.0 * float(np.trapezoid(g, dx=dt))
     _check_step(dt, max(markov_rate, gp), "memory-kernel")
-    if window > 0:
-        # trapezoid history is only second order if dt resolves the kernel
-        # itself; its per-step variation bounds decay and oscillation at once
-        change = np.diff(g)
-        kernel_step = float(np.max(np.abs(change, out=change))) / peak
-        del change
-        if kernel_step > 0.1 * (1.0 + 1e-12):
-            raise StepSizeError(
-                f"memory-kernel: dt={dt:g} under-resolves the kernel "
-                f"(per-step change {kernel_step:.3g} of peak, limit 0.1)")
+    # trapezoid history is only second order if dt resolves the kernel
+    # itself; its per-step variation bounds decay and oscillation at once
+    change = np.diff(g)
+    kernel_step = float(np.max(np.abs(change, out=change))) / peak
+    del change
+    if kernel_step > 0.1 * (1.0 + 1e-12):
+        raise StepSizeError(
+            f"memory-kernel: dt={dt:g} under-resolves the kernel "
+            f"(per-step change {kernel_step:.3g} of peak, limit 0.1)")
 
-    steps = len(t) - 1
-    if window > 0 and isinstance(spectrum, LorentzianSpectrum):
+    if isinstance(spectrum, LorentzianSpectrum):
         # the damped kernel is Re(g0 * rho**m) on the grid: no window needed
         rho = cmath.exp(complex(-(0.5 * spectrum.fwhm + gp) * dt,
                                 spectrum.center * dt))
@@ -333,20 +350,15 @@ def integrate_memory_kernel(spectrum: SpectrumModel | None,
 
 def _lorentzian_solve(rho: complex, a: float, g0: float, dt: float,
                       n0: float, steps: int) -> np.ndarray:
-    """integrate_memory_kernel's n for a Lorentzian line, in blocks of steps.
+    """integrate_memory_kernel's n for a Lorentzian line, or none (g0 = 0).
 
     The trapezoid history sum of the damped kernel Re(g0 * rho**m) obeys
     hist[k+1] = rho*(hist[k] + n[k]), with the far-edge half weight folded
     into hist[0] = -n[0]/2. A predictor-corrector step is then affine in the
-    state x = (n, j, Re hist, Im hist): x' = M x + c, with M and c read off
-    ``step`` at 0 and at the unit vectors, and carried as one 5x5 matrix on
-    (x, 1). With B = ceil(sqrt(steps + 1)) the powers M^0 ... M^B take B
-    small products, the block starts x[bB] another steps/B, and every n is
-    the first row of M^j against its block's start: one einsum over
-    (blocks, B). No product goes through BLAS, whose buffers would add to the
-    solve's resident memory. The result differs from stepping one step at a
-    time by a few ulps a block, about 1e-14 at 1e5 steps. A non-finite n
-    (a diverging solve) is left for the caller to find.
+    state x = (n, j, Re hist, Im hist), with its matrix read off ``step`` at
+    0 and at the unit vectors. Its fixed point is hist = rho*n/(1 - rho),
+    j = S*n and n = -a/(a + 2S), with S = dt*g0*(Re(rho/(1 - rho)) + 1/2),
+    so n = -1 exactly with no drive; _affine_solve works about it.
     """
     neg_a, half_g0, half_dt, end_g0 = -a, 0.5 * g0, 0.5 * dt, dt * 0.5 * g0
 
@@ -358,24 +370,15 @@ def _lorentzian_solve(rho: complex, a: float, g0: float, dt: float,
         n_next = nk + half_dt * (f_k + (neg_a * (n_pred + 1.0) - 2.0 * j_pred))
         return n_next, j_pred + end_g0 * (n_next - n_pred), hist.real, hist.imag
 
-    affine = np.eye(5)
-    affine[:4, 4] = step(0.0, 0.0, 0.0, 0.0)
-    for i, unit in enumerate(np.eye(4).tolist()):
-        affine[:4, i] = np.subtract(step(*unit), affine[:4, 4])
-
-    block = math.isqrt(steps) + 1                  # ceil(sqrt(steps + 1))
-    blocks = -(-(steps + 1) // block)
-    powers = np.empty((block + 1, 5, 5))
-    powers[0] = np.eye(5)
-    for j in range(block):
-        np.einsum("ik,kl->il", affine, powers[j], out=powers[j + 1])
-    starts = np.empty((blocks, 5))
-    starts[0] = (n0, 0.0, -0.5 * n0, 0.0, 1.0)
-    for b in range(1, blocks):
-        np.einsum("ik,k->i", powers[block], starts[b - 1], out=starts[b])
-    n = np.empty((blocks, block))
-    np.einsum("bk,jk->bj", starts, powers[:block, 0], out=n)
-    return n.reshape(-1)[:steps + 1]
+    origin = step(0.0, 0.0, 0.0, 0.0)
+    m = np.column_stack([np.subtract(step(*unit), origin)
+                         for unit in np.eye(4).tolist()])
+    ratio = rho / (1.0 - rho)
+    s = dt * g0 * (ratio.real + 0.5)
+    n_inf = -a / (a + 2.0 * s)
+    hist_inf = ratio * n_inf
+    x_inf = (n_inf, s * n_inf, hist_inf.real, hist_inf.imag)
+    return _affine_solve(m, x_inf, (n0, 0.0, -0.5 * n0, 0.0), steps, 1)[0]
 
 
 def _direct_sum_solve(g: np.ndarray, a: float, dt: float, n0: float,
@@ -385,18 +388,17 @@ def _direct_sum_solve(g: np.ndarray, a: float, dt: float, n0: float,
     Each step sums the history directly over the last len(g) - 1 steps, with
     the trapezoid's half weight at the far edge: one np.dot a step, with the
     rest of the step on Python floats, the constants hoisted in the order
-    the formula evaluates them and n stored as raw doubles. With no window
-    (no drive) the history is empty: n starts zeroed, so the far-edge term
-    reads 0 from the n[k] not yet written. A divergence is found by one scan
-    after the loop; the initial state is finite, so the first non-finite
-    value is the step at which a step-by-step check would have stopped.
+    the formula evaluates them and n stored as raw doubles. A divergence is
+    found by one scan after the loop; the initial state is finite, so the
+    first non-finite value is the step at which a step-by-step check would
+    have stopped.
     """
     window = len(g) - 1
     g0 = float(g[0])
     neg_a, half_g0, half_dt, end_g0 = -a, 0.5 * g0, 0.5 * dt, dt * 0.5 * g0
     grev = g[::-1].copy()          # contiguous reversed copy for fast dots
     kern = memoryview(g)
-    n = np.zeros(steps + 1)
+    n = np.empty(steps + 1)
     out = memoryview(n)
     nk = n0
     out[0] = nk
