@@ -48,10 +48,10 @@ RUNS = {
 CSV_MD5 = {
     "analyze": "4ec2cf25fccabcae4a61d967990e1f0e",
     "decorrelate": "c30ec63847cb5f6a51e7ed8fc0a5ca2f",
-    "fig1a": "380f1b830bb95c17deb032734cea25c9",
-    "fig1b": "c878499f0bfb37ac4339e7a88af9541c",
-    "fig2a": "d9464911957833d2a83592f1257b7b9f",
-    "fig2b": "8fa701f45555eac085670f145131ae9f",
+    "fig1a": "a1dc8f4014e73a28e11ee4419b0e75ee",
+    "fig1b": "577d10f91fed6d003bb50a1bf71dd2cc",
+    "fig2a": "bb7b829c66e1978b2eeaae705a411615",
+    "fig2b": "7746122757b10c1ff08f8046686edde4",
     "fig3a": "5c4f9fd2a86496a496fc11bf9a1b8ac3",
     "fig3b": "4dd147e37bc234abf928d466c6b6d74d",
 }

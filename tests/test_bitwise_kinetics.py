@@ -12,7 +12,7 @@ passing:
   Lorentzian line (10 001 rows) and on a seed-jittered 241-node table of it,
   and for ``model=effective-bloch`` (6001 rows);
 - the md5 of ``integrate_memory_kernel(None, DARK, 5.0, 1e-3, n0=n0).n``
-  with no drive (no kernel, so no history sum) for n0 = -1 and 0;
+  with no drive (the Lorentzian block map with g0 = 0) for n0 = -1 and 0;
 - the md5 of ``integrate_memory_kernel(ref_table(), REF, 100.0, 1e-2, n0=n0).n``
   for n0 = -1 and 0.5, where the kernel's window (about 950 steps) is shorter
   than the run, so the direct history sum starts past n[0];
@@ -50,15 +50,15 @@ CASES = {
                         "--set", "dt=1e-3"],
 }
 CSV_MD5 = {
-    "memory-kernel": "5171aeff8da5b4eae80e6bf94c650d39",
+    "memory-kernel": "02bdcb048aa4eaec8a44de63692afe90",
     "memory-kernel-table": "31fab8f17905ff79a5a130e92ae07723",
-    "effective-bloch": "17a6e24311249a1b27554111ee675495",
+    "effective-bloch": "fc60fbc2f195b19c36c68a88799c1b3d",
 }
 
 DARK = SystemParams(a=1.0, delta=5.0, omega0=0.0)
 DARK_MD5 = {
     -1.0: "c149148abe441c9d0f12fb31e6703aaf",
-    0.0: "bccc37e9a593c986560a26d4162b4b20",
+    0.0: "51f0d94fd26735aa7dbf71c416f76f91",
 }
 WINDOW_MD5 = {
     -1.0: "7b1cb6f43db8348d9a32dfed845636be",
