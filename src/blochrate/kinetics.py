@@ -115,7 +115,7 @@ def _check_step(dt: float, rate: float, model: str) -> None:
 def _rk4_map(rates: np.ndarray, dt: float) -> np.ndarray:
     """One RK4 step of dx/dt = rates @ x: the degree-4 Taylor polynomial of
     exp(dt*rates), in Horner form (on a 1x1 system, RK4's growth factor)."""
-    z = dt * np.asarray(rates, dtype=float)
+    z = dt * rates
     eye = np.eye(len(z))
     m = eye / 6.0 + z / 24.0
     for c in (0.5, 1.0, 1.0):
@@ -284,13 +284,13 @@ def integrate_memory_kernel(spectrum: SpectrumModel | None,
     (32-42 ms stepped one at a time in Python), and n differs from the step
     loop by about 1e-14 at 1e5 steps and 1e-13 at 1e6 (the tests allow
     1e-12). Only a tabulated kernel runs the direct sum (_direct_sum_solve),
-    over a window of at least one step. A diverging solve
-    raises StepSizeError naming the first step whose n is not finite, the
-    same step on either path. The Lorentzian solve's memory is about 25
-    bytes a step while the grid lies within the kernel's horizon (t, the
-    damped kernel and n) and 17 past it: 2.6 MB of tracemalloc peak
-    at 1e5 steps and 22 MB at 1e6 for the criterion-5 line. A non-finite n0
-    or |n0| > 1 is refused with ValueError before any step.
+    over a window of at least one step. A diverging solve raises
+    StepSizeError naming the first step whose n is not finite, the same step
+    on either path. The Lorentzian solve's memory is about 25 bytes a step
+    while the grid lies within the kernel's horizon (t, the damped kernel
+    and n) and 17 past it: 2.6 MB of tracemalloc peak at 1e5 steps and 22 MB
+    at 1e6 for the criterion-5 line. A non-finite n0 or |n0| > 1 is refused
+    with ValueError before any step.
     """
     _check_initial_state(n0=n0)
     t = time_grid(t_end, dt, positive=True)
